@@ -10,7 +10,7 @@ from .channel import (
     capacity,
     inv_capacity,
 )
-from .engine import RatePoint, RunConfig, StatsSummary, run_replicated
+from .engine import RunConfig, StatsSummary, run_replicated
 from .protocol import (
     Packet,
     RenewalRecord,
@@ -27,7 +27,6 @@ __all__ = [
     "FadingModel",
     "LinkConfig",
     "Packet",
-    "RatePoint",
     "Rayleigh",
     "RenewalRecord",
     "RunConfig",

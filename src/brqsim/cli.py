@@ -3,8 +3,11 @@
 SNR flags are given in dB and converted to linear at this boundary; the
 rest of the package works in linear SNR only.
 
-Exit codes: 0 ok, 2 usage/config error, 3 numeric failure, 4 integrity
-failure.
+Exit codes: 0 ok; 2 usage or config error, including a feedback budget
+the block quantizer cannot meet (BudgetExceededError); 3 numeric
+failure; 4 integrity failure, including a broken backtrack chain
+(ChainBrokenError) or an undecodable feedback report
+(FeedbackDecodeError).
 """
 
 from __future__ import annotations
@@ -14,12 +17,16 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
 from . import analytics, engine
 from .channel import LinkConfig, Rayleigh, inv_capacity
 from .errors import (
+    BrqError,
+    ChainBrokenError,
+    FeedbackDecodeError,
     InfiniteDelayError,
     InsufficientFeedbackError,
     NumericError,
@@ -29,6 +36,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INTEGRITY = 4
+
+_SCHEMES = ("full", "quantized")
 
 
 @dataclass
@@ -47,7 +56,6 @@ class ExperimentConfig:
     seed: int = 1
     slots: int = 100_000
     replications: int = 1
-    threads: int = 1
     include_warmup: bool = False
     output: str | None = None
     csv_log: str | None = None
@@ -112,7 +120,6 @@ _CASTERS = {
     "seed": int,
     "slots": int,
     "replications": int,
-    "threads": int,
     "include_warmup": _bool,
     "output": _opt(str),
     "csv_log": _opt(str),
@@ -187,10 +194,6 @@ def _resolve_rate(cfg: ExperimentConfig, mean_snr: float) -> float:
     return math.log2(1.0 + k * mean_snr)
 
 
-def _tag(value: float) -> str:
-    return f"{value:g}"
-
-
 def cmd_analytic(cfg: ExperimentConfig) -> int:
     mean_snr = 10.0 ** (cfg.mean_snr_db / 10.0)
     model = Rayleigh(mean_snr)
@@ -213,7 +216,7 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
         "wf_rate": analytics.waterfilling_rate(model),
     }
     if cfg.feedback_bits is not None:
-        key = f"brq_quant_rate_F{_tag(cfg.feedback_bits)}"
+        key = engine.quant_rate_column(cfg.feedback_bits)
         try:
             row[key] = analytics.avg_rate_quantized(model, rate, cfg.feedback_bits)
             row["note"] = ""
@@ -258,12 +261,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     rate = _resolve_rate(cfg, mean_snr)
     if rate <= 0:
         raise ValueError("simulation needs a positive rate")
-    if cfg.scheme == "quantized" and cfg.feedback_bits is None:
+    if cfg.scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {_SCHEMES}")
+    quantized = cfg.scheme == "quantized"
+    if quantized and cfg.feedback_bits is None:
         raise ValueError("quantized scheme needs --feedback-bits")
     link = LinkConfig(
         rate=rate,
         slot_uses=cfg.slot_uses,
-        feedback_bits=cfg.feedback_bits,
+        feedback_bits=cfg.feedback_bits if quantized else None,
         block_length=cfg.block_length,
         accounting=cfg.accounting,
     )
@@ -271,7 +277,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         seed=cfg.seed,
         replications=cfg.replications,
         horizon=cfg.slots,
-        scheme=cfg.scheme,
         include_warmup=cfg.include_warmup,
     )
     logs = [] if cfg.csv_log else None
@@ -279,7 +284,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         run,
         link,
         model,
-        max_workers=cfg.threads,
         record_slots=cfg.csv_log is not None,
         collect_logs=logs,
     )
@@ -309,100 +313,20 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _points_by(points, scheme, fbits=None):
-    out = {}
-    for p in points:
-        if p.scheme == scheme and (fbits is None or p.feedback_bits == fbits):
-            out[(p.mean_snr, p.rate_r)] = p
-    return out
-
-
 def cmd_fig4(cfg: ExperimentConfig) -> int:
-    grid_db = _parse_grid(cfg.snr_grid_db)
-    factors = _parse_list(cfg.rate_factors)
     fbits = _parse_list(cfg.feedback_grid) if cfg.feedback_grid else [1.0]
-    points = engine.sweep_mean_snr(grid_db, factors, fbits)
-
-    header = ["mean_snr_db", "wf_rate", "prior_fixed_rate", "norm_prior_fixed"]
-    for k in factors:
-        kt = _tag(k)
-        header += [f"rate_R_k{kt}", f"p_R_k{kt}", f"brq_full_rate_k{kt}",
-                   f"norm_brq_full_k{kt}"]
-        for f in fbits:
-            ft = _tag(f)
-            header += [f"brq_quant_rate_F{ft}_k{kt}", f"norm_brq_quant_F{ft}_k{kt}"]
-
-    rows = []
-    for db in grid_db:
-        mean_snr = 10.0 ** (db / 10.0)
-        model = Rayleigh(mean_snr)
-        per = [p for p in points if p.mean_snr == mean_snr]
-        wf = next(p.value for p in per if p.scheme == "waterfilling")
-        pf = next(p.value for p in per if p.scheme == "prior_fixed")
-        row = {
-            "mean_snr_db": db,
-            "wf_rate": wf,
-            "prior_fixed_rate": pf,
-            "norm_prior_fixed": pf / wf,
-        }
-        for k in factors:
-            kt = _tag(k)
-            rate = math.log2(1.0 + k * mean_snr)
-            full = next(
-                p.value for p in per if p.scheme == "brq_full" and p.rate_r == rate
-            )
-            row[f"rate_R_k{kt}"] = rate
-            row[f"p_R_k{kt}"] = model.decode_prob(inv_capacity(rate))
-            row[f"brq_full_rate_k{kt}"] = full
-            row[f"norm_brq_full_k{kt}"] = full / wf
-            for f in fbits:
-                ft = _tag(f)
-                qp = next(
-                    p
-                    for p in per
-                    if p.scheme == "brq_quantized"
-                    and p.rate_r == rate
-                    and p.feedback_bits == f
-                )
-                row[f"brq_quant_rate_F{ft}_k{kt}"] = qp.value
-                row[f"norm_brq_quant_F{ft}_k{kt}"] = (
-                    qp.value / wf if math.isfinite(qp.value) else math.nan
-                )
-        rows.append(row)
-    _write_csv(cfg.output or "fig4.csv", header, rows)
+    rows = engine.sweep_mean_snr(
+        _parse_grid(cfg.snr_grid_db), _parse_list(cfg.rate_factors), fbits
+    )
+    _write_csv(cfg.output or "fig4.csv", list(rows[0]), rows)
     return EXIT_OK
 
 
 def cmd_fig5(cfg: ExperimentConfig) -> int:
     mean_snr = 10.0 ** (cfg.mean_snr_db / 10.0)
-    ratios = _parse_grid(cfg.ratio_grid)
     fbits = _parse_list(cfg.feedback_grid) if cfg.feedback_grid else [1.0, 2.0, 8.0]
-    points = engine.sweep_threshold_ratio(mean_snr, ratios, fbits)
-    model = Rayleigh(mean_snr)
-
-    header = ["ratio", "rate_R", "p_R", "brq_full_rate"]
-    header += [f"brq_quant_rate_F{_tag(f)}" for f in fbits]
-    rows = []
-    for x in ratios:
-        rate = math.log2(1.0 + x * mean_snr)
-        per = [p for p in points if p.rate_r == rate]
-        row = {
-            "ratio": x,
-            "rate_R": rate,
-            "p_R": model.decode_prob(inv_capacity(rate)),
-            "brq_full_rate": next(
-                p.value for p in per if p.scheme == "brq_full"
-            ),
-        }
-        for f in fbits:
-            qp = next(
-                p
-                for p in per
-                if p.scheme == "brq_quantized" and p.feedback_bits == f
-            )
-            row[f"brq_quant_rate_F{_tag(f)}"] = qp.value
-        rows.append(row)
-    _write_csv(cfg.output or "fig5.csv", header, rows)
+    rows = engine.sweep_threshold_ratio(mean_snr, _parse_grid(cfg.ratio_grid), fbits)
+    _write_csv(cfg.output or "fig5.csv", list(rows[0]), rows)
     return EXIT_OK
 
 
@@ -423,11 +347,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--feedback-bits", type=float, dest="feedback_bits")
     sub.add_argument("--block-length", type=int, dest="block_length")
     sub.add_argument("--accounting", choices=("fluid", "integer"))
-    sub.add_argument("--scheme", choices=("full", "quantized"))
+    sub.add_argument("--scheme", choices=_SCHEMES)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--slots", type=int)
     sub.add_argument("--replications", type=int)
-    sub.add_argument("--threads", type=int)
     sub.add_argument(
         "--include-warmup", action="store_const", const=True, dest="include_warmup"
     )
@@ -473,18 +396,44 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+# A value that starts with '-' and a digit, such as the grid '-5:0:5'.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a flag and a following negative value into one '--flag=value'.
+
+    argparse reads any token that starts with '-' as an option unless it
+    is a plain negative number, so a grid or list that starts below zero
+    would otherwise be accepted only in the '=' form.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         cfg = load_config(args)
         return _COMMANDS[cfg.command](cfg)
-    except (ValueError, OSError, InsufficientFeedbackError) as exc:
+    except (ChainBrokenError, FeedbackDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INTEGRITY
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, OSError, BrqError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

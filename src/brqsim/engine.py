@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytics
 from .analytics import DEFAULT_QUAD, QuadratureSpec
-from .channel import FadingModel, LinkConfig, Rayleigh
+from .channel import FadingModel, LinkConfig, Rayleigh, inv_capacity
 from .errors import InsufficientFeedbackError
 from .protocol import SessionLog, run_full_csit, run_quantized
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-_SCHEMES = ("full", "quantized")
 
 
 @dataclass(frozen=True)
@@ -26,7 +23,6 @@ class RunConfig:
     seed: int
     replications: int
     horizon: int
-    scheme: str = "full"
     include_warmup: bool = False
 
     def __post_init__(self) -> None:
@@ -34,8 +30,6 @@ class RunConfig:
             raise ValueError("replications must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
 
 
 @dataclass
@@ -71,18 +65,6 @@ class StatsSummary:
         }
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """One analytic curve sample for the sweep tables."""
-
-    mean_snr: float  # linear
-    rate_r: float | None  # None for rate-independent baselines
-    scheme: str  # "brq_full" | "brq_quantized" | "prior_fixed" | "waterfilling"
-    value: float
-    feedback_bits: float | None = None
-    note: str = ""
-
-
 def _replication_rngs(seed: int, rep: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Independent channel and payload substreams for one replication."""
     channel = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0)))
@@ -93,19 +75,20 @@ def _replication_rngs(seed: int, rep: int) -> tuple[np.random.Generator, np.rand
 def _run_session(
     run: RunConfig, link: LinkConfig, model: FadingModel, rep: int, record_slots: bool
 ) -> SessionLog:
+    """One replication; a finite feedback budget selects the quantized scheme."""
     rng, source_rng = _replication_rngs(run.seed, rep)
-    if run.scheme == "quantized":
-        return run_quantized(
-            link,
-            model,
-            run.horizon,
-            rng,
-            source_rng,
-            record_slots=record_slots,
-            include_warmup=run.include_warmup,
+    if link.feedback_bits is None:
+        return run_full_csit(
+            link, model, run.horizon, rng, source_rng, record_slots=record_slots
         )
-    return run_full_csit(
-        link, model, run.horizon, rng, source_rng, record_slots=record_slots
+    return run_quantized(
+        link,
+        model,
+        run.horizon,
+        rng,
+        source_rng,
+        record_slots=record_slots,
+        include_warmup=run.include_warmup,
     )
 
 
@@ -125,22 +108,15 @@ def run_replicated(
     link: LinkConfig,
     model: FadingModel,
     *,
-    max_workers: int | None = None,
     record_slots: bool = False,
     collect_logs: list[SessionLog] | None = None,
 ) -> StatsSummary:
     """Run independent replications and aggregate; the result is a pure
-    function of (run, link, model), regardless of worker count."""
-    reps = range(run.replications)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            logs = list(
-                pool.map(
-                    lambda i: _run_session(run, link, model, i, record_slots), reps
-                )
-            )
-    else:
-        logs = [_run_session(run, link, model, i, record_slots) for i in reps]
+    function of (run, link, model)."""
+    logs = [
+        _run_session(run, link, model, i, record_slots)
+        for i in range(run.replications)
+    ]
 
     if collect_logs is not None:
         collect_logs.extend(logs)
@@ -165,21 +141,19 @@ def run_replicated(
     )
 
 
-def _quantized_point(
+def quant_rate_column(feedback_bits: float) -> str:
+    """Table column of the quantized rate at budget F, e.g. brq_quant_rate_F0.5."""
+    return f"brq_quant_rate_F{feedback_bits:g}"
+
+
+def _quantized_rate(
     model: Rayleigh, rate: float, fbits: float, spec: QuadratureSpec
-) -> RatePoint:
+) -> float:
+    """Analytic quantized rate, NaN where the budget cannot cover the mask."""
     try:
-        value = analytics.avg_rate_quantized(model, rate, fbits, spec)
-        return RatePoint(model.mean_snr, rate, "brq_quantized", value, fbits)
+        return analytics.avg_rate_quantized(model, rate, fbits, spec)
     except InsufficientFeedbackError:
-        return RatePoint(
-            model.mean_snr,
-            rate,
-            "brq_quantized",
-            math.nan,
-            fbits,
-            note="insufficient_feedback",
-        )
+        return math.nan
 
 
 def sweep_mean_snr(
@@ -187,39 +161,42 @@ def sweep_mean_snr(
     rate_factors=(2.0, 3.0),
     feedback_bits=(1.0,),
     spec: QuadratureSpec = DEFAULT_QUAD,
-) -> list[RatePoint]:
-    """Analytic rates over a mean-SNR grid, with R = log2(1 + k * mean_snr).
+) -> list[dict]:
+    """fig4 table rows over a mean-SNR grid, with R = log2(1 + k * mean_snr).
 
-    Emits the water-filling and fixed-power prior-CSIT baselines for each
-    grid point plus, per rate factor k, the full-CSIT rate and one
-    quantized rate per feedback budget.
+    Each row holds the water-filling and fixed-power prior-CSIT baselines
+    plus, per rate factor k, the rate, decoding probability and full-CSIT
+    rate, and one quantized rate per feedback budget.  `norm_*` columns
+    divide by the water-filling rate.
     """
     if len(mean_snr_db_grid) == 0:
         raise ValueError("SNR grid must be nonempty")
-    points: list[RatePoint] = []
+    rows = []
     for db in mean_snr_db_grid:
         mean_snr = 10.0 ** (db / 10.0)
         model = Rayleigh(mean_snr)
-        points.append(
-            RatePoint(
-                mean_snr, None, "waterfilling", analytics.waterfilling_rate(model, 1.0, spec)
-            )
-        )
-        points.append(
-            RatePoint(
-                mean_snr, None, "prior_fixed", analytics.avg_rate_prior_fixed_power(model, spec)
-            )
-        )
+        wf = analytics.waterfilling_rate(model, 1.0, spec)
+        pf = analytics.avg_rate_prior_fixed_power(model, spec)
+        row = {
+            "mean_snr_db": db,
+            "wf_rate": wf,
+            "prior_fixed_rate": pf,
+            "norm_prior_fixed": pf / wf,
+        }
         for k in rate_factors:
+            kt = f"_k{k:g}"
             rate = math.log2(1.0 + k * mean_snr)
-            points.append(
-                RatePoint(
-                    mean_snr, rate, "brq_full", analytics.avg_rate_full_csit(model, rate, spec)
-                )
-            )
+            full = analytics.avg_rate_full_csit(model, rate, spec)
+            row["rate_R" + kt] = rate
+            row["p_R" + kt] = model.decode_prob(inv_capacity(rate))
+            row["brq_full_rate" + kt] = full
+            row["norm_brq_full" + kt] = full / wf
             for fbits in feedback_bits:
-                points.append(_quantized_point(model, rate, fbits, spec))
-    return points
+                quant = _quantized_rate(model, rate, fbits, spec)
+                row[quant_rate_column(fbits) + kt] = quant
+                row[f"norm_brq_quant_F{fbits:g}" + kt] = quant / wf
+        rows.append(row)
+    return rows
 
 
 def sweep_threshold_ratio(
@@ -227,25 +204,27 @@ def sweep_threshold_ratio(
     ratio_grid,
     feedback_bits=(1.0, 2.0, 8.0),
     spec: QuadratureSpec = DEFAULT_QUAD,
-) -> list[RatePoint]:
-    """Analytic rates at fixed mean SNR over a gamma_R / mean_snr grid.
+) -> list[dict]:
+    """fig5 table rows at fixed mean SNR over a gamma_R / mean_snr grid.
 
     Each ratio x sets R = log2(1 + x * mean_snr).  Budgets that cannot
-    cover the success mask are marked, not fatal.
+    cover the success mask give a NaN rate, not an error.
     """
     if mean_snr <= 0:
         raise ValueError("mean SNR must be positive")
     if len(ratio_grid) == 0:
         raise ValueError("ratio grid must be nonempty")
     model = Rayleigh(mean_snr)
-    points: list[RatePoint] = []
+    rows = []
     for x in ratio_grid:
         rate = math.log2(1.0 + x * mean_snr)
-        points.append(
-            RatePoint(
-                mean_snr, rate, "brq_full", analytics.avg_rate_full_csit(model, rate, spec)
-            )
-        )
+        row = {
+            "ratio": x,
+            "rate_R": rate,
+            "p_R": model.decode_prob(inv_capacity(rate)),
+            "brq_full_rate": analytics.avg_rate_full_csit(model, rate, spec),
+        }
         for fbits in feedback_bits:
-            points.append(_quantized_point(model, rate, fbits, spec))
-    return points
+            row[quant_rate_column(fbits)] = _quantized_rate(model, rate, fbits, spec)
+        rows.append(row)
+    return rows

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .channel import FadingModel, LinkConfig, capacity
 from .errors import ChainBrokenError
 from .quantizer import (
-    QuantizerConfig,
     decode_feedback_block,
     effective_snr,
     encode_feedback_block,
@@ -64,28 +62,6 @@ def reward_of_chain(rate: float, slot_uses: int, outage_snrs) -> float:
             raise ValueError(f"chain slot with C({s}) = {c} >= rate {rate}")
         total += c
     return slot_uses * (rate + total)
-
-
-class InstanceSlot(NamedTuple):
-    parity: str  # "odd" | "even"
-    block: int  # 1-based block number within the parity class
-    slot: int  # 1-based position within the block
-
-
-def schedule_instance(slot: int, block_length: int) -> InstanceSlot:
-    """Map a global slot to its interleaved block and within-block position.
-
-    Blocks of `block_length` slots alternate odd, even, odd, even, ...;
-    the backtrack process (parity, *, slot) owns one position across all
-    blocks of its parity.
-    """
-    if slot < 0:
-        raise ValueError(f"slot must be nonnegative, got {slot}")
-    if block_length < 2:
-        raise ValueError(f"block_length must be >= 2, got {block_length}")
-    index, pos = divmod(slot, block_length)
-    parity = "odd" if index % 2 == 0 else "even"
-    return InstanceSlot(parity=parity, block=index // 2 + 1, slot=pos + 1)
 
 
 @dataclass(slots=True)
@@ -224,7 +200,6 @@ class BrqReceiver:
         self.link = link
         self.stream = stream
         self._buffer: list[tuple[int, float, Packet]] = []
-        self.anchor_slot: int | None = None  # last renewal of this process
 
     def step(self, slot: int, snr: float, packet: Packet) -> RenewalRecord | None:
         """Buffer an outage slot, or decode and backtrack on a renewal."""
@@ -270,7 +245,6 @@ class BrqReceiver:
             delays.append((pkt.new_bits, slot - s))
             self.stream.push(pkt.payload_offset, pkt.new_bits, pkt.payload)
         eff = [pkt.eff_snr for _, pkt in chain[1:]]
-        self.anchor_slot = slot
         return RenewalRecord(
             slot=slot,
             chain_length=len(chain),
@@ -278,10 +252,6 @@ class BrqReceiver:
             bit_delays=delays,
             effective_snrs=eff,
         )
-
-    @property
-    def pending_new_bits(self) -> float:
-        return sum(pkt.new_bits for _, _, pkt in self._buffer)
 
 
 @dataclass
@@ -373,31 +343,53 @@ def _source_and_replay(
     return source, ReassemblyStream(SourceStream(replay_rng, materialize))
 
 
-def _record(
-    records: list[SlotRecord] | None,
-    slot: int,
-    instance: int,
-    snr: float,
-    packet: Packet,
-    renewal: RenewalRecord | None,
-    decoded: bool,
-) -> None:
-    if records is None:
-        return
-    records.append(
-        SlotRecord(
-            slot=slot,
-            instance=instance,
-            snr=snr,
-            eff_snr=packet.eff_snr,
-            parity_bits=packet.parity_bits,
-            new_bits=packet.new_bits,
-            decoded=decoded,
-            renewal=renewal is not None,
-            chain_length=renewal.chain_length if renewal else 0,
-            reward_bits=renewal.reward_bits if renewal else 0.0,
-        )
-    )
+def _run_processes(
+    link: LinkConfig,
+    snrs: list[float],
+    processes: int,
+    feedback: list[float | None],
+    source_rng: np.random.Generator | None,
+    warmup: int,
+    record_slots: bool,
+) -> SessionLog:
+    """Run `processes` interleaved backtrack processes over one SNR sequence.
+
+    Slot t belongs to process t mod P and is sent with feedback[t - P],
+    the report on that process's previous slot (an ack while t < P).
+    All processes draw payload from one source and deliver into one
+    reassembly stream; slots before `warmup` stay out of the statistics.
+    """
+    source, stream = _source_and_replay(source_rng, link.accounting == "integer")
+    txs = [BrqTransmitter(link, source) for _ in range(processes)]
+    rxs = [BrqReceiver(link, stream) for _ in range(processes)]
+    acct = _Accounting(warmup)
+    records: list[SlotRecord] | None = [] if record_slots else None
+    gamma_r = link.gamma_r
+
+    for t, snr in enumerate(snrs):
+        instance = t % processes
+        report = feedback[t - processes] if t >= processes else ACK
+        packet = txs[instance].step(t, report)
+        acct.on_packet(t, packet)
+        renewal = rxs[instance].step(t, snr, packet)
+        if renewal is not None:
+            acct.on_renewal(renewal)
+        if records is not None:
+            records.append(
+                SlotRecord(
+                    slot=t,
+                    instance=instance,
+                    snr=snr,
+                    eff_snr=packet.eff_snr,
+                    parity_bits=packet.parity_bits,
+                    new_bits=packet.new_bits,
+                    decoded=snr >= gamma_r,
+                    renewal=renewal is not None,
+                    chain_length=renewal.chain_length if renewal else 0,
+                    reward_bits=renewal.reward_bits if renewal else 0.0,
+                )
+            )
+    return _finish(link, len(snrs), acct, stream, records)
 
 
 def run_full_csit(
@@ -413,25 +405,9 @@ def run_full_csit(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     snrs = np.atleast_1d(model.sample(rng, horizon)).tolist()
-    source, stream = _source_and_replay(source_rng, link.accounting == "integer")
-
-    tx = BrqTransmitter(link, source)
-    rx = BrqReceiver(link, stream)
-    acct = _Accounting(warmup_slots=0)
-    records: list[SlotRecord] | None = [] if record_slots else None
     gamma_r = link.gamma_r
-
-    feedback: float | None = ACK
-    for t in range(horizon):
-        snr = snrs[t]
-        packet = tx.step(t, feedback)
-        acct.on_packet(t, packet)
-        renewal = rx.step(t, snr, packet)
-        if renewal is not None:
-            acct.on_renewal(renewal)
-        _record(records, t, 0, snr, packet, renewal, snr >= gamma_r)
-        feedback = ACK if snr >= gamma_r else snr
-    return _finish(link, horizon, acct, stream, records)
+    feedback = [ACK if snr >= gamma_r else snr for snr in snrs]
+    return _run_processes(link, snrs, 1, feedback, source_rng, 0, record_slots)
 
 
 def run_quantized(
@@ -443,18 +419,18 @@ def run_quantized(
     *,
     record_slots: bool = False,
     include_warmup: bool = False,
-    quantizer: QuantizerConfig | None = None,
 ) -> SessionLog:
     """Simulate block-interleaved operation with quantized block feedback.
 
     2L backtrack processes run in parallel, one per position of the odd
     and even block classes.  A block's SNRs are encoded at its end and
     reach the transmitter during the following opposite-parity block, in
-    time for the next same-parity block.  The first block of each parity
-    is sent without feedback; by default those 2L warm-up slots are
-    excluded from the statistics.
+    time for the next same-parity block, so slot t is sized from the
+    report on slot t - 2L.  The first block of each parity is sent
+    without feedback; by default those 2L warm-up slots are excluded from
+    the statistics.
     """
-    if link.feedback_bits is None and quantizer is None:
+    if link.feedback_bits is None:
         raise ValueError("quantized mode needs a finite feedback budget")
     length = link.block_length
     if horizon < 2 * length or horizon % (2 * length) != 0:
@@ -462,38 +438,20 @@ def run_quantized(
             f"horizon must be a positive multiple of 2L = {2 * length}, got {horizon}"
         )
     gamma_r = link.gamma_r
-    if quantizer is None:
-        p_r = model.decode_prob(gamma_r)
-        quantizer = planned_config(link.feedback_bits, length, p_r, gamma_r)
+    quantizer = planned_config(
+        link.feedback_bits, length, model.decode_prob(gamma_r), gamma_r
+    )
     d = quantizer.cell_width
 
     snrs = np.atleast_1d(model.sample(rng, horizon)).tolist()
-    source, stream = _source_and_replay(source_rng, link.accounting == "integer")
-
-    txs = [BrqTransmitter(link, source) for _ in range(2 * length)]
-    rxs = [BrqReceiver(link, stream) for _ in range(2 * length)]
-    acct = _Accounting(warmup_slots=0 if include_warmup else 2 * length)
-    records: list[SlotRecord] | None = [] if record_slots else None
-
-    # Decoded report per block index; consumed two blocks later.
-    reports: dict[int, tuple[float | None, ...]] = {}
-    for t in range(horizon):
-        block, pos = divmod(t, length)
-        instance = (block % 2) * length + pos
-        if block >= 2:
-            entry = reports[block - 2][pos]
-            feedback = ACK if entry is None else effective_snr(entry, d)
-        else:
-            feedback = ACK
-        snr = snrs[t]
-        packet = txs[instance].step(t, feedback)
-        acct.on_packet(t, packet)
-        renewal = rxs[instance].step(t, snr, packet)
-        if renewal is not None:
-            acct.on_renewal(renewal)
-        _record(records, t, instance, snr, packet, renewal, snr >= gamma_r)
-        if pos == length - 1:
-            encoded = encode_feedback_block(snrs[t - length + 1 : t + 1], quantizer)
-            reports[block] = decode_feedback_block(encoded.bits, quantizer)
-            reports.pop(block - 2, None)
-    return _finish(link, horizon, acct, stream, records)
+    feedback: list[float | None] = []
+    for start in range(0, horizon, length):
+        encoded = encode_feedback_block(snrs[start : start + length], quantizer)
+        feedback += [
+            ACK if entry is None else effective_snr(entry, d)
+            for entry in decode_feedback_block(encoded.bits, quantizer)
+        ]
+    warmup = 0 if include_warmup else 2 * length
+    return _run_processes(
+        link, snrs, 2 * length, feedback, source_rng, warmup, record_slots
+    )

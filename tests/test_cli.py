@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from brqsim import cli
+from brqsim import cli, engine
 from brqsim.cli import ExperimentConfig, main
+from brqsim.errors import ChainBrokenError, FeedbackDecodeError
 
 
 def read_csv(path):
@@ -113,16 +114,6 @@ class TestSimulateCommand:
         assert payload["integrity"] == "pass"
         assert payload["replications"] == 3
 
-    def test_thread_count_keeps_bytes_identical(self, tmp_path):
-        out1, out2 = tmp_path / "t1.json", tmp_path / "t4.json"
-        argv = [
-            "simulate", "--mean-snr-db", "10", "--rate-factor", "2",
-            "--slots", "3000", "--replications", "4", "--seed", "9",
-        ]
-        assert main(argv + ["--threads", "1", "--output", str(out1)]) == 0
-        assert main(argv + ["--threads", "4", "--output", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_ci_covers_analytic_cross_command(self, tmp_path):
         sim_out = tmp_path / "sim.json"
         ana_out = tmp_path / "ana.csv"
@@ -223,6 +214,14 @@ class TestFigureCommands:
             assert f1 <= f2 + 1e-9 <= f8 + 2e-9
             assert f8 <= float(row["brq_full_rate"]) + 1e-9
 
+    @pytest.mark.parametrize("grid", ["-5:0:5", "-5,0"])
+    def test_negative_grid_after_space(self, tmp_path, grid):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(["fig4", "--snr-grid-db", grid, "--output", str(spaced)]) == 0
+        assert main(["fig4", f"--snr-grid-db={grid}", "--output", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert [float(r["mean_snr_db"]) for r in read_csv(spaced)] == [-5.0, 0.0]
+
     def test_fig5_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["fig5", "--ratio-grid", "1:2:0.5"]
@@ -239,3 +238,23 @@ class TestExitCodes:
 
     def test_bad_grid_is_usage_error(self):
         assert main(["fig4", "--snr-grid-db", "0:30"]) == cli.EXIT_USAGE
+
+    def test_budget_exceeded_is_usage_error(self, tmp_path, capsys):
+        # the planner sizes cells for the all-failed block; some blocks with
+        # a few successes encode to more than floor(L * F) bits
+        code = main(
+            ["simulate", "--scheme", "quantized", "--feedback-bits", "1.5",
+             "--rate-factor", "2", "--mean-snr-db", "10", "--slots", "12800",
+             "--seed", "3", "--output", str(tmp_path / "s.json")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "error: block encodes to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [ChainBrokenError, FeedbackDecodeError])
+    def test_protocol_faults_are_integrity_failures(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(engine, "run_replicated", fail)
+        assert main(["simulate", "--slots", "100"]) == cli.EXIT_INTEGRITY
+        assert capsys.readouterr().err == "error: injected\n"

@@ -21,8 +21,6 @@ class TestRunConfig:
             RunConfig(seed=0, replications=0, horizon=10)
         with pytest.raises(ValueError):
             RunConfig(seed=0, replications=1, horizon=0)
-        with pytest.raises(ValueError):
-            RunConfig(seed=0, replications=1, horizon=10, scheme="other")
 
 
 class TestRunReplicated:
@@ -45,12 +43,6 @@ class TestRunReplicated:
         b = run_replicated(run, link(), Rayleigh(10.0))
         assert a == b
 
-    def test_thread_count_does_not_change_result(self):
-        run = RunConfig(seed=13, replications=6, horizon=2000)
-        serial = run_replicated(run, link(), Rayleigh(10.0))
-        threaded = run_replicated(run, link(), Rayleigh(10.0), max_workers=4)
-        assert serial == threaded
-
     def test_ci_covers_quadrature_value(self):
         run = RunConfig(seed=3, replications=10, horizon=20_000)
         summary = run_replicated(run, link(), Rayleigh(10.0))
@@ -60,7 +52,7 @@ class TestRunReplicated:
 
     def test_quantized_scheme_dispatch(self):
         quant_link = LinkConfig(rate=RATE, feedback_bits=2.0, block_length=8)
-        run = RunConfig(seed=5, replications=2, horizon=16 * 40, scheme="quantized")
+        run = RunConfig(seed=5, replications=2, horizon=16 * 40)
         summary = run_replicated(run, quant_link, Rayleigh(10.0))
         assert summary.integrity == "pass"
         assert 0.0 < summary.rate_mean < RATE
@@ -100,69 +92,55 @@ class TestCiCalibration:
 
 class TestSweeps:
     def test_mean_snr_sweep_contents(self):
-        points = engine.sweep_mean_snr([0.0, 10.0], rate_factors=(2.0,), feedback_bits=(1.0,))
-        schemes = {(p.scheme, p.feedback_bits) for p in points}
-        assert ("waterfilling", None) in schemes
-        assert ("prior_fixed", None) in schemes
-        assert ("brq_full", None) in schemes
-        assert ("brq_quantized", 1.0) in schemes
-        assert len(points) == 2 * 4
+        rows = engine.sweep_mean_snr([0.0, 10.0], rate_factors=(2.0,), feedback_bits=(1.0,))
+        assert [row["mean_snr_db"] for row in rows] == [0.0, 10.0]
+        for row in rows:
+            assert list(row) == [
+                "mean_snr_db", "wf_rate", "prior_fixed_rate", "norm_prior_fixed",
+                "rate_R_k2", "p_R_k2", "brq_full_rate_k2", "norm_brq_full_k2",
+                "brq_quant_rate_F1_k2", "norm_brq_quant_F1_k2",
+            ]
+            assert row["norm_brq_full_k2"] == row["brq_full_rate_k2"] / row["wf_rate"]
 
     def test_single_point_degenerates_to_analytics(self):
-        points = engine.sweep_mean_snr([10.0], rate_factors=(2.0,), feedback_bits=())
+        (row,) = engine.sweep_mean_snr([10.0], rate_factors=(2.0,), feedback_bits=())
         model = Rayleigh(10.0)
-        by_scheme = {p.scheme: p.value for p in points}
-        assert by_scheme["waterfilling"] == analytics.waterfilling_rate(model)
-        assert by_scheme["prior_fixed"] == analytics.avg_rate_prior_fixed_power(model)
-        assert by_scheme["brq_full"] == analytics.avg_rate_full_csit(model, RATE)
+        assert row["wf_rate"] == analytics.waterfilling_rate(model)
+        assert row["prior_fixed_rate"] == analytics.avg_rate_prior_fixed_power(model)
+        assert row["brq_full_rate_k2"] == analytics.avg_rate_full_csit(model, RATE)
 
     def test_rate_factor_two_fixes_decode_probability(self):
-        points = engine.sweep_mean_snr(
+        rows = engine.sweep_mean_snr(
             [0.0, 6.0, 14.0, 20.0], rate_factors=(2.0,), feedback_bits=()
         )
-        for p in points:
-            if p.scheme != "brq_full":
-                continue
-            model = Rayleigh(p.mean_snr)
-            gamma_r = 2.0**p.rate_r - 1.0
-            assert model.decode_prob(gamma_r) == pytest.approx(
-                math.exp(-2.0), rel=1e-9
-            )
+        for row in rows:
+            model = Rayleigh(10.0 ** (row["mean_snr_db"] / 10.0))
+            gamma_r = 2.0 ** row["rate_R_k2"] - 1.0
+            assert model.decode_prob(gamma_r) == pytest.approx(math.exp(-2.0), rel=1e-9)
+            assert row["p_R_k2"] == pytest.approx(math.exp(-2.0), rel=1e-9)
 
     def test_threshold_sweep_monotone_in_feedback(self):
         ratios = [0.5, 1.0, 2.0, 4.0]
-        points = engine.sweep_threshold_ratio(10.0, ratios, feedback_bits=(1.0, 2.0, 8.0))
-        for x in ratios:
-            rate = math.log2(1 + 10.0 * x)
-            per = {
-                p.feedback_bits: p.value
-                for p in points
-                if p.rate_r == rate and p.scheme == "brq_quantized"
-            }
-            full = next(
-                p.value
-                for p in points
-                if p.rate_r == rate and p.scheme == "brq_full"
-            )
-            assert per[1.0] <= per[2.0] + 1e-9
-            assert per[2.0] <= per[8.0] + 1e-9
-            assert per[8.0] <= full + 1e-9
+        rows = engine.sweep_threshold_ratio(10.0, ratios, feedback_bits=(1.0, 2.0, 8.0))
+        assert [row["ratio"] for row in rows] == ratios
+        for x, row in zip(ratios, rows):
+            assert row["rate_R"] == math.log2(1 + 10.0 * x)
+            assert row["brq_quant_rate_F1"] <= row["brq_quant_rate_F2"] + 1e-9
+            assert row["brq_quant_rate_F2"] <= row["brq_quant_rate_F8"] + 1e-9
+            assert row["brq_quant_rate_F8"] <= row["brq_full_rate"] + 1e-9
 
     def test_zero_ratio_gives_zero_rates(self):
-        points = engine.sweep_threshold_ratio(10.0, [0.0], feedback_bits=(1.0,))
-        assert all(p.value == 0.0 for p in points)
+        (row,) = engine.sweep_threshold_ratio(10.0, [0.0], feedback_bits=(1.0,))
+        assert row["brq_full_rate"] == 0.0
+        assert row["brq_quant_rate_F1"] == 0.0
 
     def test_infeasible_budget_marked_not_fatal(self):
-        # p_R = 0.5 at ratio ln(2) * ... : pick mean_snr so H(p_R) = 1 > F
+        # threshold / mean = ln 2 gives p_R = 0.5, so H(p_R) = 1 > F
         mean_snr = 10.0
-        ratio = math.log(2.0) / 1.0  # threshold/mean = ln 2 -> p_R = 0.5
-        points = engine.sweep_threshold_ratio(
-            mean_snr, [ratio], feedback_bits=(0.9,)
-        )
-        marked = [p for p in points if p.scheme == "brq_quantized"]
-        assert len(marked) == 1
-        assert math.isnan(marked[0].value)
-        assert marked[0].note == "insufficient_feedback"
+        ratio = math.log(2.0) / 1.0
+        (row,) = engine.sweep_threshold_ratio(mean_snr, [ratio], feedback_bits=(0.9,))
+        assert math.isnan(row["brq_quant_rate_F0.9"])
+        assert math.isfinite(row["brq_full_rate"])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brqsim import analytics
 from brqsim.channel import Deterministic, EmpiricalTrace, LinkConfig, Rayleigh, capacity
@@ -17,8 +19,8 @@ from brqsim.protocol import (
     reward_of_chain,
     run_full_csit,
     run_quantized,
-    schedule_instance,
 )
+from brqsim.quantizer import planned_config
 
 RATE = math.log2(21.0)  # threshold 20
 
@@ -115,30 +117,65 @@ class TestRewardOfChain:
             reward_of_chain(2.0, 100, [3.0])
 
 
-class TestScheduleInstance:
-    def test_session_start(self):
-        assert schedule_instance(0, 4) == ("odd", 1, 1)
+# SNRs on both sides of RATE's threshold gamma_R = 20, plus the quantizer's
+# cell edges gamma_R * i / 64 (the threshold among them).
+_TRACE_SNR = st.one_of(
+    st.floats(min_value=0.0, max_value=60.0),
+    st.integers(min_value=0, max_value=64).map(lambda i: (2.0**RATE - 1.0) * i / 64),
+)
 
-    def test_second_block(self):
-        assert schedule_instance(4, 4) == ("even", 1, 1)
 
-    def test_third_block_offset(self):
-        assert schedule_instance(2 * 4 + 3, 4) == ("odd", 2, 4)
+def check_feedback_delay_law(log, snrs, processes, gamma_r, cell_width):
+    """Slot t belongs to process t mod P and is sized from the report on
+    slot t - P: an ack while t < P or when that slot decoded, else its SNR
+    (exact for full CSIT, within one cell below it when quantized)."""
+    # Cell indices and edges are rounded, so at a cell edge the quantized
+    # bound can land a few ulps off; the receiver's parity check allows 1e-9 bits.
+    slack = 1e-12 * gamma_r
+    assert [rec.slot for rec in log.slot_records] == list(range(len(snrs)))
+    for rec in log.slot_records:
+        t = rec.slot
+        assert rec.instance == t % processes
+        if t < processes or snrs[t - processes] >= gamma_r:
+            assert rec.eff_snr is None
+        elif cell_width == 0.0:
+            assert rec.eff_snr == snrs[t - processes]
+        else:
+            reported = snrs[t - processes]
+            assert reported - cell_width - slack < rec.eff_snr <= reported + slack
 
-    def test_bijective_over_many_blocks(self):
-        length = 6
-        seen = set()
-        for t in range(length * 10):
-            key = schedule_instance(t, length)
-            assert key not in seen
-            seen.add(key)
-        assert len(seen) == length * 10
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            schedule_instance(-1, 4)
-        with pytest.raises(ValueError):
-            schedule_instance(0, 1)
+class TestFeedbackDelayLaw:
+    @settings(deadline=None)
+    @given(st.lists(_TRACE_SNR, min_size=1, max_size=60))
+    def test_full_csit(self, snrs):
+        link = make_link(rate=RATE)
+        log = run_full_csit(
+            link, EmpiricalTrace(snrs), len(snrs), np.random.default_rng(0),
+            record_slots=True,
+        )
+        check_feedback_delay_law(log, snrs, 1, link.gamma_r, 0.0)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([4.0, 8.0]),
+        st.data(),
+    )
+    def test_quantized(self, length, rounds, fbits, data):
+        # with F >= 4 and L <= 8 every block fits the budget that the planner
+        # sizes for an all-failed block
+        horizon = 2 * length * rounds
+        snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
+        link = make_link(rate=RATE, feedback_bits=fbits, block_length=length)
+        trace = EmpiricalTrace(snrs)
+        log = run_quantized(
+            link, trace, horizon, np.random.default_rng(0), record_slots=True
+        )
+        gamma_r = link.gamma_r
+        d = planned_config(fbits, length, trace.decode_prob(gamma_r), gamma_r).cell_width
+        check_feedback_delay_law(log, snrs, 2 * length, gamma_r, d)
 
 
 class TestRxStep:
