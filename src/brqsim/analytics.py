@@ -1,16 +1,19 @@
-"""Closed-form performance expressions evaluated by adaptive quadrature.
+"""Average rates, delay and feedback budgets of backtrack retransmission.
 
-Every function here has a Monte Carlo counterpart in the protocol/engine
-modules; the test suite checks the two routes against each other.
+For Rayleigh fading every rate is an exponential-integral closed form
+(Alouini & Goldsmith, IEEE TVT 1999); deterministic channels and
+empirical traces are plain sums.  Adaptive quadrature is kept only in
+`avg_rate_r_limited`, an independent evaluation that the tests compare
+the closed forms against.  Every function here also has a Monte Carlo
+counterpart in the protocol/engine modules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from scipy import integrate
+from scipy import integrate, special
 
 from .channel import (
     Deterministic,
@@ -22,79 +25,82 @@ from .channel import (
 )
 from .errors import InfiniteDelayError, InsufficientFeedbackError, NumericError
 
+_LN2 = math.log(2.0)
+
 # Rayleigh integrands are negligible beyond this many mean-SNR multiples;
 # capping there keeps the adaptive rule from hunting over empty decades.
 _TAIL_MULTIPLES = 60.0
+# Tolerances of that quadrature, used by the avg_rate_r_limited reference only.
+_QUAD_REL_TOL = 1e-9
+_QUAD_ABS_TOL = 1e-12
+_QUAD_MAX_SUBDIVISIONS = 200
+
+# From here up, where e^x is about to overflow, e^x E1(x) is summed from
+# its asymptotic series; eight terms leave an error below 1e-18 relative.
+_SERIES_FROM = 700.0
+_SERIES_TERMS = 8
 
 _WF_BRACKET_EPS = 1e-12
 _WF_POWER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadrature behind every integral."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+def _e1(x: float) -> float:
+    """Exponential integral E1(x) as a Python float."""
+    return float(special.exp1(x))
 
 
-DEFAULT_QUAD = QuadratureSpec()
+def _scaled_e1(x: float) -> float:
+    """e^x E1(x) for x > 0."""
+    if x < _SERIES_FROM:
+        return math.exp(x) * _e1(x)
+    # sum over n of (-1)^n n! / x^(n+1)
+    term, total = 1.0 / x, 0.0
+    for n in range(1, _SERIES_TERMS + 1):
+        total += term
+        term *= -n / x
+    return float(total)
 
 
-def _quad(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec,
-    points: list[float] | None = None,
-) -> float:
-    if hi <= lo:
-        return 0.0
-    kwargs = {}
-    if points is not None and math.isfinite(hi):
-        pts = [p for p in points if lo < p < hi]
-        if pts:
-            kwargs["points"] = pts
+def _rayleigh_capacity_below(m: float, gamma: float) -> float:
+    """E[C(snr); snr < gamma] for Rayleigh fading with mean m.
+
+    [G(1/m) - e^(-gamma/m) G((1+gamma)/m)] / ln 2 - log2(1+gamma) e^(-gamma/m)
+    with G(x) = e^x E1(x); as gamma grows it tends to G(1/m) / ln 2.
+    """
+    tail = math.exp(-gamma / m)  # P(snr >= gamma)
+    head = _scaled_e1(1.0 / m) - tail * _scaled_e1((1.0 + gamma) / m)
+    return head / _LN2 - math.log2(1.0 + gamma) * tail
+
+
+def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     out = integrate.quad(
         f,
         lo,
         hi,
-        epsrel=spec.rel_tol,
-        epsabs=spec.abs_tol,
-        limit=spec.max_subdivisions,
+        epsrel=_QUAD_REL_TOL,
+        epsabs=_QUAD_ABS_TOL,
+        limit=_QUAD_MAX_SUBDIVISIONS,
         full_output=1,
-        **kwargs,
     )
     value, abserr = out[0], out[1]
     if len(out) > 3:  # scipy appends an explanation when it gave up
         achieved = abserr / max(abs(value), 1.0)
         raise NumericError(
             f"quadrature did not converge: achieved ~{achieved:.2e} relative "
-            f"({abserr:.2e} absolute), requested {spec.rel_tol:.0e}"
+            f"({abserr:.2e} absolute), requested {_QUAD_REL_TOL:.0e}"
         )
     return value
 
 
 def _expect_outage(
-    model: FadingModel,
-    f: Callable[[float], float],
-    threshold: float,
-    spec: QuadratureSpec,
-    points: list[float] | None = None,
+    model: FadingModel, f: Callable[[float], float], threshold: float
 ) -> float:
     """E[f(snr); snr < threshold] for the supported models."""
     if threshold <= 0:
         return 0.0
     if isinstance(model, Rayleigh):
         hi = min(threshold, _TAIL_MULTIPLES * model.mean_snr)
-        return _quad(lambda g: model.pdf(g) * f(g), 0.0, hi, spec, points)
+        return _quad(lambda g: model.pdf(g) * f(g), 0.0, hi)
     if isinstance(model, Deterministic):
         return f(model.snr) if model.snr < threshold else 0.0
     if isinstance(model, EmpiricalTrace):
@@ -102,9 +108,7 @@ def _expect_outage(
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
-def avg_rate_full_csit(
-    model: FadingModel, rate: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def avg_rate_full_csit(model: FadingModel, rate: float) -> float:
     """Average delivered rate of backtrack retransmission with full delayed CSIT.
 
     E[C(snr); snr < gamma_R] + rate * P(snr >= gamma_R), where
@@ -115,36 +119,33 @@ def avg_rate_full_csit(
     if rate == 0:
         return 0.0
     gamma_r = inv_capacity(rate)
-    return _expect_outage(model, capacity, gamma_r, spec) + rate * model.decode_prob(
-        gamma_r
-    )
+    if isinstance(model, Rayleigh):
+        low = _rayleigh_capacity_below(model.mean_snr, gamma_r)
+    else:
+        low = _expect_outage(model, capacity, gamma_r)
+    return low + rate * model.decode_prob(gamma_r)
 
 
-def avg_rate_r_limited(
-    model: FadingModel, rate: float, spec: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def avg_rate_r_limited(model: FadingModel, rate: float) -> float:
     """Average rate of the prior-CSIT reference that transmits at min{C(snr), R}.
 
-    Equals avg_rate_full_csit; kept as a separate evaluation of the min
-    expectation so the equality stays checkable.
+    Equals avg_rate_full_csit; evaluated by quadrature of the min
+    expectation, apart from the closed forms, so the equality stays
+    checkable.
     """
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     if rate == 0:
         return 0.0
     gamma_r = inv_capacity(rate)
-    low = _expect_outage(model, lambda g: min(capacity(g), rate), gamma_r, spec)
+    low = _expect_outage(model, lambda g: min(capacity(g), rate), gamma_r)
     return low + rate * model.decode_prob(gamma_r)
 
 
-def avg_rate_prior_fixed_power(
-    model: FadingModel, spec: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def avg_rate_prior_fixed_power(model: FadingModel) -> float:
     """Ergodic capacity E[C(snr)] at fixed unit power (prior-CSIT baseline)."""
     if isinstance(model, Rayleigh):
-        return _quad(
-            lambda g: model.pdf(g) * capacity(g), 0.0, math.inf, spec
-        )
+        return _scaled_e1(1.0 / model.mean_snr) / _LN2
     if isinstance(model, Deterministic):
         return capacity(model.snr)
     if isinstance(model, EmpiricalTrace):
@@ -152,18 +153,11 @@ def avg_rate_prior_fixed_power(
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
-def _wf_mean_power(model: FadingModel, level: float, spec: QuadratureSpec) -> float:
+def _wf_mean_power(model: FadingModel, level: float) -> float:
     """Mean transmit power E[(1/level - 1/snr)^+] at a given water level."""
     if isinstance(model, Rayleigh):
-        hi = max(_TAIL_MULTIPLES * model.mean_snr, 2.0 * level)
-        if level >= hi:
-            return 0.0
-        return _quad(
-            lambda g: model.pdf(g) * (1.0 / level - 1.0 / g),
-            level,
-            hi,
-            spec,
-        )
+        m = model.mean_snr
+        return math.exp(-level / m) / level - _e1(level / m) / m
     if isinstance(model, EmpiricalTrace):
         total = 0.0
         for s in model.snrs:
@@ -173,15 +167,11 @@ def _wf_mean_power(model: FadingModel, level: float, spec: QuadratureSpec) -> fl
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
-def waterfilling_rate(
-    model: FadingModel,
-    power_budget: float = 1.0,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def waterfilling_rate(model: FadingModel, power_budget: float = 1.0) -> float:
     """Average rate with prior CSIT and water-filling power allocation.
 
     Solves the water level by bisection so the mean power meets the
-    budget within 1e-9, then integrates log2(1 + snr * power(snr)).
+    budget within 1e-9, then takes E[log2(snr / level); snr > level].
     """
     if power_budget <= 0:
         raise ValueError(f"power budget must be positive, got {power_budget}")
@@ -191,23 +181,23 @@ def waterfilling_rate(
 
     lo, hi = _WF_BRACKET_EPS, 1.0 / _WF_BRACKET_EPS
     for _ in range(8):
-        if _wf_mean_power(model, lo, spec) >= power_budget:
+        if _wf_mean_power(model, lo) >= power_budget:
             break
         lo /= 1e6
     else:
         raise NumericError("water-level bracket: lower end carries too little power")
     for _ in range(8):
-        if _wf_mean_power(model, hi, spec) <= power_budget:
+        if _wf_mean_power(model, hi) <= power_budget:
             break
         hi *= 1e6
     else:
         raise NumericError("water-level bracket: upper end carries too much power")
 
     level = lo
-    power = _wf_mean_power(model, level, spec)
+    power = _wf_mean_power(model, level)
     for _ in range(200):
         level = 0.5 * (lo + hi)
-        power = _wf_mean_power(model, level, spec)
+        power = _wf_mean_power(model, level)
         if abs(power - power_budget) <= _WF_POWER_TOL:
             break
         if power > power_budget:
@@ -220,13 +210,7 @@ def waterfilling_rate(
         )
 
     if isinstance(model, Rayleigh):
-        hi_int = max(_TAIL_MULTIPLES * model.mean_snr, 2.0 * level)
-        return _quad(
-            lambda g: model.pdf(g) * math.log2(g / level),
-            level,
-            hi_int,
-            spec,
-        )
+        return _e1(level / model.mean_snr) / _LN2
     total = 0.0
     for s in model.snrs:
         if s > level:
@@ -293,17 +277,14 @@ def distortion_bound(feedback_bits: float, p_r: float, mean_snr: float) -> float
     return mean_snr * 2.0 ** -(feedback_bits - h)
 
 
-def avg_rate_quantized(
-    model: Rayleigh,
-    rate: float,
-    feedback_bits: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def avg_rate_quantized(model: Rayleigh, rate: float, feedback_bits: float) -> float:
     """Average rate with F feedback bits per slot and block-quantized CSIT.
 
     Uses the conservative lower-bound SNR (snr - d)^+ with the distortion
     budget d = distortion_bound(F, p_R, mean_snr), so the value never
-    exceeds the full-CSIT rate and grows toward it as F increases.
+    exceeds the full-CSIT rate and grows toward it as F increases.  The
+    exponential law is memoryless, so E[C(snr - d); d <= snr < gamma_R]
+    is e^(-d/m) E[C(snr); snr < gamma_R - d].
     """
     if not isinstance(model, Rayleigh):
         raise TypeError("quantized-rate analysis is defined for Rayleigh fading only")
@@ -314,11 +295,8 @@ def avg_rate_quantized(
     d = distortion_bound(feedback_bits, p_r, model.mean_snr)
     if rate == 0:
         return 0.0
-    low = _expect_outage(
-        model,
-        lambda g: capacity(max(g - d, 0.0)),
-        gamma_r,
-        spec,
-        points=[d],
-    )
+    low = 0.0
+    if d < gamma_r:
+        m = model.mean_snr
+        low = math.exp(-d / m) * _rayleigh_capacity_below(m, gamma_r - d)
     return low + rate * p_r

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -31,6 +32,7 @@ from .errors import (
     InsufficientFeedbackError,
     NumericError,
 )
+from .protocol import SlotRecord
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,6 +157,8 @@ def _parse_list(text: str) -> list[float]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
     if isinstance(value, float):
         if math.isnan(value):
             return ""
@@ -164,13 +168,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[dict]) -> None:
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """Write a header line and rows whose cells follow the header's order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in header])
+        writer.writerow([_fmt(value) for value in row])
     _write_text(path, buf.getvalue())
+
+
+def _write_table(path: str | None, rows: list[dict]) -> None:
+    """Write dict rows under the first row's keys."""
+    header = list(rows[0])
+    _write_csv(path, header, ([row.get(col) for col in header] for row in rows))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -223,36 +234,26 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
         except InsufficientFeedbackError:
             row[key] = math.nan
             row["note"] = "insufficient_feedback"
-    header = list(row)
     if cfg.out_format == "json":
         payload = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)
                    for k, v in row.items()}
         _write_text(cfg.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _write_csv(cfg.output, header, [row])
+        _write_table(cfg.output, [row])
     return EXIT_OK
 
 
-def _slot_log_rows(logs) -> list[dict]:
-    rows = []
-    for rep, log in enumerate(logs):
-        for rec in log.slot_records or []:
-            rows.append(
-                {
-                    "replication": rep,
-                    "slot": rec.slot,
-                    "instance": rec.instance,
-                    "snr": rec.snr,
-                    "eff_snr": rec.eff_snr,
-                    "parity_bits": rec.parity_bits,
-                    "new_bits": rec.new_bits,
-                    "decoded": int(rec.decoded),
-                    "renewal": int(rec.renewal),
-                    "chain_length": rec.chain_length,
-                    "reward_bits": rec.reward_bits,
-                }
-            )
-    return rows
+_SLOT_LOG_FIELDS = [f.name for f in fields(SlotRecord)]
+_SLOT_LOG_HEADER = ["replication", *_SLOT_LOG_FIELDS]
+
+
+def _slot_log_rows(logs) -> list[list]:
+    values = operator.attrgetter(*_SLOT_LOG_FIELDS)
+    return [
+        [rep, *values(rec)]
+        for rep, log in enumerate(logs)
+        for rec in log.slot_records or []
+    ]
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -288,20 +289,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         collect_logs=logs,
     )
     if cfg.csv_log:
-        header = [
-            "replication",
-            "slot",
-            "instance",
-            "snr",
-            "eff_snr",
-            "parity_bits",
-            "new_bits",
-            "decoded",
-            "renewal",
-            "chain_length",
-            "reward_bits",
-        ]
-        _write_csv(cfg.csv_log, header, _slot_log_rows(logs))
+        _write_csv(cfg.csv_log, _SLOT_LOG_HEADER, _slot_log_rows(logs))
     payload = summary.to_json_dict()
     payload["mean_snr_db"] = cfg.mean_snr_db
     payload["rate_R"] = rate
@@ -318,7 +306,7 @@ def cmd_fig4(cfg: ExperimentConfig) -> int:
     rows = engine.sweep_mean_snr(
         _parse_grid(cfg.snr_grid_db), _parse_list(cfg.rate_factors), fbits
     )
-    _write_csv(cfg.output or "fig4.csv", list(rows[0]), rows)
+    _write_table(cfg.output or "fig4.csv", rows)
     return EXIT_OK
 
 
@@ -326,7 +314,7 @@ def cmd_fig5(cfg: ExperimentConfig) -> int:
     mean_snr = 10.0 ** (cfg.mean_snr_db / 10.0)
     fbits = _parse_list(cfg.feedback_grid) if cfg.feedback_grid else [1.0, 2.0, 8.0]
     rows = engine.sweep_threshold_ratio(mean_snr, _parse_grid(cfg.ratio_grid), fbits)
-    _write_csv(cfg.output or "fig5.csv", list(rows[0]), rows)
+    _write_table(cfg.output or "fig5.csv", rows)
     return EXIT_OK
 
 

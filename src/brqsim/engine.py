@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .analytics import DEFAULT_QUAD, QuadratureSpec
 from .channel import FadingModel, LinkConfig, Rayleigh, inv_capacity
 from .errors import InsufficientFeedbackError
 from .protocol import SessionLog, run_full_csit, run_quantized
@@ -146,21 +145,16 @@ def quant_rate_column(feedback_bits: float) -> str:
     return f"brq_quant_rate_F{feedback_bits:g}"
 
 
-def _quantized_rate(
-    model: Rayleigh, rate: float, fbits: float, spec: QuadratureSpec
-) -> float:
+def _quantized_rate(model: Rayleigh, rate: float, fbits: float) -> float:
     """Analytic quantized rate, NaN where the budget cannot cover the mask."""
     try:
-        return analytics.avg_rate_quantized(model, rate, fbits, spec)
+        return analytics.avg_rate_quantized(model, rate, fbits)
     except InsufficientFeedbackError:
         return math.nan
 
 
 def sweep_mean_snr(
-    mean_snr_db_grid,
-    rate_factors=(2.0, 3.0),
-    feedback_bits=(1.0,),
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    mean_snr_db_grid, rate_factors=(2.0, 3.0), feedback_bits=(1.0,)
 ) -> list[dict]:
     """fig4 table rows over a mean-SNR grid, with R = log2(1 + k * mean_snr).
 
@@ -175,8 +169,8 @@ def sweep_mean_snr(
     for db in mean_snr_db_grid:
         mean_snr = 10.0 ** (db / 10.0)
         model = Rayleigh(mean_snr)
-        wf = analytics.waterfilling_rate(model, 1.0, spec)
-        pf = analytics.avg_rate_prior_fixed_power(model, spec)
+        wf = analytics.waterfilling_rate(model, 1.0)
+        pf = analytics.avg_rate_prior_fixed_power(model)
         row = {
             "mean_snr_db": db,
             "wf_rate": wf,
@@ -186,13 +180,13 @@ def sweep_mean_snr(
         for k in rate_factors:
             kt = f"_k{k:g}"
             rate = math.log2(1.0 + k * mean_snr)
-            full = analytics.avg_rate_full_csit(model, rate, spec)
+            full = analytics.avg_rate_full_csit(model, rate)
             row["rate_R" + kt] = rate
             row["p_R" + kt] = model.decode_prob(inv_capacity(rate))
             row["brq_full_rate" + kt] = full
             row["norm_brq_full" + kt] = full / wf
             for fbits in feedback_bits:
-                quant = _quantized_rate(model, rate, fbits, spec)
+                quant = _quantized_rate(model, rate, fbits)
                 row[quant_rate_column(fbits) + kt] = quant
                 row[f"norm_brq_quant_F{fbits:g}" + kt] = quant / wf
         rows.append(row)
@@ -200,10 +194,7 @@ def sweep_mean_snr(
 
 
 def sweep_threshold_ratio(
-    mean_snr: float,
-    ratio_grid,
-    feedback_bits=(1.0, 2.0, 8.0),
-    spec: QuadratureSpec = DEFAULT_QUAD,
+    mean_snr: float, ratio_grid, feedback_bits=(1.0, 2.0, 8.0)
 ) -> list[dict]:
     """fig5 table rows at fixed mean SNR over a gamma_R / mean_snr grid.
 
@@ -222,9 +213,9 @@ def sweep_threshold_ratio(
             "ratio": x,
             "rate_R": rate,
             "p_R": model.decode_prob(inv_capacity(rate)),
-            "brq_full_rate": analytics.avg_rate_full_csit(model, rate, spec),
+            "brq_full_rate": analytics.avg_rate_full_csit(model, rate),
         }
         for fbits in feedback_bits:
-            row[quant_rate_column(fbits)] = _quantized_rate(model, rate, fbits, spec)
+            row[quant_rate_column(fbits)] = _quantized_rate(model, rate, fbits)
         rows.append(row)
     return rows

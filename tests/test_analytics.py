@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brqsim import analytics
-from brqsim.analytics import QuadratureSpec
 from brqsim.channel import Deterministic, EmpiricalTrace, Rayleigh
 from brqsim.errors import InfiniteDelayError, InsufficientFeedbackError
 
@@ -24,6 +26,24 @@ H_E2 = 0.57189073829133896
 
 def model():
     return Rayleigh(GAMMA)
+
+
+@st.composite
+def rayleigh_points(draw):
+    """(mean SNR m, rate R): m from -30 to 40 dB, R = log2(1 + k m), k in [0.01, 8].
+
+    The low end puts 1/m past the point where e^(1/m) overflows.
+    """
+    m = 10.0 ** (draw(st.floats(-30.0, 40.0)) / 10.0)
+    return m, math.log2(1.0 + draw(st.floats(0.01, 8.0)) * m)
+
+
+def _with_grid_examples(test):
+    """Also run a property test at mean SNR 1, 5, 30 and rate 0.5, 2, 5."""
+    for mean_snr in (1.0, 5.0, 30.0):
+        for rate in (0.5, 2.0, 5.0):
+            test = example(point=(mean_snr, rate))(test)
+    return test
 
 
 class TestAvgRateFullCsit:
@@ -57,13 +77,16 @@ class TestAvgRateFullCsit:
 
 
 class TestAvgRateRLimited:
-    def test_equals_full_csit_on_grid(self):
-        for mean_snr in (1.0, 5.0, 30.0):
-            m = Rayleigh(mean_snr)
-            for rate in (0.5, 2.0, 5.0):
-                assert analytics.avg_rate_r_limited(m, rate) == pytest.approx(
-                    analytics.avg_rate_full_csit(m, rate), abs=1e-9
-                )
+    @settings(deadline=None)
+    @given(point=rayleigh_points())
+    @_with_grid_examples
+    def test_equals_full_csit_on_grid(self, point):
+        # Quadrature of min{C, R} against the exponential-integral closed form.
+        mean_snr, rate = point
+        m = Rayleigh(mean_snr)
+        assert analytics.avg_rate_r_limited(m, rate) == pytest.approx(
+            analytics.avg_rate_full_csit(m, rate), rel=1e-9
+        )
 
     def test_deterministic_outage(self):
         assert analytics.avg_rate_r_limited(Deterministic(1.0), 2.0) == pytest.approx(
@@ -88,6 +111,17 @@ class TestPriorFixedPower:
     def test_trace_mean(self):
         trace = EmpiricalTrace((1.0, 3.0))
         assert analytics.avg_rate_prior_fixed_power(trace) == pytest.approx(1.5)
+
+    # Adaptive quadrature over [0, inf) was 1.7e-8 and 4.5e-6 low at the
+    # first two points; the last two cover both branches of e^x E1(x).
+    @pytest.mark.parametrize("db", [4.2225, 26.6337, -30.0, 40.0])
+    def test_rayleigh_matches_exponential_integral(self, db):
+        mean_snr = 10.0 ** (db / 10.0)
+        with mp.workdps(40):
+            x = 1 / mp.mpf(mean_snr)
+            oracle = mp.exp(x) * mp.e1(x) / mp.log(2)
+            got = analytics.avg_rate_prior_fixed_power(Rayleigh(mean_snr))
+            assert abs(got - oracle) <= 1e-13 * oracle
 
 
 class TestWaterfilling:
@@ -253,6 +287,25 @@ class TestAvgRateQuantized:
         assert d >= 1.0
         assert analytics.avg_rate_quantized(m, rate, 1.0) == rate * p_r
 
+    @settings(deadline=None)
+    @given(point=rayleigh_points(), fbits=st.floats(1.01, 12.0))
+    def test_memoryless_shortcut_matches_integral(self, point, fbits):
+        # The original integrand pdf(g) log2(1 + (g - d)^+) over [0, gamma_R].
+        mean_snr, rate = point
+        m = Rayleigh(mean_snr)
+        gamma_r = 2.0**rate - 1.0
+        p_r = m.decode_prob(gamma_r)
+        d = analytics.distortion_bound(fbits, p_r, mean_snr)
+        with mp.workdps(30):
+            def integrand(g):
+                return mp.exp(-g / mean_snr) / mean_snr * mp.log(1 + max(g - d, 0), 2)
+
+            points = [0, d, gamma_r] if d < gamma_r else [0, gamma_r]
+            oracle = float(mp.quad(integrand, points)) + rate * p_r
+        got = analytics.avg_rate_quantized(m, rate, fbits)
+        assert type(got) is float
+        assert got == pytest.approx(oracle, rel=1e-9)
+
     def test_nondecreasing_in_budget(self):
         values = [
             analytics.avg_rate_quantized(model(), RATE, f) for f in (1, 2, 4, 8, 16)
@@ -288,15 +341,3 @@ class TestOrderingInvariant:
                     assert full >= quant - 1e-9
                     prev = quant
 
-
-class TestQuadratureSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-
-    def test_custom_tolerance_still_accurate(self):
-        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=60)
-        got = analytics.avg_rate_full_csit(model(), RATE, spec)
-        assert got == pytest.approx(analytics.avg_rate_full_csit(model(), RATE), rel=1e-6)
