@@ -8,19 +8,26 @@ chain's new bits in original payload order.
 
 Decodability is threshold-based (snr >= gamma_r): slots are long enough
 that coding succeeds whenever the rate is below capacity, and binning is
-represented by its bit budget.
+represented by its bit budget.  A session is then a pure function of the
+SNR sequence: fluid sessions run as one array kernel (`_run_kernel`).  The
+per-slot TX/RX state machines are its executable specification, held
+equal to it bit for bit by a differential test, and they run integer
+accounting, whose per-bit payload the kernel does not model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import FadingModel, LinkConfig, capacity
 from .errors import ChainBrokenError
 from .quantizer import (
+    QuantizerConfig,
+    block_bits,
+    check_budget,
     decode_feedback_block,
     effective_snr,
     encode_feedback_block,
@@ -254,23 +261,68 @@ class BrqReceiver:
         )
 
 
+class _ChainRenewals:
+    """Renewal records of an array-kernel session, built when iterated.
+
+    Holds the delivered slots in delivery order (by renewal slot, then by
+    slot) with their new bits, delays and reports, and one chain length
+    per renewal slot.
+    """
+
+    def __init__(self, slots, lengths, new_bits, delays, reports):
+        self._slots = slots
+        self._lengths = lengths
+        self._new_bits = new_bits
+        self._delays = delays
+        self._reports = reports
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __iter__(self):
+        new_bits = self._new_bits.tolist()
+        delays = self._delays.tolist()
+        reports = self._reports.tolist()
+        end = 0
+        for slot, length in zip(self._slots.tolist(), self._lengths.tolist()):
+            start, end = end, end + length
+            reward = 0.0  # left to right, as the receiver adds them
+            for bits in new_bits[start:end]:
+                reward += bits
+            yield RenewalRecord(
+                slot=slot,
+                chain_length=length,
+                reward_bits=reward,
+                bit_delays=list(zip(new_bits[start:end], delays[start:end])),
+                effective_snrs=reports[start + 1 : end],
+            )
+
+
 @dataclass
 class SessionLog:
-    """Outcome of one simulated session."""
+    """Outcome of one simulated session; slots before `warmup_slots` stay
+    out of the bit counts and the rate."""
 
     horizon: int
     slot_uses: int
     warmup_slots: int
-    renewals: list[RenewalRecord]
+    renewals: list[RenewalRecord] | _ChainRenewals  # sized, iterable
     injected_bits: float
     delivered_bits: float
-    undelivered_bits: float
-    delivered_rate: float
     delay_hist: dict[int, float]  # delay in slots -> delivered new bits
     integrity_ok: bool
     released_bits: float  # in-order verified prefix of the payload stream
     held_window_bits: float  # decoded but stuck behind an unresolved gap
     slot_records: list[SlotRecord] | None = None
+    undelivered_bits: float = field(init=False)
+    delivered_rate: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.undelivered_bits = self.injected_bits - self.delivered_bits
+        counted = self.horizon - self.warmup_slots
+        self.delivered_rate = (
+            self.delivered_bits / (self.slot_uses * counted) if counted > 0 else 0.0
+        )
 
     @property
     def renewal_count(self) -> int:
@@ -304,32 +356,6 @@ class _Accounting:
             if bits > 0 and record.slot - delay >= self.warmup:
                 self.delivered += bits
                 self.delay_hist[delay] = self.delay_hist.get(delay, 0.0) + bits
-
-
-def _finish(
-    link: LinkConfig,
-    horizon: int,
-    acct: _Accounting,
-    stream: ReassemblyStream,
-    records: list[SlotRecord] | None,
-) -> SessionLog:
-    counted = horizon - acct.warmup
-    rate = acct.delivered / (link.slot_uses * counted) if counted > 0 else 0.0
-    return SessionLog(
-        horizon=horizon,
-        slot_uses=link.slot_uses,
-        warmup_slots=acct.warmup,
-        renewals=acct.renewals,
-        injected_bits=acct.injected,
-        delivered_bits=acct.delivered,
-        undelivered_bits=acct.injected - acct.delivered,
-        delivered_rate=rate,
-        delay_hist=acct.delay_hist,
-        integrity_ok=stream.ok,
-        released_bits=stream.released_bits,
-        held_window_bits=stream.pending_bits,
-        slot_records=records,
-    )
 
 
 def _source_and_replay(
@@ -389,7 +415,170 @@ def _run_processes(
                     reward_bits=renewal.reward_bits if renewal else 0.0,
                 )
             )
-    return _finish(link, len(snrs), acct, stream, records)
+    return SessionLog(
+        horizon=len(snrs),
+        slot_uses=link.slot_uses,
+        warmup_slots=warmup,
+        renewals=acct.renewals,
+        injected_bits=acct.injected,
+        delivered_bits=acct.delivered,
+        delay_hist=acct.delay_hist,
+        integrity_ok=stream.ok,
+        released_bits=stream.released_bits,
+        held_window_bits=stream.pending_bits,
+        slot_records=records,
+    )
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, as the state machine adds (np.sum adds pairwise)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _codec_feedback(
+    snrs: list[float], gamma_r: float, quantizer: QuantizerConfig | None
+) -> list[float | None]:
+    """Per-slot reports as the state machine receives them: the SNR itself
+    (full CSIT) or each L-slot block encoded to bits and decoded back."""
+    if quantizer is None:
+        return [ACK if snr >= gamma_r else snr for snr in snrs]
+    length, d = quantizer.block_length, quantizer.cell_width
+    feedback: list[float | None] = []
+    for start in range(0, len(snrs), length):
+        encoded = encode_feedback_block(snrs[start : start + length], quantizer)
+        feedback += [
+            ACK if entry is None else effective_snr(entry, d)
+            for entry in decode_feedback_block(encoded.bits, quantizer)
+        ]
+    return feedback
+
+
+def _report_values(
+    snrs: np.ndarray, gamma_r: float, quantizer: QuantizerConfig | None
+) -> np.ndarray:
+    """The value each slot reports should it fail: its SNR (full CSIT), or
+    its cell's lower edge (cell + 1) * d - d, exactly as the codec decodes it.
+
+    Raises BudgetExceededError for the first block whose report, sized
+    from its success count, overflows the budget.
+    """
+    if quantizer is None:
+        return snrs
+    length, count, d = quantizer.block_length, quantizer.cell_count, quantizer.cell_width
+    successes = (snrs >= gamma_r).reshape(-1, length).sum(axis=1)
+    costs = np.array(block_bits(length, count))[successes]
+    check_budget(int(costs[np.argmax(costs > quantizer.bit_budget)]), quantizer)
+    cell = np.minimum(snrs / d, count - 1).astype(np.int64)
+    return np.maximum((cell + 1) * d - d, 0.0)
+
+
+def _run_kernel(
+    link: LinkConfig,
+    snrs: np.ndarray,
+    processes: int,
+    reports: np.ndarray,
+    warmup: int,
+    record_slots: bool,
+) -> SessionLog:
+    """Fluid session as array operations, equal to `_run_processes` bit for bit.
+
+    Slot t is sized from reports[t - P] unless slot t - P decoded (or
+    t < P), and is delivered at the next decodable slot of its process
+    t mod P.  Sums run in the state machine's order, by delivery slot and
+    then by slot, and capacities use math.log2 as `capacity` does.
+    """
+    n, p = len(snrs), processes
+    decoded = snrs >= link.gamma_r
+    fed = np.zeros(n, dtype=bool)
+    fed[p:] = ~decoded[: n - p]
+    eff = np.zeros(n)
+    eff[p:] = reports[: n - p]
+    parity = np.zeros(n)
+    caps = np.fromiter(map(math.log2, (1.0 + eff[fed]).tolist()), float)
+    parity[fed] = link.slot_uses * np.maximum(link.rate - caps, 0.0)
+    new_bits = link.bits_per_slot - parity
+
+    # Delivery slot: the next decodable slot of the same process, else n.
+    padded = np.full(-(-n // p) * p, n)
+    padded[:n][decoded] = np.flatnonzero(decoded)
+    due = np.minimum.accumulate(padded.reshape(-1, p)[::-1], axis=0)[::-1].ravel()[:n]
+    sent = np.flatnonzero(due < n)
+    order = sent[np.argsort(due[sent], kind="stable")]
+
+    counted = order[(new_bits[order] > 0) & (order >= warmup)]
+    bits, delays = new_bits[counted], due[counted] - counted
+    keys, first = np.unique(delays, return_index=True)
+    keys = keys[np.argsort(first)]  # first-occurrence order, as the dict fills
+    hist = np.bincount(delays, weights=bits)[keys]
+
+    # In-order release stops at the first undelivered window; later
+    # delivered windows are held, summed in push order.
+    stuck = np.flatnonzero((new_bits > 0) & (due == n))
+    gap = stuck[0] if stuck.size else n
+    held = new_bits[order[(order > gap) & (new_bits[order] > 0)]]
+
+    renewal_slots = np.flatnonzero(decoded)
+    lengths = np.bincount(due[sent], minlength=n)[renewal_slots]
+    renewals = _ChainRenewals(
+        renewal_slots, lengths, new_bits[order], due[order] - order, eff[order]
+    )
+    records = None
+    if record_slots:
+        chain = np.zeros(n, dtype=np.int64)
+        chain[renewal_slots] = lengths
+        rewards = np.zeros(n)
+        rewards[renewal_slots] = [r.reward_bits for r in renewals]
+        eff_snrs = [e if f else ACK for e, f in zip(eff.tolist(), fed.tolist())]
+        records = list(
+            map(
+                SlotRecord,
+                range(n),
+                (np.arange(n) % p).tolist(),
+                snrs.tolist(),
+                eff_snrs,
+                parity.tolist(),
+                new_bits.tolist(),
+                decoded.tolist(),
+                decoded.tolist(),  # every decodable slot renews its chain
+                chain.tolist(),
+                rewards.tolist(),
+            )
+        )
+    return SessionLog(
+        horizon=n,
+        slot_uses=link.slot_uses,
+        warmup_slots=warmup,
+        renewals=renewals,
+        injected_bits=_sequential_sum(new_bits[warmup:]),
+        delivered_bits=_sequential_sum(bits),
+        delay_hist=dict(zip(keys.tolist(), hist.tolist())),
+        integrity_ok=True,  # fluid sessions carry no payload to verify
+        released_bits=_sequential_sum(new_bits[:gap]),
+        held_window_bits=sum(held.tolist()),
+        slot_records=records,
+    )
+
+
+def _run_session(
+    link: LinkConfig,
+    snrs: np.ndarray,
+    processes: int,
+    quantizer: QuantizerConfig | None,
+    source_rng: np.random.Generator | None,
+    warmup: int,
+    record_slots: bool,
+) -> SessionLog:
+    """Integer accounting runs the state machine on codec feedback; fluid
+    accounting runs the array kernel."""
+    gamma_r = link.gamma_r
+    if link.accounting == "integer":
+        values = snrs.tolist()
+        feedback = _codec_feedback(values, gamma_r, quantizer)
+        return _run_processes(
+            link, values, processes, feedback, source_rng, warmup, record_slots
+        )
+    reports = _report_values(snrs, gamma_r, quantizer)
+    return _run_kernel(link, snrs, processes, reports, warmup, record_slots)
 
 
 def run_full_csit(
@@ -404,10 +593,8 @@ def run_full_csit(
     """Simulate `horizon` slots with the true SNR fed back after each slot."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    snrs = np.atleast_1d(model.sample(rng, horizon)).tolist()
-    gamma_r = link.gamma_r
-    feedback = [ACK if snr >= gamma_r else snr for snr in snrs]
-    return _run_processes(link, snrs, 1, feedback, source_rng, 0, record_slots)
+    snrs = np.atleast_1d(model.sample(rng, horizon))
+    return _run_session(link, snrs, 1, None, source_rng, 0, record_slots)
 
 
 def run_quantized(
@@ -441,17 +628,8 @@ def run_quantized(
     quantizer = planned_config(
         link.feedback_bits, length, model.decode_prob(gamma_r), gamma_r
     )
-    d = quantizer.cell_width
-
-    snrs = np.atleast_1d(model.sample(rng, horizon)).tolist()
-    feedback: list[float | None] = []
-    for start in range(0, horizon, length):
-        encoded = encode_feedback_block(snrs[start : start + length], quantizer)
-        feedback += [
-            ACK if entry is None else effective_snr(entry, d)
-            for entry in decode_feedback_block(encoded.bits, quantizer)
-        ]
+    snrs = np.atleast_1d(model.sample(rng, horizon))
     warmup = 0 if include_warmup else 2 * length
-    return _run_processes(
-        link, snrs, 2 * length, feedback, source_rng, warmup, record_slots
+    return _run_session(
+        link, snrs, 2 * length, quantizer, source_rng, warmup, record_slots
     )

@@ -157,11 +157,7 @@ def encode_feedback_block(snrs, config: QuantizerConfig) -> FeedbackBlock:
         if cell_bits:
             parts.append(format(cell, f"0{cell_bits}b"))
     bits = "".join(parts)
-
-    if len(bits) > config.bit_budget:
-        raise BudgetExceededError(
-            f"block encodes to {len(bits)} bits, budget is {config.bit_budget}"
-        )
+    check_budget(len(bits), config)
     return FeedbackBlock(success_mask=mask, cell_indices=tuple(cells), bits=bits)
 
 
@@ -211,9 +207,26 @@ def decode_feedback_block(block, config: QuantizerConfig) -> tuple[float | None,
     return tuple(out)
 
 
-def _worst_case_bits(block_length: int, cell_count: int) -> int:
-    # All-failed block: count field, empty pattern field, L cell indices.
-    return _bits_for(block_length + 1) + block_length * _bits_for(cell_count)
+def block_bits(block_length: int, cell_count: int) -> list[int]:
+    """Encoded length of a block with k successes, for k = 0..L.
+
+    The count field, the pattern index among the C(L, k) masks and one
+    cell index per failed slot: ceil(log2(L+1)) + ceil(log2 C(L,k))
+    + (L-k) * ceil(log2 K) bits.
+    """
+    count, cell = _bits_for(block_length + 1), _bits_for(cell_count)
+    return [
+        count + _bits_for(math.comb(block_length, k)) + (block_length - k) * cell
+        for k in range(block_length + 1)
+    ]
+
+
+def check_budget(bits: int, config: QuantizerConfig) -> None:
+    """Raise BudgetExceededError if a `bits`-long block report overflows floor(L*F)."""
+    if bits > config.bit_budget:
+        raise BudgetExceededError(
+            f"block encodes to {bits} bits, budget is {config.bit_budget}"
+        )
 
 
 def plan_cell_width(
@@ -229,13 +242,13 @@ def plan_cell_width(
     if gamma_r <= 0:
         raise ValueError("gamma_r must be positive")
     budget = _bit_budget(feedback_bits, block_length)
-    if _worst_case_bits(block_length, 1) > budget:
+    single = block_bits(block_length, 1)[0]  # k = 0: the all-failed block
+    if single > budget:
         raise InsufficientFeedbackError(
-            f"even a single cell needs {_worst_case_bits(block_length, 1)} bits, "
-            f"budget is {budget}"
+            f"even a single cell needs {single} bits, budget is {budget}"
         )
     k = 1
-    while _worst_case_bits(block_length, 2 * k) <= budget:
+    while block_bits(block_length, 2 * k)[0] <= budget:
         k *= 2
     return gamma_r / k
 

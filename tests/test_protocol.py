@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brqsim import analytics
+from brqsim import analytics, protocol
 from brqsim.channel import Deterministic, EmpiricalTrace, LinkConfig, Rayleigh, capacity
-from brqsim.errors import ChainBrokenError
+from brqsim.engine import RunConfig, run_replicated
+from brqsim.errors import BrqError, ChainBrokenError
 from brqsim.protocol import (
     ACK,
     BrqReceiver,
@@ -176,6 +177,157 @@ class TestFeedbackDelayLaw:
         gamma_r = link.gamma_r
         d = planned_config(fbits, length, trace.decode_prob(gamma_r), gamma_r).cell_width
         check_feedback_delay_law(log, snrs, 2 * length, gamma_r, d)
+
+
+def assert_identical(a, b):
+    """Equal values of equal types (a numpy scalar would print differently)."""
+    assert a == b
+    assert repr(a) == repr(b)
+
+
+def kernel_and_oracle(snrs, feedback_bits=None, length=2, include_warmup=False):
+    """Run a fluid session through the array kernel (the public runners) and
+    through the state machine on codec feedback, and check they agree exactly.
+
+    Returns both logs, or both errors as (type, message) pairs.
+    """
+    trace = EmpiricalTrace(snrs)
+    horizon = len(trace.snrs)
+    link = make_link(rate=RATE, feedback_bits=feedback_bits, block_length=length)
+    gamma_r = link.gamma_r
+
+    def kernel():
+        rng = np.random.default_rng(0)
+        if feedback_bits is None:
+            return run_full_csit(link, trace, horizon, rng, record_slots=True)
+        return run_quantized(
+            link, trace, horizon, rng, record_slots=True, include_warmup=include_warmup
+        )
+
+    def oracle():
+        values = list(trace.snrs)
+        if feedback_bits is None:
+            quantizer, processes, warmup = None, 1, 0
+        else:
+            p_r = trace.decode_prob(gamma_r)
+            quantizer = planned_config(feedback_bits, length, p_r, gamma_r)
+            processes, warmup = 2 * length, 0 if include_warmup else 2 * length
+        feedback = protocol._codec_feedback(values, gamma_r, quantizer)
+        return protocol._run_processes(
+            link, values, processes, feedback, None, warmup, True
+        )
+
+    def outcome(run):
+        try:
+            return run()
+        except BrqError as exc:
+            return type(exc), str(exc)
+
+    got, want = outcome(kernel), outcome(oracle)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return got, want
+    for name in (
+        "horizon", "slot_uses", "warmup_slots", "injected_bits", "delivered_bits",
+        "undelivered_bits", "delivered_rate", "integrity_ok", "released_bits",
+        "held_window_bits", "renewal_count",
+    ):
+        assert_identical(getattr(got, name), getattr(want, name))
+    assert_identical(list(got.delay_hist.items()), list(want.delay_hist.items()))
+    assert_identical(list(got.renewals), want.renewals)
+    assert_identical(got.slot_records, want.slot_records)
+    return got, want
+
+
+class TestKernelMatchesStateMachine:
+    """The fluid array kernel equals the per-slot state machine bit for bit."""
+
+    @settings(deadline=None)
+    @given(st.lists(_TRACE_SNR, min_size=1, max_size=80))
+    def test_full_csit(self, snrs):
+        kernel_and_oracle(snrs)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 8.0]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_quantized(self, length, rounds, fbits, include_warmup, data):
+        # small budgets overflow on some blocks: both must fail the same way
+        horizon = 2 * length * rounds
+        snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
+        kernel_and_oracle(snrs, fbits, length, include_warmup)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(None, 2), (2.0, 16), (4.0, 8), (2.0, 64)]),
+        st.booleans(),
+    )
+    def test_rayleigh_traces(self, seed, scheme, include_warmup):
+        # thousands of arbitrary doubles: np.log2 in place of math.log2 differs
+        # from `capacity` in the last bit on about 0.1% of them
+        snrs = np.random.default_rng(seed).exponential(10.0, 2048).tolist()
+        fbits, length = scheme
+        kernel_and_oracle(snrs, fbits, length, include_warmup)
+
+
+class TestKernelEdgeCases:
+    GOOD = 25.0  # above RATE's threshold gamma_R = 20
+
+    def test_horizon_one(self):
+        for snr in (self.GOOD, 3.0):
+            log, _ = kernel_and_oracle([snr])
+            assert log.renewal_count == (snr >= 20.0)
+
+    def test_warmup_fills_whole_horizon(self):
+        log, _ = kernel_and_oracle([self.GOOD, 3.0, 7.0, self.GOOD], 4.0, 2)
+        assert log.warmup_slots == log.horizon == 4
+        assert log.injected_bits == log.delivered_bits == log.delivered_rate == 0.0
+        assert log.delay_hist == {}
+
+    @pytest.mark.parametrize("fbits", [None, 4.0])
+    def test_all_outage(self, fbits):
+        snrs = [3.0, 0.5, 19.0, 7.0] * 4
+        log, _ = kernel_and_oracle(snrs, fbits, 2)
+        assert log.renewal_count == 0
+        assert list(log.renewals) == []
+        assert log.delay_hist == {}
+        assert log.delivered_bits == 0.0
+        link = make_link(rate=RATE, feedback_bits=fbits, block_length=2)
+        run = RunConfig(seed=1, replications=1, horizon=len(snrs))
+        summary = run_replicated(run, link, EmpiricalTrace(snrs))
+        assert summary.to_json_dict()["delay_mean"] is None
+
+    @pytest.mark.parametrize("fbits", [None, 4.0])
+    def test_all_decoding(self, fbits):
+        log, _ = kernel_and_oracle([self.GOOD] * 16, fbits, 2, include_warmup=True)
+        assert log.renewal_count == 16
+        assert all(r.chain_length == 1 for r in log.renewals)
+        assert log.delay_hist == {0: 16 * 100 * RATE}
+        assert log.undelivered_bits == 0.0
+
+    @pytest.mark.parametrize("fbits", [None, 4.0])
+    def test_snr_at_threshold_decodes(self, fbits):
+        gamma_r = 2.0**RATE - 1.0
+        log, _ = kernel_and_oracle([3.0, gamma_r, gamma_r, 3.0], fbits, 2, True)
+        assert [r.decoded for r in log.slot_records] == [False, True, True, False]
+
+    @pytest.mark.parametrize(
+        "fbits, snrs, zero_slot",
+        [(None, [0.0, 25.0], 1), (4.0, [0.0, 3.0, 3.0, 3.0, 25.0, 3.0, 3.0, 3.0], 4)],
+    )
+    def test_zero_snr_sends_no_new_bits(self, fbits, snrs, zero_slot):
+        # SNR 0 reports cell 0, whose lower edge is 0: the next slot of its
+        # process is all parity, and its zero new bits stay out of delay_hist
+        log, _ = kernel_and_oracle(snrs, fbits, 2, include_warmup=True)
+        assert log.slot_records[zero_slot].eff_snr == 0.0
+        assert log.slot_records[zero_slot].new_bits == 0.0
+        assert log.slot_records[zero_slot].renewal
+        assert log.delay_hist == {zero_slot: 100 * RATE}
 
 
 class TestRxStep:

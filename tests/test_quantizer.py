@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from brqsim import quantizer
 from brqsim.analytics import binary_entropy
@@ -13,6 +15,7 @@ from brqsim.errors import (
 )
 from brqsim.quantizer import (
     QuantizerConfig,
+    block_bits,
     decode_feedback_block,
     effective_snr,
     encode_feedback_block,
@@ -175,6 +178,31 @@ class TestEncodeDecode:
                     cell = quantize_snr(float(snr), cfg)
                     assert rep == pytest.approx((cell + 1) * cfg.cell_width)
             assert len(block.bits) <= cfg.bit_budget
+
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=0, max_value=10),
+        st.floats(min_value=0.5, max_value=50.0),
+        st.data(),
+    )
+    def test_length_matches_block_bits(self, length, log_cells, gamma_r, data):
+        # the array kernel budgets blocks from this table instead of encoding them
+        cells = 2**log_cells
+        cfg = QuantizerConfig(
+            feedback_bits=32.0,
+            block_length=length,
+            gamma_r=gamma_r,
+            cell_width=gamma_r / cells,
+        )
+        slot = st.one_of(
+            st.floats(min_value=gamma_r, max_value=2.0 * gamma_r),
+            st.floats(min_value=0.0, max_value=gamma_r, exclude_max=True),
+        )
+        snrs = data.draw(st.lists(slot, min_size=length, max_size=length))
+        successes = sum(s >= gamma_r for s in snrs)
+        table = block_bits(length, cells)
+        assert len(table) == length + 1
+        assert len(encode_feedback_block(snrs, cfg).bits) == table[successes]
 
     def test_truncated_bits_rejected(self):
         cfg = config(cell_width=1.5)
