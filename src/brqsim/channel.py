@@ -90,8 +90,8 @@ class EmpiricalTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snrs", tuple(float(s) for s in self.snrs))
-        if any(s < 0 for s in self.snrs):
-            raise ValueError("trace entries must be nonnegative")
+        if not all(math.isfinite(s) and s >= 0 for s in self.snrs):
+            raise ValueError("trace entries must be finite and nonnegative")
         if not self.snrs:
             raise ValueError("trace must be nonempty")
 

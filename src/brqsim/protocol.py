@@ -9,10 +9,11 @@ chain's new bits in original payload order.
 Decodability is threshold-based (snr >= gamma_r): slots are long enough
 that coding succeeds whenever the rate is below capacity, and binning is
 represented by its bit budget.  A session is then a pure function of the
-SNR sequence: fluid sessions run as one array kernel (`_run_kernel`).  The
-per-slot TX/RX state machines are its executable specification, held
-equal to it bit for bit by a differential test, and they run integer
-accounting, whose per-bit payload the kernel does not model.
+SNR sequence, and one array kernel (`_run_kernel`) runs every session, in
+fluid and in integer accounting.  Integer sessions check their payload by
+one fingerprint word per window (`verify_windows`) instead of per-bit
+payloads.  The per-slot TX/RX state machines are the kernel's executable
+specification, held equal to it bit for bit by a differential test.
 """
 
 from __future__ import annotations
@@ -53,8 +54,15 @@ def parity_bit_count(
         raise ValueError(f"effective SNR must be nonnegative, got {eff_snr}")
     raw = slot_uses * max(rate - capacity(eff_snr), 0.0)
     if accounting == "integer":
-        return float(math.ceil(raw - _PARITY_TOL))
+        return float(_round_up_parity(raw))
     return raw
+
+
+def _round_up_parity(raw):
+    """Integer accounting's parity for a fluid count `raw` (float or array):
+    whole bits, rounded up unless `raw` is within 1e-9 above a whole number.
+    Adding 0.0 turns the -0.0 that np.ceil gives for raw < 1e-9 into 0.0."""
+    return np.ceil(raw - _PARITY_TOL) + 0.0
 
 
 def reward_of_chain(rate: float, slot_uses: int, outage_snrs) -> float:
@@ -454,16 +462,14 @@ def _codec_feedback(
 
 
 def _report_values(
-    snrs: np.ndarray, gamma_r: float, quantizer: QuantizerConfig | None
+    snrs: np.ndarray, gamma_r: float, quantizer: QuantizerConfig
 ) -> np.ndarray:
-    """The value each slot reports should it fail: its SNR (full CSIT), or
+    """The value each slot reports should it fail under quantized feedback:
     its cell's lower edge (cell + 1) * d - d, exactly as the codec decodes it.
 
     Raises BudgetExceededError for the first block whose report, sized
     from its success count, overflows the budget.
     """
-    if quantizer is None:
-        return snrs
     length, count, d = quantizer.block_length, quantizer.cell_count, quantizer.cell_width
     successes = (snrs >= gamma_r).reshape(-1, length).sum(axis=1)
     costs = np.array(block_bits(length, count))[successes]
@@ -472,22 +478,95 @@ def _report_values(
     return np.maximum((cell + 1) * d - d, 0.0)
 
 
+def _check_parity(
+    link: LinkConfig,
+    snrs: np.ndarray,
+    eff: np.ndarray,
+    fed: np.ndarray,
+    parity: np.ndarray,
+    due: np.ndarray,
+    processes: int,
+) -> None:
+    """Raise ChainBrokenError as `BrqReceiver.step` does, at the first
+    renewal whose chain holds a slot with less parity than the true SNR of
+    its predecessor needs; within a chain the receiver walks newest first.
+
+    A report equal to the SNR it stands for sizes the parity from the very
+    capacity the check recomputes, so only differing reports are checked.
+    """
+    n, p = len(snrs), processes
+    prev = np.zeros(n)
+    prev[p:] = snrs[: n - p]
+    suspect = np.flatnonzero(fed & (due < n) & (eff != prev))
+    caps = np.fromiter(map(math.log2, (1.0 + prev[suspect]).tolist()), float)
+    required = link.slot_uses * np.maximum(link.rate - caps, 0.0)
+    short = np.flatnonzero(parity[suspect] + _PARITY_TOL < required)
+    if short.size:
+        i = short[np.lexsort((-suspect[short], due[suspect[short]]))[0]]
+        slot = suspect[i]
+        raise ChainBrokenError(
+            f"slot {slot} carries {float(parity[slot])} parity "
+            f"bits, slot {slot - p} needs {float(required[i])}"
+        )
+
+
+def verify_windows(
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    fingerprints: np.ndarray,
+    unresolved: int,
+    sent_lengths: np.ndarray,
+    replay_state: dict,
+) -> bool:
+    """Whether the payload windows released in order match a replay of the source.
+
+    `offsets`, `lengths` and `fingerprints` describe the delivered windows,
+    in any order; `unresolved` is the offset of the first window the
+    receiver still buffers (the end of the stream if none).  The released
+    windows are the delivered ones below it, ordered by offset, skipping
+    windows of length zero as `ReassemblyStream.push` does.  The replay
+    starts a generator from `replay_state`, draws one fingerprint per sent
+    window in sequence (and so offset) order, and places window i at the
+    sum of `sent_lengths` before it.  The released windows must be exactly
+    the replay's nonempty windows below `unresolved`, in offset, length and
+    fingerprint: a window lost, swapped, resized or corrupted fails.
+    """
+    replay = getattr(np.random, replay_state["bit_generator"])()
+    replay.state = replay_state
+    want_fingerprints = replay.random_raw(len(sent_lengths))
+    want_offsets = np.cumsum(sent_lengths) - sent_lengths
+    want = (sent_lengths > 0) & (want_offsets < unresolved)
+    got = np.flatnonzero((lengths > 0) & (offsets < unresolved))
+    got = got[np.argsort(offsets[got], kind="stable")]
+    return (
+        got.size == np.count_nonzero(want)
+        and np.array_equal(offsets[got], want_offsets[want])
+        and np.array_equal(lengths[got], sent_lengths[want])
+        and np.array_equal(fingerprints[got], want_fingerprints[want])
+    )
+
+
 def _run_kernel(
     link: LinkConfig,
     snrs: np.ndarray,
     processes: int,
     reports: np.ndarray,
+    source_rng: np.random.Generator | None,
     warmup: int,
     record_slots: bool,
 ) -> SessionLog:
-    """Fluid session as array operations, equal to `_run_processes` bit for bit.
+    """One session as array operations, equal to `_run_processes` bit for bit.
 
     Slot t is sized from reports[t - P] unless slot t - P decoded (or
     t < P), and is delivered at the next decodable slot of its process
     t mod P.  Sums run in the state machine's order, by delivery slot and
-    then by slot, and capacities use math.log2 as `capacity` does.
+    then by slot, and capacities use math.log2 as `capacity` does.  In
+    integer accounting the parity is rounded up, the receiver's parity
+    check runs, and the payload source (`source_rng`, else seed 0) gives
+    each slot's window one fingerprint word, checked by `verify_windows`.
     """
     n, p = len(snrs), processes
+    integer = link.accounting == "integer"
     decoded = snrs >= link.gamma_r
     fed = np.zeros(n, dtype=bool)
     fed[p:] = ~decoded[: n - p]
@@ -496,6 +575,8 @@ def _run_kernel(
     parity = np.zeros(n)
     caps = np.fromiter(map(math.log2, (1.0 + eff[fed]).tolist()), float)
     parity[fed] = link.slot_uses * np.maximum(link.rate - caps, 0.0)
+    if integer:
+        parity[fed] = _round_up_parity(parity[fed])
     new_bits = link.bits_per_slot - parity
 
     # Delivery slot: the next decodable slot of the same process, else n.
@@ -516,6 +597,21 @@ def _run_kernel(
     stuck = np.flatnonzero((new_bits > 0) & (due == n))
     gap = stuck[0] if stuck.size else n
     held = new_bits[order[(order > gap) & (new_bits[order] > 0)]]
+
+    integrity_ok = True  # fluid sessions carry no payload to verify
+    if integer:
+        _check_parity(link, snrs, eff, fed, parity, due, p)
+        rng = source_rng if source_rng is not None else np.random.default_rng(0)
+        replay_state = rng.bit_generator.state  # a copy
+        fingerprints = rng.bit_generator.random_raw(n)  # one word per slot
+        sizes = new_bits.astype(np.int64)
+        ends = np.cumsum(sizes)
+        offsets = ends - sizes
+        unresolved = offsets[gap] if stuck.size else ends[-1]
+        integrity_ok = verify_windows(
+            offsets[order], sizes[order], fingerprints[order],
+            unresolved, sizes, replay_state,
+        )
 
     renewal_slots = np.flatnonzero(decoded)
     lengths = np.bincount(due[sent], minlength=n)[renewal_slots]
@@ -552,33 +648,11 @@ def _run_kernel(
         injected_bits=_sequential_sum(new_bits[warmup:]),
         delivered_bits=_sequential_sum(bits),
         delay_hist=dict(zip(keys.tolist(), hist.tolist())),
-        integrity_ok=True,  # fluid sessions carry no payload to verify
+        integrity_ok=integrity_ok,
         released_bits=_sequential_sum(new_bits[:gap]),
         held_window_bits=sum(held.tolist()),
         slot_records=records,
     )
-
-
-def _run_session(
-    link: LinkConfig,
-    snrs: np.ndarray,
-    processes: int,
-    quantizer: QuantizerConfig | None,
-    source_rng: np.random.Generator | None,
-    warmup: int,
-    record_slots: bool,
-) -> SessionLog:
-    """Integer accounting runs the state machine on codec feedback; fluid
-    accounting runs the array kernel."""
-    gamma_r = link.gamma_r
-    if link.accounting == "integer":
-        values = snrs.tolist()
-        feedback = _codec_feedback(values, gamma_r, quantizer)
-        return _run_processes(
-            link, values, processes, feedback, source_rng, warmup, record_slots
-        )
-    reports = _report_values(snrs, gamma_r, quantizer)
-    return _run_kernel(link, snrs, processes, reports, warmup, record_slots)
 
 
 def run_full_csit(
@@ -594,7 +668,8 @@ def run_full_csit(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     snrs = np.atleast_1d(model.sample(rng, horizon))
-    return _run_session(link, snrs, 1, None, source_rng, 0, record_slots)
+    # under full CSIT a failed slot reports its SNR itself
+    return _run_kernel(link, snrs, 1, snrs, source_rng, 0, record_slots)
 
 
 def run_quantized(
@@ -629,7 +704,8 @@ def run_quantized(
         link.feedback_bits, length, model.decode_prob(gamma_r), gamma_r
     )
     snrs = np.atleast_1d(model.sample(rng, horizon))
+    reports = _report_values(snrs, gamma_r, quantizer)
     warmup = 0 if include_warmup else 2 * length
-    return _run_session(
-        link, snrs, 2 * length, quantizer, source_rng, warmup, record_slots
+    return _run_kernel(
+        link, snrs, 2 * length, reports, source_rng, warmup, record_slots
     )

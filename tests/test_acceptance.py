@@ -161,7 +161,8 @@ def test_criterion_05_payload_integrity_quantized():
     assert log.delivered_bits > 0
     report(
         5,
-        f"{horizon} quantized slots, byte-exact prefix verified, "
+        f"{horizon} quantized slots, released windows match the payload replay "
+        f"in offset, length and fingerprint, "
         f"{log.renewal_count} renewals, zero chain breaks",
     )
 

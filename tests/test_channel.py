@@ -130,6 +130,11 @@ class TestEmpiricalTrace:
         with pytest.raises(NoDensityError):
             EmpiricalTrace((1.0,)).pdf(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_entries_not_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            EmpiricalTrace((3.0, bad, 25.0))
+
 
 class TestLinkConfig:
     def test_gamma_r_derived_from_rate(self):

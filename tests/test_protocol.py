@@ -24,6 +24,7 @@ from brqsim.protocol import (
 from brqsim.quantizer import planned_config
 
 RATE = math.log2(21.0)  # threshold 20
+INT_RATE = 4.39  # 439 whole bits per slot of 100 uses, threshold 19.966...
 
 
 def make_link(**kw):
@@ -118,11 +119,12 @@ class TestRewardOfChain:
             reward_of_chain(2.0, 100, [3.0])
 
 
-# SNRs on both sides of RATE's threshold gamma_R = 20, plus the quantizer's
-# cell edges gamma_R * i / 64 (the threshold among them).
+# SNRs on both sides of the thresholds gamma_R of RATE and INT_RATE, plus
+# the quantizer's cell edges gamma_R * i / 64 (the threshold among them).
 _TRACE_SNR = st.one_of(
     st.floats(min_value=0.0, max_value=60.0),
     st.integers(min_value=0, max_value=64).map(lambda i: (2.0**RATE - 1.0) * i / 64),
+    st.integers(min_value=0, max_value=64).map(lambda i: (2.0**INT_RATE - 1.0) * i / 64),
 )
 
 
@@ -180,42 +182,27 @@ class TestFeedbackDelayLaw:
 
 
 def assert_identical(a, b):
-    """Equal values of equal types (a numpy scalar would print differently)."""
+    """Equal values of equal types (a numpy scalar would print differently).
+
+    Lists are compared item by item, so that a failure shows the first
+    differing item instead of a diff of two long reprs.
+    """
+    if isinstance(a, list) and isinstance(b, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_identical(x, y)
+        return
     assert a == b
     assert repr(a) == repr(b)
 
 
-def kernel_and_oracle(snrs, feedback_bits=None, length=2, include_warmup=False):
-    """Run a fluid session through the array kernel (the public runners) and
-    through the state machine on codec feedback, and check they agree exactly.
+def same_outcome(kernel, oracle):
+    """Run both session functions and check they agree exactly: every
+    scalar of the log, `delay_hist` with its key order, every renewal and
+    every slot record, or the same error type and message.
 
     Returns both logs, or both errors as (type, message) pairs.
     """
-    trace = EmpiricalTrace(snrs)
-    horizon = len(trace.snrs)
-    link = make_link(rate=RATE, feedback_bits=feedback_bits, block_length=length)
-    gamma_r = link.gamma_r
-
-    def kernel():
-        rng = np.random.default_rng(0)
-        if feedback_bits is None:
-            return run_full_csit(link, trace, horizon, rng, record_slots=True)
-        return run_quantized(
-            link, trace, horizon, rng, record_slots=True, include_warmup=include_warmup
-        )
-
-    def oracle():
-        values = list(trace.snrs)
-        if feedback_bits is None:
-            quantizer, processes, warmup = None, 1, 0
-        else:
-            p_r = trace.decode_prob(gamma_r)
-            quantizer = planned_config(feedback_bits, length, p_r, gamma_r)
-            processes, warmup = 2 * length, 0 if include_warmup else 2 * length
-        feedback = protocol._codec_feedback(values, gamma_r, quantizer)
-        return protocol._run_processes(
-            link, values, processes, feedback, None, warmup, True
-        )
 
     def outcome(run):
         try:
@@ -239,40 +226,128 @@ def kernel_and_oracle(snrs, feedback_bits=None, length=2, include_warmup=False):
     return got, want
 
 
+def kernel_and_oracle(
+    snrs, feedback_bits=None, length=2, include_warmup=False, accounting="fluid"
+):
+    """Run a session through the array kernel (the public runners) and
+    through the state machine on codec feedback, and check they agree
+    exactly.  Integer accounting runs at INT_RATE, fluid at RATE."""
+    trace = EmpiricalTrace(snrs)
+    horizon = len(trace.snrs)
+    link = make_link(
+        rate=INT_RATE if accounting == "integer" else RATE,
+        feedback_bits=feedback_bits,
+        block_length=length,
+        accounting=accounting,
+    )
+    gamma_r = link.gamma_r
+
+    def kernel():
+        rng = np.random.default_rng(0)
+        if feedback_bits is None:
+            return run_full_csit(link, trace, horizon, rng, record_slots=True)
+        return run_quantized(
+            link, trace, horizon, rng, record_slots=True, include_warmup=include_warmup
+        )
+
+    def oracle():
+        values = list(trace.snrs)
+        if feedback_bits is None:
+            quantizer, processes, warmup = None, 1, 0
+        else:
+            p_r = trace.decode_prob(gamma_r)
+            quantizer = planned_config(feedback_bits, length, p_r, gamma_r)
+            processes, warmup = 2 * length, 0 if include_warmup else 2 * length
+        feedback = protocol._codec_feedback(values, gamma_r, quantizer)
+        return protocol._run_processes(
+            link, values, processes, feedback, None, warmup, True
+        )
+
+    return same_outcome(kernel, oracle)
+
+
+# Both accountings at twice the examples, so each gets about as many as one did.
+_ACCOUNTING = st.sampled_from(["fluid", "integer"])
+
+
 class TestKernelMatchesStateMachine:
-    """The fluid array kernel equals the per-slot state machine bit for bit."""
+    """The array kernel equals the per-slot state machine bit for bit."""
 
-    @settings(deadline=None)
-    @given(st.lists(_TRACE_SNR, min_size=1, max_size=80))
-    def test_full_csit(self, snrs):
-        kernel_and_oracle(snrs)
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_TRACE_SNR, min_size=1, max_size=80), _ACCOUNTING)
+    def test_full_csit(self, snrs, accounting):
+        kernel_and_oracle(snrs, accounting=accounting)
 
-    @settings(deadline=None)
+    @settings(deadline=None, max_examples=200)
     @given(
         st.integers(min_value=2, max_value=8),
         st.integers(min_value=1, max_value=5),
         st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 8.0]),
         st.booleans(),
+        _ACCOUNTING,
         st.data(),
     )
-    def test_quantized(self, length, rounds, fbits, include_warmup, data):
+    def test_quantized(self, length, rounds, fbits, include_warmup, accounting, data):
         # small budgets overflow on some blocks: both must fail the same way
         horizon = 2 * length * rounds
         snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
-        kernel_and_oracle(snrs, fbits, length, include_warmup)
+        kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
 
-    @settings(deadline=None, max_examples=20)
+    @settings(deadline=None, max_examples=40)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from([(None, 2), (2.0, 16), (4.0, 8), (2.0, 64)]),
         st.booleans(),
+        _ACCOUNTING,
     )
-    def test_rayleigh_traces(self, seed, scheme, include_warmup):
+    def test_rayleigh_traces(self, seed, scheme, include_warmup, accounting):
         # thousands of arbitrary doubles: np.log2 in place of math.log2 differs
         # from `capacity` in the last bit on about 0.1% of them
         snrs = np.random.default_rng(seed).exponential(10.0, 2048).tolist()
         fbits, length = scheme
-        kernel_and_oracle(snrs, fbits, length, include_warmup)
+        kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([1, 2, 4]),
+        st.lists(
+            st.tuples(_TRACE_SNR, st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+            min_size=4,
+            max_size=40,
+        ),
+    )
+    def test_reports_above_the_snr(self, processes, slots):
+        # Integer accounting on reports raised above the true SNR by up to
+        # 3: the receiver's parity check fires at the first renewal whose
+        # chain holds a short slot, in the kernel as in the state machine.
+        snrs = np.array([snr for snr, _ in slots])
+        reports = snrs + np.array([lift for _, lift in slots])
+        link = make_link(rate=INT_RATE, accounting="integer")
+        feedback = [
+            ACK if snr >= link.gamma_r else report
+            for snr, report in zip(snrs.tolist(), reports.tolist())
+        ]
+        same_outcome(
+            lambda: protocol._run_kernel(link, snrs, processes, reports, None, 0, True),
+            lambda: protocol._run_processes(
+                link, snrs.tolist(), processes, feedback, None, 0, True
+            ),
+        )
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_report_above_the_snr_breaks_the_chain(self, processes):
+        link = make_link(rate=INT_RATE, accounting="integer")
+        snrs = np.array([3.0] * processes + [25.0] * processes)
+        reports = snrs.copy()
+        reports[processes - 1] = 6.0  # the last process's outage, overstated
+        with pytest.raises(ChainBrokenError) as caught:
+            protocol._run_kernel(link, snrs, processes, reports, None, 0, False)
+        slot = 2 * processes - 1
+        required = 100 * (INT_RATE - capacity(3.0))
+        assert str(caught.value) == (
+            f"slot {slot} carries {float(math.ceil(100 * (INT_RATE - capacity(6.0))))} "
+            f"parity bits, slot {slot - processes} needs {required}"
+        )
 
 
 class TestKernelEdgeCases:
@@ -309,6 +384,17 @@ class TestKernelEdgeCases:
         assert all(r.chain_length == 1 for r in log.renewals)
         assert log.delay_hist == {0: 16 * 100 * RATE}
         assert log.undelivered_bits == 0.0
+
+    @pytest.mark.parametrize("below", [1, 100])
+    def test_integer_parity_just_below_threshold_is_positive_zero(self, below):
+        # an outage SNR within ulps of gamma_R leaves under 1e-9 bits to
+        # cover: integer parity is 0.0, never the -0.0 np.ceil gives
+        snr = 2.0**INT_RATE - 1.0
+        for _ in range(below):
+            snr = math.nextafter(snr, 0.0)
+        log, _ = kernel_and_oracle([snr, 3.0, 25.0], accounting="integer")
+        assert repr(log.slot_records[1].parity_bits) == "0.0"
+        assert log.slot_records[1].new_bits == 439.0
 
     @pytest.mark.parametrize("fbits", [None, 4.0])
     def test_snr_at_threshold_decodes(self, fbits):
@@ -661,3 +747,59 @@ class TestRunQuantized:
         assert log.released_bits + log.held_window_bits == pytest.approx(
             pushed, abs=1e-6
         )
+
+
+class TestVerifyWindows:
+    """The integer payload check: released windows against a replay."""
+
+    SIZES = np.array([40, 0, 25, 31, 0, 7, 12, 50])
+    DELIVERY = [2, 0, 7, 3, 1, 6, 5, 4]  # not offset order
+
+    def windows(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        fingerprints = rng.bit_generator.random_raw(len(self.SIZES))
+        offsets = np.cumsum(self.SIZES) - self.SIZES
+        order = self.DELIVERY
+        return offsets[order], self.SIZES[order], fingerprints[order], state
+
+    def verify(self, offsets, sizes, fingerprints, state, unresolved=None):
+        if unresolved is None:
+            unresolved = int(self.SIZES.sum())
+        return protocol.verify_windows(
+            offsets, sizes, fingerprints, unresolved, self.SIZES, state
+        )
+
+    def test_passes_in_any_delivery_order(self):
+        assert self.verify(*self.windows()) is True
+
+    def test_windows_past_the_first_unresolved_one_are_held(self):
+        # window 5 (7 bits at offset 96) is still buffered: windows 6 and 7
+        # are held, whatever they hold
+        offsets, sizes, fingerprints, state = self.windows()
+        keep = [self.DELIVERY.index(i) for i in (2, 0, 7, 3, 1, 6, 4)]
+        fingerprints[self.DELIVERY.index(7)] ^= 1
+        assert self.verify(
+            offsets[keep], sizes[keep], fingerprints[keep], state, unresolved=96
+        )
+
+    def test_fails_on_a_dropped_window(self):
+        offsets, sizes, fingerprints, state = self.windows()
+        keep = [i for i in range(8) if self.DELIVERY[i] != 3]
+        assert not self.verify(offsets[keep], sizes[keep], fingerprints[keep], state)
+
+    def test_fails_on_two_windows_swapped(self):
+        offsets, sizes, fingerprints, state = self.windows()
+        a, b = self.DELIVERY.index(2), self.DELIVERY.index(3)
+        fingerprints[[a, b]] = fingerprints[[b, a]]
+        assert not self.verify(offsets, sizes, fingerprints, state)
+
+    def test_fails_on_a_window_one_bit_short(self):
+        offsets, sizes, fingerprints, state = self.windows()
+        sizes[self.DELIVERY.index(7)] -= 1
+        assert not self.verify(offsets, sizes, fingerprints, state)
+
+    def test_fails_on_a_flipped_fingerprint(self):
+        offsets, sizes, fingerprints, state = self.windows()
+        fingerprints[self.DELIVERY.index(3)] ^= 1 << 40
+        assert not self.verify(offsets, sizes, fingerprints, state)
