@@ -37,6 +37,8 @@ class Rayleigh:
     def __post_init__(self) -> None:
         if self.mean_snr <= 0:
             raise ValueError(f"mean SNR must be positive, got {self.mean_snr}")
+        if not math.isfinite(self.mean_snr):
+            raise ValueError(f"mean SNR must be finite, got {self.mean_snr}")
 
     def pdf(self, snr: float) -> float:
         if snr < 0:
@@ -62,6 +64,8 @@ class Deterministic:
     def __post_init__(self) -> None:
         if self.snr < 0:
             raise ValueError(f"SNR must be nonnegative, got {self.snr}")
+        if not math.isfinite(self.snr):
+            raise ValueError(f"SNR must be finite, got {self.snr}")
 
     def pdf(self, snr: float) -> float:
         raise NoDensityError("deterministic channel has no density")

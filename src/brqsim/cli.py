@@ -17,10 +17,11 @@ import csv
 import io
 import json
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import analytics, engine
 from .channel import LinkConfig, Rayleigh, inv_capacity
@@ -247,13 +248,33 @@ _SLOT_LOG_FIELDS = [f.name for f in fields(SlotRecord)]
 _SLOT_LOG_HEADER = ["replication", *_SLOT_LOG_FIELDS]
 
 
-def _slot_log_rows(logs) -> list[list]:
-    values = operator.attrgetter(*_SLOT_LOG_FIELDS)
-    return [
-        [rep, *values(rec)]
-        for rep, log in enumerate(logs)
-        for rec in log.slot_records or []
-    ]
+def _format_column(values: np.ndarray) -> list[str]:
+    """`_fmt` of every entry of a 1-D array.
+
+    Floats are formatted once per distinct bit pattern, so -0.0 and 0.0
+    stay apart and every NaN gives ''.
+    """
+    if values.dtype == bool:
+        return np.where(values, "1", "0").tolist()
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    patterns, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [_fmt(x) for x in patterns.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _write_slot_log(path: str, logs) -> None:
+    """Write the slot records of every replication's log, column by column.
+
+    The bytes equal `_write_csv` over the records: no cell holds a comma,
+    quote or newline, so csv.writer would quote none of them.
+    """
+    lines = [",".join(_SLOT_LOG_HEADER)]
+    for rep, log in enumerate(logs):
+        table = log.slot_records
+        columns = [_format_column(table.columns[name]) for name in _SLOT_LOG_FIELDS]
+        lines += map(",".join, zip([str(rep)] * len(table), *columns))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -289,7 +310,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         collect_logs=logs,
     )
     if cfg.csv_log:
-        _write_csv(cfg.csv_log, _SLOT_LOG_HEADER, _slot_log_rows(logs))
+        _write_slot_log(cfg.csv_log, logs)
     payload = summary.to_json_dict()
     payload["mean_snr_db"] = cfg.mean_snr_db
     payload["rate_R"] = rate

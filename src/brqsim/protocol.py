@@ -19,7 +19,7 @@ specification, held equal to it bit for bit by a differential test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -291,12 +291,12 @@ class _ChainRenewals:
         new_bits = self._new_bits.tolist()
         delays = self._delays.tolist()
         reports = self._reports.tolist()
+        rewards = _chain_rewards(self._new_bits, self._lengths).tolist()
         end = 0
-        for slot, length in zip(self._slots.tolist(), self._lengths.tolist()):
+        for slot, length, reward in zip(
+            self._slots.tolist(), self._lengths.tolist(), rewards
+        ):
             start, end = end, end + length
-            reward = 0.0  # left to right, as the receiver adds them
-            for bits in new_bits[start:end]:
-                reward += bits
             yield RenewalRecord(
                 slot=slot,
                 chain_length=length,
@@ -304,6 +304,52 @@ class _ChainRenewals:
                 bit_delays=list(zip(new_bits[start:end], delays[start:end])),
                 effective_snrs=reports[start + 1 : end],
             )
+
+
+def _chain_rewards(new_bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each chain's new bits summed left to right, as the receiver adds them.
+
+    `new_bits` holds the chains back to back, `lengths` their lengths.  The
+    loop runs over chain position, across every chain still that long
+    (longest first), so the sums keep the receiver's order; np.sum and
+    np.add.reduceat add in another order and differ in the last bits.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    longer = np.cumsum(np.bincount(lengths)[::-1])[::-1]  # chains >= each length
+    totals = np.zeros(len(lengths))
+    for position in range(int(lengths.max(initial=0))):
+        live = longer[position + 1]
+        totals[:live] += new_bits[starts[:live] + position]
+    rewards = np.empty_like(totals)
+    rewards[order] = totals
+    return rewards
+
+
+class _SlotTable:
+    """Slot records of an array-kernel session, kept as one array per
+    `SlotRecord` field and built into records only when indexed or
+    iterated.  In `eff_snr`, NaN stands for no report (an ack).
+    """
+
+    def __init__(self, **columns: np.ndarray):
+        self.columns = {f.name: columns[f.name] for f in fields(SlotRecord)}
+
+    def __len__(self) -> int:
+        return len(self.columns["slot"])
+
+    def __getitem__(self, index: int) -> SlotRecord:
+        return self._record([col[index].item() for col in self.columns.values()])
+
+    def __iter__(self):
+        return map(self._record, zip(*(col.tolist() for col in self.columns.values())))
+
+    @staticmethod
+    def _record(values) -> SlotRecord:
+        record = SlotRecord(*values)
+        if math.isnan(record.eff_snr):
+            record.eff_snr = ACK
+        return record
 
 
 @dataclass
@@ -321,7 +367,7 @@ class SessionLog:
     integrity_ok: bool
     released_bits: float  # in-order verified prefix of the payload stream
     held_window_bits: float  # decoded but stuck behind an unresolved gap
-    slot_records: list[SlotRecord] | None = None
+    slot_records: list[SlotRecord] | _SlotTable | None = None  # sized, indexable
     undelivered_bits: float = field(init=False)
     delivered_rate: float = field(init=False)
 
@@ -615,30 +661,27 @@ def _run_kernel(
 
     renewal_slots = np.flatnonzero(decoded)
     lengths = np.bincount(due[sent], minlength=n)[renewal_slots]
+    chain_bits = new_bits[order]  # the chains back to back
     renewals = _ChainRenewals(
-        renewal_slots, lengths, new_bits[order], due[order] - order, eff[order]
+        renewal_slots, lengths, chain_bits, due[order] - order, eff[order]
     )
     records = None
     if record_slots:
         chain = np.zeros(n, dtype=np.int64)
         chain[renewal_slots] = lengths
         rewards = np.zeros(n)
-        rewards[renewal_slots] = [r.reward_bits for r in renewals]
-        eff_snrs = [e if f else ACK for e, f in zip(eff.tolist(), fed.tolist())]
-        records = list(
-            map(
-                SlotRecord,
-                range(n),
-                (np.arange(n) % p).tolist(),
-                snrs.tolist(),
-                eff_snrs,
-                parity.tolist(),
-                new_bits.tolist(),
-                decoded.tolist(),
-                decoded.tolist(),  # every decodable slot renews its chain
-                chain.tolist(),
-                rewards.tolist(),
-            )
+        rewards[renewal_slots] = _chain_rewards(chain_bits, lengths)
+        records = _SlotTable(
+            slot=np.arange(n),
+            instance=np.arange(n) % p,
+            snr=snrs,
+            eff_snr=np.where(fed, eff, np.nan),
+            parity_bits=parity,
+            new_bits=new_bits,
+            decoded=decoded,
+            renewal=decoded,  # every decodable slot renews its chain
+            chain_length=chain,
+            reward_bits=rewards,
         )
     return SessionLog(
         horizon=n,

@@ -92,6 +92,11 @@ class TestRayleigh:
         with pytest.raises(ValueError):
             Rayleigh(0.0)
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_requires_finite_mean(self, mean):
+        with pytest.raises(ValueError):
+            Rayleigh(mean)
+
 
 class TestDeterministic:
     def test_decode_prob(self):
@@ -108,6 +113,11 @@ class TestDeterministic:
     def test_no_density(self):
         with pytest.raises(NoDensityError):
             Deterministic(5.0).pdf(1.0)
+
+    @pytest.mark.parametrize("snr", [-1.0, math.nan, math.inf])
+    def test_requires_finite_nonnegative_snr(self, snr):
+        with pytest.raises(ValueError):
+            Deterministic(snr)
 
 
 class TestEmpiricalTrace:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from brqsim import cli, engine
@@ -239,6 +240,18 @@ class TestExitCodes:
     def test_bad_grid_is_usage_error(self):
         assert main(["fig4", "--snr-grid-db", "0:30"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    @pytest.mark.parametrize("db", ["nan", "inf"])
+    def test_non_finite_mean_snr_is_usage_error(self, tmp_path, capsys, command, db):
+        out = tmp_path / "out"
+        code = main(
+            [command, f"--mean-snr-db={db}", "--rate", "2", "--slots", "100",
+             "--output", str(out)]
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: mean SNR must be finite, got {db}\n"
+        assert not out.exists()
+
     def test_budget_exceeded_is_usage_error(self, tmp_path, capsys):
         # the planner sizes cells for the all-failed block; some blocks with
         # a few successes encode to more than floor(L * F) bits
@@ -258,3 +271,27 @@ class TestExitCodes:
         monkeypatch.setattr(engine, "run_replicated", fail)
         assert main(["simulate", "--slots", "100"]) == cli.EXIT_INTEGRITY
         assert capsys.readouterr().err == "error: injected\n"
+
+
+class TestSlotLogColumns:
+    """The slot-log column formatter agrees with `_fmt` cell by cell."""
+
+    def test_floats(self):
+        nan = np.array([math.nan])
+        other_nan = (nan.view(np.int64) ^ 1).view(np.float64)  # another payload
+        col = np.concatenate([
+            [-0.0, 0.0, 5e-324, 1e16, 1e-05, math.inf, 2.0, 439.0], nan, other_nan,
+            [0.1 + 0.2, 0.3, -0.0, 1e16, 0.0, -math.inf],
+        ])
+        want = [cli._fmt(x) for x in col.tolist()]
+        assert want[:10] == ["-0.0", "0.0", "5e-324", "1e+16", "1e-05", "inf", "2.0",
+                             "439.0", "", ""]
+        assert cli._format_column(col) == want
+        assert cli._format_column(col[::3]) == want[::3]
+
+    def test_ints_and_bools(self):
+        ints = np.array([0, 7, -3, 2**62])
+        bools = np.array([True, False, True])
+        assert cli._format_column(ints) == [cli._fmt(x) for x in ints.tolist()]
+        assert cli._format_column(bools) == [cli._fmt(x) for x in bools.tolist()]
+        assert cli._format_column(bools) == ["1", "0", "1"]

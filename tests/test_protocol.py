@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brqsim import analytics, protocol
+from brqsim import analytics, cli, protocol
 from brqsim.channel import Deterministic, EmpiricalTrace, LinkConfig, Rayleigh, capacity
 from brqsim.engine import RunConfig, run_replicated
 from brqsim.errors import BrqError, ChainBrokenError
@@ -222,7 +225,9 @@ def same_outcome(kernel, oracle):
         assert_identical(getattr(got, name), getattr(want, name))
     assert_identical(list(got.delay_hist.items()), list(want.delay_hist.items()))
     assert_identical(list(got.renewals), want.renewals)
-    assert_identical(got.slot_records, want.slot_records)
+    assert_identical(list(got.slot_records), want.slot_records)
+    records = got.slot_records
+    assert_identical([records[i] for i in range(len(records))], want.slot_records)
     return got, want
 
 
@@ -350,6 +355,70 @@ class TestKernelMatchesStateMachine:
         )
 
 
+class TestSlotLogBytes:
+    """The slot log written column by column from kernel logs has the bytes
+    that csv.writer and `_fmt` give, cell by cell, on the state machine's
+    slot records."""
+
+    @staticmethod
+    def check(traces, *scheme):
+        kernel_logs, oracle_logs = [], []
+        for snrs in traces:
+            got, want = kernel_and_oracle(snrs, *scheme)
+            assume(not isinstance(got, tuple))  # both hit the same budget error
+            kernel_logs.append(got)
+            oracle_logs.append(want)
+        rows = [
+            [rep, *dataclasses.astuple(record)]
+            for rep, log in enumerate(oracle_logs)
+            for record in log.slot_records
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            got_path, want_path = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+            cli._write_slot_log(got_path, kernel_logs)
+            cli._write_csv(want_path, cli._SLOT_LOG_HEADER, rows)
+            with open(got_path, "rb") as got, open(want_path, "rb") as want:
+                assert got.read() == want.read()
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.one_of(
+            st.just((None, 2)),
+            st.tuples(st.sampled_from([1.5, 2.0, 4.0, 8.0]), st.integers(2, 8)),
+        ),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        _ACCOUNTING,
+        st.data(),
+    )
+    def test_random_traces(self, scheme, replications, include_warmup, accounting, data):
+        fbits, length = scheme
+        if fbits is None:
+            horizon = data.draw(st.integers(min_value=1, max_value=80))
+        else:
+            horizon = 2 * length * data.draw(st.integers(min_value=1, max_value=4))
+        traces = [
+            data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
+            for _ in range(replications)
+        ]
+        self.check(traces, fbits, length, include_warmup, accounting)
+
+    @settings(deadline=None, max_examples=10)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(None, 2), (2.0, 16), (4.0, 8)]),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        _ACCOUNTING,
+    )
+    def test_rayleigh_traces(self, seed, scheme, replications, include_warmup, accounting):
+        # arbitrary doubles, hundreds of distinct values per column
+        fbits, length = scheme
+        rng = np.random.default_rng(seed)
+        traces = [rng.exponential(10.0, 512).tolist() for _ in range(replications)]
+        self.check(traces, fbits, length, include_warmup, accounting)
+
+
 class TestKernelEdgeCases:
     GOOD = 25.0  # above RATE's threshold gamma_R = 20
 
@@ -357,6 +426,9 @@ class TestKernelEdgeCases:
         for snr in (self.GOOD, 3.0):
             log, _ = kernel_and_oracle([snr])
             assert log.renewal_count == (snr >= 20.0)
+            reward = 100 * RATE if snr >= 20.0 else 0.0
+            assert [r.reward_bits for r in log.renewals] == [reward] * log.renewal_count
+            assert log.slot_records[0].reward_bits == reward
 
     def test_warmup_fills_whole_horizon(self):
         log, _ = kernel_and_oracle([self.GOOD, 3.0, 7.0, self.GOOD], 4.0, 2)
@@ -370,12 +442,30 @@ class TestKernelEdgeCases:
         log, _ = kernel_and_oracle(snrs, fbits, 2)
         assert log.renewal_count == 0
         assert list(log.renewals) == []
+        assert [r.reward_bits for r in log.slot_records] == [0.0] * len(snrs)
+        no_chains = protocol._chain_rewards(np.zeros(0), np.zeros(0, dtype=np.int64))
+        assert no_chains.shape == (0,)
         assert log.delay_hist == {}
         assert log.delivered_bits == 0.0
         link = make_link(rate=RATE, feedback_bits=fbits, block_length=2)
         run = RunConfig(seed=1, replications=1, horizon=len(snrs))
         summary = run_replicated(run, link, EmpiricalTrace(snrs))
         assert summary.to_json_dict()["delay_mean"] is None
+
+    def test_long_chains_keep_the_receiver_order(self):
+        # chains of 301, 401 and 4 slots: a pairwise or segmented sum of
+        # their new bits lands a few ulps off the receiver's running sum
+        outages = np.random.default_rng(0).uniform(0.0, 20.0, 703).tolist()
+        good = [self.GOOD]
+        log, oracle = kernel_and_oracle(
+            outages[:300] + good + outages[300:700] + good + outages[700:] + good
+        )
+        want = [r.reward_bits for r in oracle.renewals]
+        assert [r.chain_length for r in oracle.renewals] == [301, 401, 4]
+        assert_identical([r.reward_bits for r in log.renewals], want)
+        new_bits = np.array([r.new_bits for r in oracle.slot_records])
+        assert np.add.reduceat(new_bits, [0, 301, 702]).tolist() != want
+        assert float(np.sum(new_bits[301:702])) != want[1]
 
     @pytest.mark.parametrize("fbits", [None, 4.0])
     def test_all_decoding(self, fbits):
