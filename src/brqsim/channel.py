@@ -1,7 +1,7 @@
 """Per-slot SNR distributions and the capacity/threshold arithmetic.
 
-All SNRs are linear (never dB) inside the package; dB conversion happens
-only at the command-line boundary.
+All SNRs are linear (never dB) inside the package; `db_to_linear` turns
+the dB values of the command line and the fig4 grid into linear SNRs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,14 @@ def capacity(snr: float) -> float:
     if snr < 0:
         raise ValueError(f"SNR must be nonnegative, got {snr}")
     return math.log2(1.0 + snr)
+
+
+def db_to_linear(db: float) -> float:
+    """Linear SNR 10**(db/10); ValueError where it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"mean SNR of {db} dB overflows a float") from None
 
 
 def inv_capacity(rate: float) -> float:

@@ -4,7 +4,8 @@ SNR flags are given in dB and converted to linear at this boundary; the
 rest of the package works in linear SNR only.
 
 Exit codes: 0 ok; 2 usage or config error, including a feedback budget
-the block quantizer cannot meet (BudgetExceededError); 3 numeric
+too small for the worst block of a single-cell quantizer
+(InsufficientFeedbackError, raised when the cells are planned); 3 numeric
 failure; 4 integrity failure, including a broken backtrack chain
 (ChainBrokenError) or an undecodable feedback report
 (FeedbackDecodeError).
@@ -24,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import analytics, engine
-from .channel import LinkConfig, Rayleigh, inv_capacity
+from .channel import LinkConfig, Rayleigh, db_to_linear, inv_capacity
 from .errors import (
     BrqError,
     ChainBrokenError,
@@ -161,11 +162,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
+        return "" if math.isnan(value) else repr(value)
     return str(value)
 
 
@@ -207,7 +204,7 @@ def _resolve_rate(cfg: ExperimentConfig, mean_snr: float) -> float:
 
 
 def cmd_analytic(cfg: ExperimentConfig) -> int:
-    mean_snr = 10.0 ** (cfg.mean_snr_db / 10.0)
+    mean_snr = db_to_linear(cfg.mean_snr_db)
     model = Rayleigh(mean_snr)
     rate = _resolve_rate(cfg, mean_snr)
     gamma_r = inv_capacity(rate)
@@ -278,7 +275,7 @@ def _write_slot_log(path: str, logs) -> None:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    mean_snr = 10.0 ** (cfg.mean_snr_db / 10.0)
+    mean_snr = db_to_linear(cfg.mean_snr_db)
     model = Rayleigh(mean_snr)
     rate = _resolve_rate(cfg, mean_snr)
     if rate <= 0:
@@ -332,7 +329,7 @@ def cmd_fig4(cfg: ExperimentConfig) -> int:
 
 
 def cmd_fig5(cfg: ExperimentConfig) -> int:
-    mean_snr = 10.0 ** (cfg.mean_snr_db / 10.0)
+    mean_snr = db_to_linear(cfg.mean_snr_db)
     fbits = _parse_list(cfg.feedback_grid) if cfg.feedback_grid else [1.0, 2.0, 8.0]
     rows = engine.sweep_threshold_ratio(mean_snr, _parse_grid(cfg.ratio_grid), fbits)
     _write_table(cfg.output or "fig5.csv", rows)

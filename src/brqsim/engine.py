@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .channel import FadingModel, LinkConfig, Rayleigh, inv_capacity
+from .channel import FadingModel, LinkConfig, Rayleigh, db_to_linear, inv_capacity
 from .errors import InsufficientFeedbackError
 from .protocol import SessionLog, run_full_csit, run_quantized
 
@@ -167,7 +167,7 @@ def sweep_mean_snr(
         raise ValueError("SNR grid must be nonempty")
     rows = []
     for db in mean_snr_db_grid:
-        mean_snr = 10.0 ** (db / 10.0)
+        mean_snr = db_to_linear(db)
         model = Rayleigh(mean_snr)
         wf = analytics.waterfilling_rate(model, 1.0)
         pf = analytics.avg_rate_prior_fixed_power(model)

@@ -18,11 +18,13 @@ class InfiniteDelayError(BrqError):
 
 
 class InsufficientFeedbackError(BrqError):
-    """The feedback budget does not cover the success mask plus one cell."""
+    """The feedback budget cannot carry the success mask: H(p_R) bits per
+    slot in the analytic surrogate, the worst single-cell block in the
+    quantizer planner."""
 
 
 class BudgetExceededError(BrqError):
-    """A realized feedback block encoding does not fit the bit budget."""
+    """A quantizer's worst block encoding does not fit the bit budget."""
 
 
 class FeedbackDecodeError(BrqError):

@@ -27,10 +27,8 @@ from .channel import FadingModel, LinkConfig, capacity
 from .errors import ChainBrokenError
 from .quantizer import (
     QuantizerConfig,
-    block_bits,
-    check_budget,
+    cells,
     decode_feedback_block,
-    effective_snr,
     encode_feedback_block,
     planned_config,
 )
@@ -496,32 +494,12 @@ def _codec_feedback(
     (full CSIT) or each L-slot block encoded to bits and decoded back."""
     if quantizer is None:
         return [ACK if snr >= gamma_r else snr for snr in snrs]
-    length, d = quantizer.block_length, quantizer.cell_width
+    length = quantizer.block_length
     feedback: list[float | None] = []
     for start in range(0, len(snrs), length):
         encoded = encode_feedback_block(snrs[start : start + length], quantizer)
-        feedback += [
-            ACK if entry is None else effective_snr(entry, d)
-            for entry in decode_feedback_block(encoded.bits, quantizer)
-        ]
+        feedback += decode_feedback_block(encoded.bits, quantizer)
     return feedback
-
-
-def _report_values(
-    snrs: np.ndarray, gamma_r: float, quantizer: QuantizerConfig
-) -> np.ndarray:
-    """The value each slot reports should it fail under quantized feedback:
-    its cell's lower edge (cell + 1) * d - d, exactly as the codec decodes it.
-
-    Raises BudgetExceededError for the first block whose report, sized
-    from its success count, overflows the budget.
-    """
-    length, count, d = quantizer.block_length, quantizer.cell_count, quantizer.cell_width
-    successes = (snrs >= gamma_r).reshape(-1, length).sum(axis=1)
-    costs = np.array(block_bits(length, count))[successes]
-    check_budget(int(costs[np.argmax(costs > quantizer.bit_budget)]), quantizer)
-    cell = np.minimum(snrs / d, count - 1).astype(np.int64)
-    return np.maximum((cell + 1) * d - d, 0.0)
 
 
 def _check_parity(
@@ -742,12 +720,10 @@ def run_quantized(
         raise ValueError(
             f"horizon must be a positive multiple of 2L = {2 * length}, got {horizon}"
         )
-    gamma_r = link.gamma_r
-    quantizer = planned_config(
-        link.feedback_bits, length, model.decode_prob(gamma_r), gamma_r
-    )
+    quantizer = planned_config(link.feedback_bits, length, link.gamma_r)
     snrs = np.atleast_1d(model.sample(rng, horizon))
-    reports = _report_values(snrs, gamma_r, quantizer)
+    # a failed slot reports its cell's lower edge, exactly as the codec decodes it
+    reports = cells(snrs, quantizer) * quantizer.cell_width
     warmup = 0 if include_warmup else 2 * length
     return _run_kernel(
         link, snrs, 2 * length, reports, source_rng, warmup, record_slots

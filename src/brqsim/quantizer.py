@@ -3,8 +3,8 @@
 The receiver reports two messages inside a hard floor(L*F)-bit budget:
 which of the L slots decoded (success mask, enumeratively coded) and a
 uniform cell index for each failed slot's SNR.  The transmitter treats
-cell k as the lower edge k*d, a guaranteed lower bound on the true SNR,
-so the parity it sizes from it can never fall short.
+cell c as its lower edge c*d, computed so that it never exceeds the true
+SNR, so the parity it sizes from it can never fall short.
 
 Bit layout (big-endian within each field, fields in order):
 success-count, pattern-index, cell-indices ascending by slot.
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytics import binary_entropy
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     FeedbackDecodeError,
@@ -32,14 +33,32 @@ def _bit_budget(feedback_bits: float, block_length: int) -> int:
     return math.floor(block_length * feedback_bits + 1e-9)
 
 
+def block_bits(block_length: int, cell_count: int) -> list[int]:
+    """Encoded length of a block with k successes, for k = 0..L.
+
+    The count field, the pattern index among the C(L, k) masks and one
+    cell index per failed slot: ceil(log2(L+1)) + ceil(log2 C(L,k))
+    + (L-k) * ceil(log2 K) bits.
+    """
+    count, cell = _bits_for(block_length + 1), _bits_for(cell_count)
+    return [
+        count + _bits_for(math.comb(block_length, k)) + (block_length - k) * cell
+        for k in range(block_length + 1)
+    ]
+
+
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Uniform scalar quantizer over [0, gamma_r) with cells of width `cell_width`."""
+    """Uniform scalar quantizer over [0, gamma_r) with `cell_count` cells.
+
+    A config is valid only if every block, whatever its success count,
+    encodes within floor(L*F) bits, so no report can overflow at run time.
+    """
 
     feedback_bits: float
     block_length: int
     gamma_r: float
-    cell_width: float
+    cell_count: int
 
     def __post_init__(self) -> None:
         if self.feedback_bits < 0:
@@ -48,15 +67,18 @@ class QuantizerConfig:
             raise ValueError("block_length must be >= 1")
         if self.gamma_r <= 0:
             raise ValueError("gamma_r must be positive")
-        if self.cell_width <= 0:
-            raise ValueError("cell_width must be positive")
-        if self.cell_count * self.cell_width < self.gamma_r * (1.0 - 1e-12):
-            raise ValueError("cells do not cover [0, gamma_r)")
+        if self.cell_count < 1:
+            raise ValueError("cell_count must be >= 1")
+        worst = max(block_bits(self.block_length, self.cell_count))
+        if worst > self.bit_budget:
+            raise BudgetExceededError(
+                f"worst block encodes to {worst} bits, budget is {self.bit_budget}"
+            )
 
     @property
-    def cell_count(self) -> int:
-        """Number of cells K = ceil(gamma_r / cell_width)."""
-        return max(1, math.ceil(self.gamma_r / self.cell_width - 1e-9))
+    def cell_width(self) -> float:
+        """Cell width d = gamma_r / K."""
+        return self.gamma_r / self.cell_count
 
     @property
     def bit_budget(self) -> int:
@@ -72,34 +94,20 @@ class FeedbackBlock:
     bits: str
 
 
-def effective_snr(snr_hat: float, distortion: float) -> float:
-    """Safe transmit-side SNR (snr_hat - distortion)^+."""
-    if snr_hat < 0 or distortion < 0:
-        raise ValueError("snr_hat and distortion must be nonnegative")
-    return max(snr_hat - distortion, 0.0)
+def cells(snrs, config: QuantizerConfig) -> np.ndarray:
+    """Cell index of each SNR: the largest c < K with c * d <= snr.
 
-
-def quantize_snr(snr: float, config: QuantizerConfig) -> int:
-    """Cell index floor(snr / cell_width) for an outage-slot SNR.
-
-    The reported representative is the cell's upper edge, so the
-    transmitter's lower bound (representative - cell_width) never
-    exceeds the true SNR.
+    The quotient snr / d rounds, so its floor is corrected by at most one
+    cell either way against the float64 product c * d itself.
     """
-    if not 0.0 <= snr < config.gamma_r:
-        raise ValueError(
-            f"only outage SNRs in [0, {config.gamma_r}) are quantized, got {snr}"
-        )
-    cell = int(snr / config.cell_width)
-    # fp guard at the top edge when cell_count * cell_width == gamma_r
-    return min(cell, config.cell_count - 1)
-
-
-def representative(cell: int, config: QuantizerConfig) -> float:
-    """Reported SNR value for a cell: its upper edge (cell + 1) * d."""
-    if not 0 <= cell < config.cell_count:
-        raise ValueError(f"cell {cell} out of range [0, {config.cell_count})")
-    return (cell + 1) * config.cell_width
+    snrs = np.asarray(snrs, dtype=float)
+    if not (snrs >= 0).all():
+        raise ValueError("SNRs must be nonnegative")
+    top, d = config.cell_count - 1, config.cell_width
+    c = np.minimum(np.floor(snrs / d), top)
+    c -= c * d > snrs
+    c += (c < top) & ((c + 1) * d <= snrs)
+    return c.astype(np.int64)
 
 
 def _rank_combination(positions: tuple[int, ...], n: int) -> int:
@@ -130,11 +138,7 @@ def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
 
 
 def encode_feedback_block(snrs, config: QuantizerConfig) -> FeedbackBlock:
-    """Encode one block's SNRs into a mask + cell-index bit string.
-
-    Raises BudgetExceededError when the realized encoding does not fit
-    floor(L*F) bits; the caller must then enlarge the cell width.
-    """
+    """Encode one block's SNRs into a mask + cell-index bit string."""
     snrs = [float(s) for s in snrs]
     n = config.block_length
     if len(snrs) != n:
@@ -147,23 +151,16 @@ def encode_feedback_block(snrs, config: QuantizerConfig) -> FeedbackBlock:
     pattern_bits = _bits_for(math.comb(n, k))
     if pattern_bits:
         parts.append(format(_rank_combination(successes, n), f"0{pattern_bits}b"))
+    failed = cells([s for s, ok in zip(snrs, mask) if not ok], config).tolist()
     cell_bits = _bits_for(config.cell_count)
-    cells = []
-    for i, s in enumerate(snrs):
-        if mask[i]:
-            continue
-        cell = quantize_snr(s, config)
-        cells.append(cell)
-        if cell_bits:
-            parts.append(format(cell, f"0{cell_bits}b"))
-    bits = "".join(parts)
-    check_budget(len(bits), config)
-    return FeedbackBlock(success_mask=mask, cell_indices=tuple(cells), bits=bits)
+    if cell_bits:
+        parts += [format(cell, f"0{cell_bits}b") for cell in failed]
+    return FeedbackBlock(success_mask=mask, cell_indices=tuple(failed), bits="".join(parts))
 
 
 def decode_feedback_block(block, config: QuantizerConfig) -> tuple[float | None, ...]:
     """Recover per-slot feedback from a block: None for an ack, else the
-    reported SNR representative for a failed slot."""
+    failed slot's cell lower edge cell * d."""
     bits = block.bits if isinstance(block, FeedbackBlock) else block
     if not isinstance(bits, str) or any(c not in "01" for c in bits):
         raise FeedbackDecodeError("feedback bits must be a string of 0/1")
@@ -201,66 +198,25 @@ def decode_feedback_block(block, config: QuantizerConfig) -> tuple[float | None,
             raise FeedbackDecodeError(
                 f"cell index {cell} out of range [0, {config.cell_count})"
             )
-        out.append(representative(cell, config))
+        out.append(cell * config.cell_width)
     if pos != len(bits):
         raise FeedbackDecodeError(f"{len(bits) - pos} trailing bits left undecoded")
     return tuple(out)
 
 
-def block_bits(block_length: int, cell_count: int) -> list[int]:
-    """Encoded length of a block with k successes, for k = 0..L.
-
-    The count field, the pattern index among the C(L, k) masks and one
-    cell index per failed slot: ceil(log2(L+1)) + ceil(log2 C(L,k))
-    + (L-k) * ceil(log2 K) bits.
-    """
-    count, cell = _bits_for(block_length + 1), _bits_for(cell_count)
-    return [
-        count + _bits_for(math.comb(block_length, k)) + (block_length - k) * cell
-        for k in range(block_length + 1)
-    ]
-
-
-def check_budget(bits: int, config: QuantizerConfig) -> None:
-    """Raise BudgetExceededError if a `bits`-long block report overflows floor(L*F)."""
-    if bits > config.bit_budget:
-        raise BudgetExceededError(
-            f"block encodes to {bits} bits, budget is {config.bit_budget}"
-        )
-
-
-def plan_cell_width(
-    feedback_bits: float, block_length: int, p_r: float, gamma_r: float
-) -> float:
-    """Smallest cell width gamma_r / K (K a power of two) whose all-failed
-    block encoding fits floor(L*F) bits."""
-    h = binary_entropy(p_r)
-    if feedback_bits <= h:
-        raise InsufficientFeedbackError(
-            f"feedback budget {feedback_bits} does not exceed mask cost {h:.4f}"
-        )
-    if gamma_r <= 0:
-        raise ValueError("gamma_r must be positive")
-    budget = _bit_budget(feedback_bits, block_length)
-    single = block_bits(block_length, 1)[0]  # k = 0: the all-failed block
-    if single > budget:
-        raise InsufficientFeedbackError(
-            f"even a single cell needs {single} bits, budget is {budget}"
-        )
-    k = 1
-    while block_bits(block_length, 2 * k)[0] <= budget:
-        k *= 2
-    return gamma_r / k
-
-
 def planned_config(
-    feedback_bits: float, block_length: int, p_r: float, gamma_r: float
+    feedback_bits: float, block_length: int, gamma_r: float
 ) -> QuantizerConfig:
-    """Convenience: plan the cell width and build the matching config."""
-    d = plan_cell_width(feedback_bits, block_length, p_r, gamma_r)
-    return QuantizerConfig(
-        feedback_bits=feedback_bits,
-        block_length=block_length,
-        gamma_r=gamma_r,
-        cell_width=d,
-    )
+    """The finest valid quantizer for the budget: the largest power of
+    two K whose worst block fits floor(L*F) bits."""
+    budget = _bit_budget(feedback_bits, block_length)
+    worst = max(block_bits(block_length, 1))
+    if worst > budget:
+        raise InsufficientFeedbackError(
+            f"even a single cell needs {worst} bits for the worst block, "
+            f"budget is {budget}"
+        )
+    count = 1
+    while max(block_bits(block_length, 2 * count)) <= budget:
+        count *= 2
+    return QuantizerConfig(feedback_bits, block_length, gamma_r, count)

@@ -253,15 +253,36 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_budget_exceeded_is_usage_error(self, tmp_path, capsys):
-        # the planner sizes cells for the all-failed block; some blocks with
-        # a few successes encode to more than floor(L * F) bits
+        # the planner sizes the cells for the costliest block, so a planned
+        # budget never overflows at run time (F=1.5, L=64 plans K=1) ...
         code = main(
             ["simulate", "--scheme", "quantized", "--feedback-bits", "1.5",
              "--rate-factor", "2", "--mean-snr-db", "10", "--slots", "12800",
              "--seed", "3", "--output", str(tmp_path / "s.json")]
         )
+        assert code == cli.EXIT_OK
+        assert json.loads((tmp_path / "s.json").read_text())["integrity"] == "pass"
+        # ... and a budget too small for any quantizer fails at planning
+        code = main(
+            ["simulate", "--scheme", "quantized", "--feedback-bits", "1",
+             "--block-length", "64", "--slots", "12800", "--output", str(tmp_path / "t.json")]
+        )
         assert code == cli.EXIT_USAGE
-        assert "error: block encodes to" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: even a single cell needs 68 bits for the worst block, budget is 64\n"
+        )
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mean-snr-db", "4000", "--rate", "2", "--slots", "100"],
+        ["analytic", "--mean-snr-db", "4000", "--rate", "2"],
+        ["fig4", "--snr-grid-db", "4000"],
+    ])
+    def test_overflowing_mean_snr_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: mean SNR of 4000.0 dB overflows a float\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", [ChainBrokenError, FeedbackDecodeError])
     def test_protocol_faults_are_integrity_failures(self, monkeypatch, capsys, error):
@@ -281,11 +302,13 @@ class TestSlotLogColumns:
         other_nan = (nan.view(np.int64) ^ 1).view(np.float64)  # another payload
         col = np.concatenate([
             [-0.0, 0.0, 5e-324, 1e16, 1e-05, math.inf, 2.0, 439.0], nan, other_nan,
-            [0.1 + 0.2, 0.3, -0.0, 1e16, 0.0, -math.inf],
+            [0.1 + 0.2, 0.3, -0.0, 1e16, 0.0, -math.inf, math.inf, -math.inf],
         ])
         want = [cli._fmt(x) for x in col.tolist()]
         assert want[:10] == ["-0.0", "0.0", "5e-324", "1e+16", "1e-05", "inf", "2.0",
                              "439.0", "", ""]
+        assert want[-3:] == ["-inf", "inf", "-inf"]
+        assert cli._fmt(-math.inf) == "-inf"
         assert cli._format_column(col) == want
         assert cli._format_column(col[::3]) == want[::3]
 
