@@ -269,6 +269,8 @@ def distortion_bound(feedback_bits: float, p_r: float, mean_snr: float) -> float
     """
     if mean_snr <= 0:
         raise ValueError(f"mean SNR must be positive, got {mean_snr}")
+    if math.isnan(feedback_bits):
+        raise ValueError("feedback budget must not be NaN")
     h = binary_entropy(p_r)
     if feedback_bits <= h:
         raise InsufficientFeedbackError(

@@ -129,7 +129,7 @@ class EmpiricalTrace:
 
 FadingModel = Rayleigh | Deterministic | EmpiricalTrace
 
-_ACCOUNTING_MODES = ("fluid", "integer")
+ACCOUNTING_MODES = ("fluid", "integer")
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,14 @@ class LinkConfig:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if self.slot_uses < 1:
             raise ValueError(f"slot_uses must be >= 1, got {self.slot_uses}")
-        if self.feedback_bits is not None and self.feedback_bits < 0:
-            raise ValueError("feedback_bits must be nonnegative or None")
+        if self.feedback_bits is not None and not 0 <= self.feedback_bits < math.inf:
+            raise ValueError(
+                f"feedback_bits must be finite and nonnegative, got {self.feedback_bits}"
+            )
         if self.block_length < 2:
             raise ValueError(f"block_length must be >= 2, got {self.block_length}")
-        if self.accounting not in _ACCOUNTING_MODES:
-            raise ValueError(f"accounting must be one of {_ACCOUNTING_MODES}")
+        if self.accounting not in ACCOUNTING_MODES:
+            raise ValueError(f"accounting must be one of {ACCOUNTING_MODES}")
         if self.accounting == "integer":
             b = self.rate * self.slot_uses
             if abs(b - round(b)) > 1e-9:

@@ -3,12 +3,13 @@
 SNR flags are given in dB and converted to linear at this boundary; the
 rest of the package works in linear SNR only.
 
-Exit codes: 0 ok; 2 usage or config error, including a feedback budget
-too small for the worst block of a single-cell quantizer
-(InsufficientFeedbackError, raised when the cells are planned); 3 numeric
-failure; 4 integrity failure, including a broken backtrack chain
-(ChainBrokenError) or an undecodable feedback report
-(FeedbackDecodeError).
+Exit codes (past argument parsing, an error is one stderr line):
+0 ok; 2 usage or config error ("error: ..."): ValueError, OSError and
+every BrqError not named below, such as InsufficientFeedbackError when
+the budget cannot carry even a single-cell quantizer; 3 NumericError
+("numeric failure: ..."); 4 integrity failure ("error: ..."):
+ChainBrokenError, FeedbackDecodeError, or a `simulate` summary whose
+integrity is "fail" (written, with nothing on stderr).
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
 from . import analytics, engine
-from .channel import LinkConfig, Rayleigh, db_to_linear, inv_capacity
+from .channel import (
+    ACCOUNTING_MODES,
+    LinkConfig,
+    Rayleigh,
+    db_to_linear,
+    inv_capacity,
+)
 from .errors import (
     BrqError,
     ChainBrokenError,
@@ -41,12 +49,17 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INTEGRITY = 4
 
-_SCHEMES = ("full", "quantized")
-
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment description; round-trips through key=value text."""
+    """Flat experiment description; round-trips through key=value text.
+
+    Each field is one setting of the config file and, apart from
+    `command` (the subcommand), one command-line flag: `--<name>` with
+    underscores as dashes, unless its metadata names a `flag`.  The
+    annotation gives the type (`| None` admits 'none' in the file) and a
+    `choices` entry limits the values, in the file as on the command line.
+    """
 
     command: str = "analytic"
     mean_snr_db: float = 10.0
@@ -55,15 +68,17 @@ class ExperimentConfig:
     slot_uses: int = 100
     feedback_bits: float | None = None
     block_length: int = 64
-    accounting: str = "fluid"
-    scheme: str = "full"
+    accounting: str = field(default="fluid", metadata={"choices": ACCOUNTING_MODES})
+    scheme: str = field(default="full", metadata={"choices": ("full", "quantized")})
     seed: int = 1
     slots: int = 100_000
     replications: int = 1
     include_warmup: bool = False
     output: str | None = None
     csv_log: str | None = None
-    out_format: str = "csv"
+    out_format: str = field(
+        default="csv", metadata={"choices": ("csv", "json"), "flag": "--format"}
+    )
     snr_grid_db: str = "0:30:2"
     rate_factors: str = "2,3"
     feedback_grid: str | None = None
@@ -98,8 +113,14 @@ class ExperimentConfig:
         return cfg
 
 
-def _opt(cast):
-    return lambda s: None if s.lower() == "none" else cast(s)
+_HINTS = typing.get_type_hints(ExperimentConfig)
+
+
+def _setting_type(f: Field) -> tuple[type, bool]:
+    """A setting's type without None, and whether it may be None."""
+    hint = _HINTS[f.name]
+    others = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return (others[0], True) if others else (hint, False)
 
 
 def _bool(s: str) -> bool:
@@ -111,28 +132,40 @@ def _bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-_CASTERS = {
-    "command": str,
-    "mean_snr_db": float,
-    "rate": _opt(float),
-    "rate_factor": _opt(float),
-    "slot_uses": int,
-    "feedback_bits": _opt(float),
-    "block_length": int,
-    "accounting": str,
-    "scheme": str,
-    "seed": int,
-    "slots": int,
-    "replications": int,
-    "include_warmup": _bool,
-    "output": _opt(str),
-    "csv_log": _opt(str),
-    "out_format": str,
-    "snr_grid_db": str,
-    "rate_factors": str,
-    "feedback_grid": _opt(str),
-    "ratio_grid": str,
-}
+def _caster(f: Field):
+    """Parse a config-file value of setting `f`, checked as its flag is."""
+    base, optional = _setting_type(f)
+    cast = _bool if base is bool else base
+    choices = f.metadata.get("choices")
+
+    def parse(text: str):
+        if optional and text.lower() == "none":
+            return None
+        value = cast(text)
+        if choices is not None and value not in choices:
+            raise ValueError(
+                f"{f.name}: invalid choice: {value!r} "
+                f"(choose from {', '.join(map(repr, choices))})"
+            )
+        return value
+
+    return parse
+
+
+_CASTERS = {f.name: _caster(f) for f in fields(ExperimentConfig)}
+
+
+def _flag(f: Field) -> tuple[str, dict]:
+    """The command-line flag of setting `f` and its add_argument options."""
+    flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+    base, _ = _setting_type(f)
+    if base is bool:
+        return flag, {"action": "store_const", "const": True, "dest": f.name}
+    return flag, {"type": base, "choices": f.metadata.get("choices"), "dest": f.name}
+
+
+# Every setting but `command`, which is the subcommand itself.
+_FLAGS = [_flag(f) for f in fields(ExperimentConfig) if f.name != "command"]
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -190,6 +223,13 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write `payload` as sorted, indented JSON, non-finite floats as null."""
+    clean = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)
+             for k, v in payload.items()}
+    _write_text(path, json.dumps(clean, sort_keys=True, indent=2) + "\n")
+
+
 def _resolve_rate(cfg: ExperimentConfig, mean_snr: float) -> float:
     if cfg.rate is not None and cfg.rate_factor is not None:
         raise ValueError("give either rate or rate_factor, not both")
@@ -233,9 +273,7 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
             row[key] = math.nan
             row["note"] = "insufficient_feedback"
     if cfg.out_format == "json":
-        payload = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)
-                   for k, v in row.items()}
-        _write_text(cfg.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(cfg.output, row)
     else:
         _write_table(cfg.output, [row])
     return EXIT_OK
@@ -280,8 +318,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     rate = _resolve_rate(cfg, mean_snr)
     if rate <= 0:
         raise ValueError("simulation needs a positive rate")
-    if cfg.scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}")
     quantized = cfg.scheme == "quantized"
     if quantized and cfg.feedback_bits is None:
         raise ValueError("quantized scheme needs --feedback-bits")
@@ -313,7 +349,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     payload["rate_R"] = rate
     payload["scheme"] = cfg.scheme
     payload["seed"] = cfg.seed
-    _write_text(cfg.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(cfg.output, payload)
     if summary.integrity != "pass":
         return EXIT_INTEGRITY
     return EXIT_OK
@@ -346,27 +382,8 @@ _COMMANDS = {
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value config file; flags take precedence")
-    sub.add_argument("--mean-snr-db", type=float, dest="mean_snr_db")
-    sub.add_argument("--rate", type=float)
-    sub.add_argument("--rate-factor", type=float, dest="rate_factor")
-    sub.add_argument("--slot-uses", type=int, dest="slot_uses")
-    sub.add_argument("--feedback-bits", type=float, dest="feedback_bits")
-    sub.add_argument("--block-length", type=int, dest="block_length")
-    sub.add_argument("--accounting", choices=("fluid", "integer"))
-    sub.add_argument("--scheme", choices=_SCHEMES)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--slots", type=int)
-    sub.add_argument("--replications", type=int)
-    sub.add_argument(
-        "--include-warmup", action="store_const", const=True, dest="include_warmup"
-    )
-    sub.add_argument("--output")
-    sub.add_argument("--csv-log", dest="csv_log")
-    sub.add_argument("--format", choices=("csv", "json"), dest="out_format")
-    sub.add_argument("--snr-grid-db", dest="snr_grid_db")
-    sub.add_argument("--rate-factors", dest="rate_factors")
-    sub.add_argument("--feedback-grid", dest="feedback_grid")
-    sub.add_argument("--ratio-grid", dest="ratio_grid")
+    for flag, options in _FLAGS:
+        sub.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,10 +409,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             cfg = ExperimentConfig.from_text(handle.read())
     else:
         cfg = ExperimentConfig()
-    cfg.command = args.command
     for f in fields(ExperimentConfig):
-        if f.name == "command":
-            continue
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)

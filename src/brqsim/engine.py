@@ -47,14 +47,13 @@ class StatsSummary:
     horizon: int
 
     def to_json_dict(self) -> dict:
-        def scrub(x: float):
-            return None if isinstance(x, float) and not math.isfinite(x) else x
-
+        """The summary's JSON keys; non-finite floats stay as they are (the
+        CLI's JSON writer turns them into null)."""
         return {
-            "rate_mean": scrub(self.rate_mean),
-            "rate_half_width": scrub(self.rate_half_width),
-            "delay_mean": scrub(self.delay_mean),
-            "delay_half_width": scrub(self.delay_half_width),
+            "rate_mean": self.rate_mean,
+            "rate_half_width": self.rate_half_width,
+            "delay_mean": self.delay_mean,
+            "delay_half_width": self.delay_half_width,
             "delay_hist": {str(k): self.delay_hist[k] for k in sorted(self.delay_hist)},
             "renewal_count": self.renewal_count,
             "undelivered_bits": self.undelivered_bits,

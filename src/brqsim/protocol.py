@@ -502,6 +502,13 @@ def _codec_feedback(
     return feedback
 
 
+def _parity_needed(link: LinkConfig, snrs: np.ndarray) -> np.ndarray:
+    """Fluid parity N * (R - C(snr))^+ for each SNR, with C from math.log2
+    as `capacity` computes it, so the floats match the state machine's."""
+    caps = np.fromiter(map(math.log2, (1.0 + snrs).tolist()), float)
+    return link.slot_uses * np.maximum(link.rate - caps, 0.0)
+
+
 def _check_parity(
     link: LinkConfig,
     snrs: np.ndarray,
@@ -522,8 +529,7 @@ def _check_parity(
     prev = np.zeros(n)
     prev[p:] = snrs[: n - p]
     suspect = np.flatnonzero(fed & (due < n) & (eff != prev))
-    caps = np.fromiter(map(math.log2, (1.0 + prev[suspect]).tolist()), float)
-    required = link.slot_uses * np.maximum(link.rate - caps, 0.0)
+    required = _parity_needed(link, prev[suspect])
     short = np.flatnonzero(parity[suspect] + _PARITY_TOL < required)
     if short.size:
         i = short[np.lexsort((-suspect[short], due[suspect[short]]))[0]]
@@ -597,8 +603,7 @@ def _run_kernel(
     eff = np.zeros(n)
     eff[p:] = reports[: n - p]
     parity = np.zeros(n)
-    caps = np.fromiter(map(math.log2, (1.0 + eff[fed]).tolist()), float)
-    parity[fed] = link.slot_uses * np.maximum(link.rate - caps, 0.0)
+    parity[fed] = _parity_needed(link, eff[fed])
     if integer:
         parity[fed] = _round_up_parity(parity[fed])
     new_bits = link.bits_per_slot - parity

@@ -24,12 +24,21 @@ from .errors import (
 )
 
 
+# Cells narrower than gamma_r / 2**52 are below float64 resolution and
+# carry no information; the cap also keeps cell indices inside int64.
+MAX_CELL_COUNT = 2**52
+
+
 def _bits_for(count: int) -> int:
     """ceil(log2(count)) for count >= 1."""
     return (count - 1).bit_length()
 
 
 def _bit_budget(feedback_bits: float, block_length: int) -> int:
+    if not 0 <= feedback_bits < math.inf:
+        raise ValueError(
+            f"feedback_bits must be finite and nonnegative, got {feedback_bits}"
+        )
     return math.floor(block_length * feedback_bits + 1e-9)
 
 
@@ -61,14 +70,14 @@ class QuantizerConfig:
     cell_count: int
 
     def __post_init__(self) -> None:
-        if self.feedback_bits < 0:
-            raise ValueError("feedback_bits must be nonnegative")
         if self.block_length < 1:
             raise ValueError("block_length must be >= 1")
         if self.gamma_r <= 0:
             raise ValueError("gamma_r must be positive")
-        if self.cell_count < 1:
-            raise ValueError("cell_count must be >= 1")
+        if not 1 <= self.cell_count <= MAX_CELL_COUNT:
+            raise ValueError(
+                f"cell_count must lie in [1, {MAX_CELL_COUNT}], got {self.cell_count}"
+            )
         worst = max(block_bits(self.block_length, self.cell_count))
         if worst > self.bit_budget:
             raise BudgetExceededError(
@@ -98,13 +107,15 @@ def cells(snrs, config: QuantizerConfig) -> np.ndarray:
     """Cell index of each SNR: the largest c < K with c * d <= snr.
 
     The quotient snr / d rounds, so its floor is corrected by at most one
-    cell either way against the float64 product c * d itself.
+    cell either way against the float64 product c * d itself.  SNRs above
+    gamma_r take the top cell; they are clipped before the division so
+    that the quotient cannot overflow.
     """
     snrs = np.asarray(snrs, dtype=float)
     if not (snrs >= 0).all():
         raise ValueError("SNRs must be nonnegative")
     top, d = config.cell_count - 1, config.cell_width
-    c = np.minimum(np.floor(snrs / d), top)
+    c = np.minimum(np.floor(np.minimum(snrs, config.gamma_r) / d), top)
     c -= c * d > snrs
     c += (c < top) & ((c + 1) * d <= snrs)
     return c.astype(np.int64)
@@ -208,7 +219,7 @@ def planned_config(
     feedback_bits: float, block_length: int, gamma_r: float
 ) -> QuantizerConfig:
     """The finest valid quantizer for the budget: the largest power of
-    two K whose worst block fits floor(L*F) bits."""
+    two K, at most MAX_CELL_COUNT, whose worst block fits floor(L*F) bits."""
     budget = _bit_budget(feedback_bits, block_length)
     worst = max(block_bits(block_length, 1))
     if worst > budget:
@@ -217,6 +228,6 @@ def planned_config(
             f"budget is {budget}"
         )
     count = 1
-    while max(block_bits(block_length, 2 * count)) <= budget:
+    while count < MAX_CELL_COUNT and max(block_bits(block_length, 2 * count)) <= budget:
         count *= 2
     return QuantizerConfig(feedback_bits, block_length, gamma_r, count)

@@ -266,6 +266,11 @@ class TestDistortionBound:
         with pytest.raises(InsufficientFeedbackError):
             analytics.distortion_bound(analytics.binary_entropy(0.3), 0.3, 10.0)
 
+    def test_nan_budget_rejected_and_infinite_budget_exact(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            analytics.distortion_bound(math.nan, P_R, 10.0)
+        assert analytics.distortion_bound(math.inf, P_R, 10.0) == 0.0
+
 
 class TestAvgRateQuantized:
     def test_matches_monte_carlo_oracle(self):

@@ -166,3 +166,6 @@ class TestLinkConfig:
             LinkConfig(rate=1.0, accounting="other")
         with pytest.raises(ValueError):
             LinkConfig(rate=1.0, block_length=1)
+        for fbits in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="feedback_bits must be finite and nonneg"):
+                LinkConfig(rate=1.0, feedback_bits=fbits)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,7 +9,17 @@ import pytest
 
 from brqsim import cli, engine
 from brqsim.cli import ExperimentConfig, main
-from brqsim.errors import ChainBrokenError, FeedbackDecodeError
+from brqsim.errors import (
+    BrqError,
+    BudgetExceededError,
+    ChainBrokenError,
+    FeedbackDecodeError,
+    InfiniteDelayError,
+    InsufficientFeedbackError,
+    NoDensityError,
+    NumericError,
+    TraceExhaustedError,
+)
 
 
 def read_csv(path):
@@ -53,6 +65,48 @@ class TestExperimentConfig:
         cfg = cli.load_config(args)
         assert cfg.seed == 7  # flag wins
         assert cfg.mean_snr_db == 20.0  # file survives where no flag given
+
+    def test_flags_and_file_read_every_setting_alike(self):
+        cfg = ExperimentConfig(
+            command="fig5", mean_snr_db=-3.5, rate=2.25, rate_factor=4.0,
+            slot_uses=50, feedback_bits=3.0, block_length=8, accounting="integer",
+            scheme="quantized", seed=11, slots=2048, replications=3,
+            include_warmup=True, output="o.json", csv_log="l.csv", out_format="json",
+            snr_grid_db="0:9:3", rate_factors="1,5", feedback_grid="2,4",
+            ratio_grid="1:2:0.5",
+        )
+        defaults = ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(cfg))
+        sub = argparse.ArgumentParser()
+        cli._add_common(sub)
+        flags = {a.dest: a.option_strings[0] for a in sub._actions}
+        settings = {f.name for f in dataclasses.fields(cfg)} - {"command"}
+        assert set(flags) == settings | {"help", "config"}
+        assert flags["out_format"] == "--format"
+        argv = ["fig5"]
+        for name in sorted(settings):
+            value = getattr(cfg, name)
+            argv += [flags[name]] if value is True else [f"{flags[name]}={value}"]
+        from_flags = cli.load_config(cli.build_parser().parse_args(argv))
+        assert from_flags == ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("key, value, choices", [
+        ("out_format", "xml", "'csv', 'json'"),
+        ("accounting", "x", "'fluid', 'integer'"),
+        ("scheme", "x", "'full', 'quantized'"),
+    ])
+    def test_file_values_obey_the_flag_choices(self, tmp_path, capsys, key, value, choices):
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(f"{key}={value}\n")
+        for command in ("analytic", "simulate"):
+            code = main([command, "--config", str(path), "--slots", "100",
+                         "--output", str(out)])
+            assert code == cli.EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: {key}: invalid choice: {value!r} (choose from {choices})\n"
+            )
+            assert not out.exists()
 
 
 class TestAnalyticCommand:
@@ -284,14 +338,71 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: mean SNR of 4000.0 dB overflows a float\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("error", [ChainBrokenError, FeedbackDecodeError])
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--scheme", "quantized", "--feedback-bits=nan", "--slots", "128"],
+         "feedback_bits must be finite and nonnegative, got nan"),
+        (["simulate", "--scheme", "quantized", "--feedback-bits=inf", "--slots", "128"],
+         "feedback_bits must be finite and nonnegative, got inf"),
+        (["analytic", "--feedback-bits=nan"], "feedback budget must not be NaN"),
+        (["fig4", "--snr-grid-db", "10", "--feedback-grid=nan"],
+         "feedback budget must not be NaN"),
+        (["fig5", "--ratio-grid", "1", "--feedback-grid=1,nan"],
+         "feedback budget must not be NaN"),
+    ], ids=["simulate-nan", "simulate-inf", "analytic", "fig4", "fig5"])
+    def test_non_finite_feedback_budget_is_usage_error(self, tmp_path, capsys, argv,
+                                                       message):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_infinite_budget_gives_the_full_csit_rate(self, tmp_path):
+        out = tmp_path / "row.json"
+        assert main(["analytic", "--feedback-bits=inf", "--format", "json",
+                     "--output", str(out)]) == cli.EXIT_OK
+        row = json.loads(out.read_text())
+        assert row["brq_quant_rate_Finf"] == row["brq_full_rate"]
+
+    @pytest.mark.parametrize("fbits", ["70", "2000"])
+    def test_huge_budget_plans_at_most_2_52_cells(self, tmp_path, capsys, fbits):
+        # pytest turns warnings into errors, so an int64 cast that wraps
+        # would fail here rather than print a RuntimeWarning
+        out = tmp_path / "s.json"
+        code = main(["simulate", "--scheme", "quantized", "--feedback-bits", fbits,
+                     "--block-length", "2", "--slots", "4000", "--output", str(out)])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["integrity"] == "pass"
+
+    # Every BrqError subclass with its documented exit code and stderr prefix.
+    EXIT_OF = {
+        NoDensityError: (cli.EXIT_USAGE, "error: "),
+        TraceExhaustedError: (cli.EXIT_USAGE, "error: "),
+        InfiniteDelayError: (cli.EXIT_USAGE, "error: "),
+        InsufficientFeedbackError: (cli.EXIT_USAGE, "error: "),
+        BudgetExceededError: (cli.EXIT_USAGE, "error: "),
+        NumericError: (cli.EXIT_NUMERIC, "numeric failure: "),
+        ChainBrokenError: (cli.EXIT_INTEGRITY, "error: "),
+        FeedbackDecodeError: (cli.EXIT_INTEGRITY, "error: "),
+    }
+
+    def test_every_error_has_a_documented_exit_code(self):
+        def subclasses(cls):
+            return set(cls.__subclasses__()).union(*map(subclasses, cls.__subclasses__()))
+
+        assert subclasses(BrqError) == set(self.EXIT_OF)
+
+    @pytest.mark.parametrize("error", list(EXIT_OF))
     def test_protocol_faults_are_integrity_failures(self, monkeypatch, capsys, error):
+        """A BrqError raised inside a command exits with its documented code."""
+
         def fail(*args, **kwargs):
             raise error("injected")
 
+        code, prefix = self.EXIT_OF[error]
         monkeypatch.setattr(engine, "run_replicated", fail)
-        assert main(["simulate", "--slots", "100"]) == cli.EXIT_INTEGRITY
-        assert capsys.readouterr().err == "error: injected\n"
+        assert main(["simulate", "--slots", "100"]) == code
+        assert capsys.readouterr().err == f"{prefix}injected\n"
 
 
 class TestSlotLogColumns:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 import tempfile
@@ -431,7 +432,7 @@ class TestKernelEdgeCases:
         assert log.delay_hist == {}
 
     @pytest.mark.parametrize("fbits", [None, 4.0])
-    def test_all_outage(self, fbits):
+    def test_all_outage(self, tmp_path, fbits):
         snrs = [3.0, 0.5, 19.0, 7.0] * 4
         log, _ = kernel_and_oracle(snrs, fbits, 2)
         assert log.renewal_count == 0
@@ -444,7 +445,9 @@ class TestKernelEdgeCases:
         link = make_link(rate=RATE, feedback_bits=fbits, block_length=2)
         run = RunConfig(seed=1, replications=1, horizon=len(snrs))
         summary = run_replicated(run, link, EmpiricalTrace(snrs))
-        assert summary.to_json_dict()["delay_mean"] is None
+        path = tmp_path / "summary.json"
+        cli._write_json(str(path), summary.to_json_dict())
+        assert json.loads(path.read_text())["delay_mean"] is None
 
     def test_long_chains_keep_the_receiver_order(self):
         # chains of 301, 401 and 4 slots: a pairwise or segmented sum of

@@ -138,6 +138,22 @@ class TestConfig:
             config(block_length=0)
         with pytest.raises(ValueError):
             config(feedback_bits=-1.0)
+        for fbits in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                config(feedback_bits=fbits)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                planned_config(fbits, 4, 3.0)
+
+    def test_cell_count_capped_at_2_52(self):
+        assert quantizer.MAX_CELL_COUNT == 2**52
+        cfg = config(feedback_bits=2000.0, block_length=2, cell_count=2**52)
+        with pytest.raises(ValueError, match="cell_count must lie in"):
+            config(feedback_bits=2000.0, block_length=2, cell_count=2**52 + 1)
+        # the top cells stay apart and in range, and no cast wraps
+        snrs = [0.0, cfg.cell_width, np.nextafter(3.0, 0.0), 3.0, 1e300]
+        got = cells(snrs, cfg)
+        assert got.tolist() == [0, 1, 2**52 - 1, 2**52 - 1, 2**52 - 1]
+        assert (got * cfg.cell_width <= snrs).all()
 
 
 class TestCombinationCoding:
@@ -325,6 +341,12 @@ class TestPlanCellWidth:
         assert cfg.cell_count == 1
         assert cfg.cell_width == 21.0
         assert cells([0.0, 10.0, np.nextafter(21.0, 0.0)], cfg).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("feedback_bits", [70.0, 2000.0])
+    def test_planned_cell_count_capped(self, feedback_bits):
+        # without the cap these budgets fit K >= 2**63 cells
+        assert max(block_bits(2, 2**63)) <= math.floor(2 * feedback_bits)
+        assert planned_config(feedback_bits, 2, 21.0).cell_count == 2**52
 
     def test_infeasible_even_single_cell(self):
         # L=2 slots, tiny fractional budget: floor(2 * 0.6) = 1 bit
