@@ -10,10 +10,9 @@ counterpart in the protocol/engine modules.
 
 from __future__ import annotations
 
+import importlib
 import math
 from typing import Callable
-
-from scipy import integrate, special
 
 from .channel import (
     Deterministic,
@@ -24,6 +23,29 @@ from .channel import (
     inv_capacity,
 )
 from .errors import InfiniteDelayError, InsufficientFeedbackError, NumericError
+
+
+class _LazyModule:
+    """Stands in for a module global of this file until its first use.
+
+    The first attribute lookup imports the module and puts it in place of
+    the stand-in, so every later lookup costs what a plain module costs.
+    """
+
+    def __init__(self, name: str, module: str) -> None:
+        self._name, self._module = name, module
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._module)
+        globals()[self._name] = module
+        return getattr(module, attr)
+
+
+# scipy is imported on first use: its import costs several times a typical
+# simulate run, which needs none of it; fig4/fig5 need only E1, and only
+# avg_rate_r_limited integrates.
+integrate = _LazyModule("integrate", "scipy.integrate")
+special = _LazyModule("special", "scipy.special")
 
 _LN2 = math.log(2.0)
 

@@ -30,10 +30,16 @@ def db_to_linear(db: float) -> float:
 
 
 def inv_capacity(rate: float) -> float:
-    """Minimal linear SNR that supports `rate`: 2**rate - 1."""
+    """Minimal linear SNR that supports `rate`: 2**rate - 1.
+
+    ValueError where it overflows a float.
+    """
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
-    return 2.0 ** rate - 1.0
+    try:
+        return 2.0 ** rate - 1.0
+    except OverflowError:
+        raise ValueError(f"rate of {rate} bits per channel use overflows a float") from None
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,10 @@ class ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CASTERS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            setattr(cfg, key, _CASTERS[key](value))
+            try:
+                setattr(cfg, key, _CASTERS[key](value))
+            except ValueError as err:
+                raise ValueError(f"line {lineno}: key {key!r}: {err}") from None
         return cfg
 
 
@@ -144,8 +147,7 @@ def _caster(f: Field):
         value = cast(text)
         if choices is not None and value not in choices:
             raise ValueError(
-                f"{f.name}: invalid choice: {value!r} "
-                f"(choose from {', '.join(map(repr, choices))})"
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
             )
         return value
 

@@ -104,9 +104,28 @@ class TestExperimentConfig:
                          "--output", str(out)])
             assert code == cli.EXIT_USAGE
             assert capsys.readouterr().err == (
-                f"error: {key}: invalid choice: {value!r} (choose from {choices})\n"
+                f"error: line 1: key {key!r}: invalid choice: {value!r} "
+                f"(choose from {choices})\n"
             )
             assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("seed", "x", "invalid literal for int() with base 10: 'x'"),
+        ("mean_snr_db", "ten", "could not convert string to float: 'ten'"),
+        ("scheme", "partial", "invalid choice: 'partial' (choose from 'full', 'quantized')"),
+    ], ids=["int", "float", "choice"])
+    def test_bad_file_value_names_its_line_and_key(self, tmp_path, capsys, key, value,
+                                                   reason):
+        text = f"# header\nslots=100\n{key}={value}\n"
+        message = f"line 3: key {key!r}: {reason}"
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_text(text)
+        assert str(err.value) == message
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestAnalyticCommand:
@@ -336,6 +355,18 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "error: mean SNR of 4000.0 dB overflows a float\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--rate", "1100", "--slots", "10"],
+        ["analytic", "--rate", "1100"],
+    ])
+    def test_overflowing_rate_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: rate of 1100.0 bits per channel use overflows a float\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
