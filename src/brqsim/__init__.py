@@ -11,13 +11,7 @@ from .channel import (
     inv_capacity,
 )
 from .engine import RunConfig, StatsSummary, run_replicated
-from .protocol import (
-    Packet,
-    RenewalRecord,
-    SessionLog,
-    run_full_csit,
-    run_quantized,
-)
+from .protocol import SessionLog, run_full_csit, run_quantized
 
 __version__ = "0.1.0"
 
@@ -26,9 +20,7 @@ __all__ = [
     "EmpiricalTrace",
     "FadingModel",
     "LinkConfig",
-    "Packet",
     "Rayleigh",
-    "RenewalRecord",
     "RunConfig",
     "SessionLog",
     "StatsSummary",

@@ -136,8 +136,6 @@ def avg_rate_full_csit(model: FadingModel, rate: float) -> float:
     E[C(snr); snr < gamma_R] + rate * P(snr >= gamma_R), where
     gamma_R = 2**rate - 1.
     """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
     if rate == 0:
         return 0.0
     gamma_r = inv_capacity(rate)
@@ -155,8 +153,6 @@ def avg_rate_r_limited(model: FadingModel, rate: float) -> float:
     expectation, apart from the closed forms, so the equality stays
     checkable.
     """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
     if rate == 0:
         return 0.0
     gamma_r = inv_capacity(rate)
@@ -168,11 +164,7 @@ def avg_rate_prior_fixed_power(model: FadingModel) -> float:
     """Ergodic capacity E[C(snr)] at fixed unit power (prior-CSIT baseline)."""
     if isinstance(model, Rayleigh):
         return _scaled_e1(1.0 / model.mean_snr) / _LN2
-    if isinstance(model, Deterministic):
-        return capacity(model.snr)
-    if isinstance(model, EmpiricalTrace):
-        return sum(capacity(s) for s in model.snrs) / len(model.snrs)
-    raise TypeError(f"unsupported model type: {type(model).__name__}")
+    return _expect_outage(model, capacity, math.inf)
 
 
 def _wf_mean_power(model: FadingModel, level: float) -> float:
@@ -246,8 +238,6 @@ def avg_delay_slots(model: FadingModel, rate: float) -> float:
     The wait is geometric with the per-slot decoding probability p_R, so
     the mean is (1 - p_R) / p_R, which grows with the rate.
     """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
     p = model.decode_prob(inv_capacity(rate))
     if p == 0:
         raise InfiniteDelayError("decoding probability is zero")
@@ -312,8 +302,6 @@ def avg_rate_quantized(model: Rayleigh, rate: float, feedback_bits: float) -> fl
     """
     if not isinstance(model, Rayleigh):
         raise TypeError("quantized-rate analysis is defined for Rayleigh fading only")
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
     gamma_r = inv_capacity(rate)
     p_r = model.decode_prob(gamma_r)
     d = distortion_bound(feedback_bits, p_r, model.mean_snr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDensityError, TraceExhaustedError
+from .errors import TraceExhaustedError
 
 
 def capacity(snr: float) -> float:
@@ -32,10 +32,11 @@ def db_to_linear(db: float) -> float:
 def inv_capacity(rate: float) -> float:
     """Minimal linear SNR that supports `rate`: 2**rate - 1.
 
-    ValueError where it overflows a float.
+    ValueError unless the rate is finite and nonnegative, and where the
+    threshold overflows a float.
     """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
     try:
         return 2.0 ** rate - 1.0
     except OverflowError:
@@ -65,7 +66,7 @@ class Rayleigh:
             raise ValueError(f"threshold must be nonnegative, got {threshold}")
         return math.exp(-threshold / self.mean_snr)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(self.mean_snr, size)
 
 
@@ -81,17 +82,12 @@ class Deterministic:
         if not math.isfinite(self.snr):
             raise ValueError(f"SNR must be finite, got {self.snr}")
 
-    def pdf(self, snr: float) -> float:
-        raise NoDensityError("deterministic channel has no density")
-
     def decode_prob(self, threshold: float) -> float:
         if threshold < 0:
             raise ValueError(f"threshold must be nonnegative, got {threshold}")
         return 1.0 if self.snr >= threshold else 0.0
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return self.snr
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.snr)
 
 
@@ -100,7 +96,7 @@ class EmpiricalTrace:
     """A fixed sequence of SNRs, consumed from the start of each session.
 
     Used to couple two protocol runs on the same channel realization.
-    Batch sampling returns the leading `size` entries; asking for more
+    Sampling returns the leading `size` entries; asking for more
     than the trace holds raises TraceExhaustedError.
     """
 
@@ -113,23 +109,17 @@ class EmpiricalTrace:
         if not self.snrs:
             raise ValueError("trace must be nonempty")
 
-    def pdf(self, snr: float) -> float:
-        raise NoDensityError("empirical trace has no density")
-
     def decode_prob(self, threshold: float) -> float:
         if threshold < 0:
             raise ValueError(f"threshold must be nonnegative, got {threshold}")
         hits = sum(1 for s in self.snrs if s >= threshold)
         return hits / len(self.snrs)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        n = 1 if size is None else size
-        if n > len(self.snrs):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if size > len(self.snrs):
             raise TraceExhaustedError(
-                f"trace holds {len(self.snrs)} entries, {n} requested"
+                f"trace holds {len(self.snrs)} entries, {size} requested"
             )
-        if size is None:
-            return self.snrs[0]
         return np.asarray(self.snrs[:size], dtype=float)
 
 
@@ -157,8 +147,8 @@ class LinkConfig:
     accounting: str = "fluid"
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
         if self.slot_uses < 1:
             raise ValueError(f"slot_uses must be >= 1, got {self.slot_uses}")
         if self.feedback_bits is not None and not 0 <= self.feedback_bits < math.inf:

@@ -39,7 +39,6 @@ from .errors import (
     ChainBrokenError,
     FeedbackDecodeError,
     InfiniteDelayError,
-    InsufficientFeedbackError,
     NumericError,
 )
 from .protocol import SlotRecord
@@ -236,8 +235,6 @@ def _resolve_rate(cfg: ExperimentConfig, mean_snr: float) -> float:
     if cfg.rate is not None and cfg.rate_factor is not None:
         raise ValueError("give either rate or rate_factor, not both")
     if cfg.rate is not None:
-        if cfg.rate < 0:
-            raise ValueError("rate must be nonnegative")
         return cfg.rate
     k = cfg.rate_factor if cfg.rate_factor is not None else 2.0
     if k <= 0:
@@ -267,13 +264,9 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
         "wf_rate": analytics.waterfilling_rate(model),
     }
     if cfg.feedback_bits is not None:
-        key = engine.quant_rate_column(cfg.feedback_bits)
-        try:
-            row[key] = analytics.avg_rate_quantized(model, rate, cfg.feedback_bits)
-            row["note"] = ""
-        except InsufficientFeedbackError:
-            row[key] = math.nan
-            row["note"] = "insufficient_feedback"
+        quant = engine.quantized_rate(model, rate, cfg.feedback_bits)
+        row[engine.quant_rate_column(cfg.feedback_bits)] = quant
+        row["note"] = "insufficient_feedback" if math.isnan(quant) else ""
     if cfg.out_format == "json":
         _write_json(cfg.output, row)
     else:
@@ -318,8 +311,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     mean_snr = db_to_linear(cfg.mean_snr_db)
     model = Rayleigh(mean_snr)
     rate = _resolve_rate(cfg, mean_snr)
-    if rate <= 0:
-        raise ValueError("simulation needs a positive rate")
     quantized = cfg.scheme == "quantized"
     if quantized and cfg.feedback_bits is None:
         raise ValueError("quantized scheme needs --feedback-bits")
@@ -337,13 +328,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         include_warmup=cfg.include_warmup,
     )
     logs = [] if cfg.csv_log else None
-    summary = engine.run_replicated(
-        run,
-        link,
-        model,
-        record_slots=cfg.csv_log is not None,
-        collect_logs=logs,
-    )
+    summary = engine.run_replicated(run, link, model, collect_logs=logs)
     if cfg.csv_log:
         _write_slot_log(cfg.csv_log, logs)
     payload = summary.to_json_dict()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,18 +49,9 @@ class StatsSummary:
     def to_json_dict(self) -> dict:
         """The summary's JSON keys; non-finite floats stay as they are (the
         CLI's JSON writer turns them into null)."""
-        return {
-            "rate_mean": self.rate_mean,
-            "rate_half_width": self.rate_half_width,
-            "delay_mean": self.delay_mean,
-            "delay_half_width": self.delay_half_width,
-            "delay_hist": {str(k): self.delay_hist[k] for k in sorted(self.delay_hist)},
-            "renewal_count": self.renewal_count,
-            "undelivered_bits": self.undelivered_bits,
-            "integrity": self.integrity,
-            "replications": self.replications,
-            "horizon": self.horizon,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["delay_hist"] = {str(k): self.delay_hist[k] for k in sorted(self.delay_hist)}
+        return out
 
 
 def _replication_rngs(seed: int, rep: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -68,26 +59,6 @@ def _replication_rngs(seed: int, rep: int) -> tuple[np.random.Generator, np.rand
     channel = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0)))
     payload = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, 1)))
     return channel, payload
-
-
-def _run_session(
-    run: RunConfig, link: LinkConfig, model: FadingModel, rep: int, record_slots: bool
-) -> SessionLog:
-    """One replication; a finite feedback budget selects the quantized scheme."""
-    rng, source_rng = _replication_rngs(run.seed, rep)
-    if link.feedback_bits is None:
-        return run_full_csit(
-            link, model, run.horizon, rng, source_rng, record_slots=record_slots
-        )
-    return run_quantized(
-        link,
-        model,
-        run.horizon,
-        rng,
-        source_rng,
-        record_slots=record_slots,
-        include_warmup=run.include_warmup,
-    )
 
 
 def _mean_half_width(values: list[float]) -> tuple[float, float]:
@@ -106,17 +77,29 @@ def run_replicated(
     link: LinkConfig,
     model: FadingModel,
     *,
-    record_slots: bool = False,
     collect_logs: list[SessionLog] | None = None,
 ) -> StatsSummary:
     """Run independent replications and aggregate; the result is a pure
-    function of (run, link, model)."""
-    logs = [
-        _run_session(run, link, model, i, record_slots)
-        for i in range(run.replications)
-    ]
+    function of (run, link, model).
 
-    if collect_logs is not None:
+    A finite feedback budget selects the quantized scheme.  Logs go to
+    `collect_logs`, if given, with their slot records.
+    """
+    record_slots = collect_logs is not None
+    logs = []
+    for rep in range(run.replications):
+        rng, source_rng = _replication_rngs(run.seed, rep)
+        if link.feedback_bits is None:
+            log = run_full_csit(
+                link, model, run.horizon, rng, source_rng, record_slots=record_slots
+            )
+        else:
+            log = run_quantized(
+                link, model, run.horizon, rng, source_rng,
+                record_slots=record_slots, include_warmup=run.include_warmup,
+            )
+        logs.append(log)
+    if record_slots:
         collect_logs.extend(logs)
 
     rate_mean, rate_hw = _mean_half_width([log.delivered_rate for log in logs])
@@ -144,7 +127,7 @@ def quant_rate_column(feedback_bits: float) -> str:
     return f"brq_quant_rate_F{feedback_bits:g}"
 
 
-def _quantized_rate(model: Rayleigh, rate: float, fbits: float) -> float:
+def quantized_rate(model: Rayleigh, rate: float, fbits: float) -> float:
     """Analytic quantized rate, NaN where the budget cannot cover the mask."""
     try:
         return analytics.avg_rate_quantized(model, rate, fbits)
@@ -185,7 +168,7 @@ def sweep_mean_snr(
             row["brq_full_rate" + kt] = full
             row["norm_brq_full" + kt] = full / wf
             for fbits in feedback_bits:
-                quant = _quantized_rate(model, rate, fbits)
+                quant = quantized_rate(model, rate, fbits)
                 row[quant_rate_column(fbits) + kt] = quant
                 row[f"norm_brq_quant_F{fbits:g}" + kt] = quant / wf
         rows.append(row)
@@ -200,8 +183,6 @@ def sweep_threshold_ratio(
     Each ratio x sets R = log2(1 + x * mean_snr).  Budgets that cannot
     cover the success mask give a NaN rate, not an error.
     """
-    if mean_snr <= 0:
-        raise ValueError("mean SNR must be positive")
     if len(ratio_grid) == 0:
         raise ValueError("ratio grid must be nonempty")
     model = Rayleigh(mean_snr)
@@ -215,6 +196,6 @@ def sweep_threshold_ratio(
             "brq_full_rate": analytics.avg_rate_full_csit(model, rate),
         }
         for fbits in feedback_bits:
-            row[quant_rate_column(fbits)] = _quantized_rate(model, rate, fbits)
+            row[quant_rate_column(fbits)] = quantized_rate(model, rate, fbits)
         rows.append(row)
     return rows

@@ -5,10 +5,6 @@ class BrqError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NoDensityError(BrqError):
-    """The fading model has no probability density function."""
-
-
 class TraceExhaustedError(BrqError):
     """An empirical SNR trace ran out of entries."""
 

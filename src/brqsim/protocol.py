@@ -693,7 +693,7 @@ def run_full_csit(
     """Simulate `horizon` slots with the true SNR fed back after each slot."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    snrs = np.atleast_1d(model.sample(rng, horizon))
+    snrs = model.sample(rng, horizon)
     # under full CSIT a failed slot reports its SNR itself
     return _run_kernel(link, snrs, 1, snrs, source_rng, 0, record_slots)
 
@@ -726,7 +726,7 @@ def run_quantized(
             f"horizon must be a positive multiple of 2L = {2 * length}, got {horizon}"
         )
     quantizer = planned_config(link.feedback_bits, length, link.gamma_r)
-    snrs = np.atleast_1d(model.sample(rng, horizon))
+    snrs = model.sample(rng, horizon)
     # a failed slot reports its cell's lower edge, exactly as the codec decodes it
     reports = cells(snrs, quantizer) * quantizer.cell_width
     warmup = 0 if include_warmup else 2 * length

@@ -16,7 +16,6 @@ from brqsim.errors import (
     FeedbackDecodeError,
     InfiniteDelayError,
     InsufficientFeedbackError,
-    NoDensityError,
     NumericError,
     TraceExhaustedError,
 )
@@ -370,6 +369,29 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--rate=nan", "--slots", "10"],
+         "rate must be finite and positive, got nan"),
+        (["simulate", "--rate=inf", "--slots", "10"],
+         "rate must be finite and positive, got inf"),
+        (["simulate", "--rate-factor=inf", "--slots", "10"],
+         "rate must be finite and positive, got inf"),
+        (["analytic", "--rate=nan"], "rate must be finite and nonnegative, got nan"),
+        (["analytic", "--rate=inf"], "rate must be finite and nonnegative, got inf"),
+        (["analytic", "--rate-factor=nan"], "rate must be finite and nonnegative, got nan"),
+        (["fig4", "--snr-grid-db", "10", "--rate-factors", "nan"],
+         "rate must be finite and nonnegative, got nan"),
+        (["fig5", "--ratio-grid", "inf"], "rate must be finite and nonnegative, got inf"),
+    ], ids=["simulate-rate-nan", "simulate-rate-inf", "simulate-factor-inf", "analytic-nan",
+            "analytic-inf", "analytic-factor-nan", "fig4", "fig5"])
+    def test_non_finite_rate_is_usage_error(self, tmp_path, capsys, argv, message):
+        # pytest turns warnings into errors, so a RuntimeWarning on the way
+        # (inf - inf in the session kernel) would fail here too
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
         (["simulate", "--scheme", "quantized", "--feedback-bits=nan", "--slots", "128"],
          "feedback_bits must be finite and nonnegative, got nan"),
         (["simulate", "--scheme", "quantized", "--feedback-bits=inf", "--slots", "128"],
@@ -407,7 +429,6 @@ class TestExitCodes:
 
     # Every BrqError subclass with its documented exit code and stderr prefix.
     EXIT_OF = {
-        NoDensityError: (cli.EXIT_USAGE, "error: "),
         TraceExhaustedError: (cli.EXIT_USAGE, "error: "),
         InfiniteDelayError: (cli.EXIT_USAGE, "error: "),
         InsufficientFeedbackError: (cli.EXIT_USAGE, "error: "),

@@ -767,13 +767,44 @@ class TestRunQuantized:
         assert quant.delivered_rate <= full.delivered_rate + 1e-9
         assert full.delivered_rate - quant.delivered_rate < 0.05
 
+    @staticmethod
+    def operational_rate(model, link, cell_count):
+        """Mean and standard deviation of one slot's new bits per channel use.
+
+        A slot carries R after a decoded predecessor and C(j*d) after one
+        whose SNR fell in cell j, [j*d, (j+1)*d) with d = gamma_R / K: the
+        report is the cell's lower edge.  Each slot's value depends on its
+        own predecessor's SNR only, so the values are i.i.d.
+        """
+        m = model.mean_snr
+        edges = np.arange(cell_count + 1) * (link.gamma_r / cell_count)
+        probs = np.append(np.exp(-edges[:-1] / m) - np.exp(-edges[1:] / m),
+                          math.exp(-link.gamma_r / m))
+        values = np.append(np.log2(1.0 + edges[:-1]), link.rate)
+        mean = probs @ values
+        return mean, math.sqrt(probs @ (values - mean) ** 2)
+
     def test_sim_below_analytic_reference(self):
-        model = Rayleigh(10.0)
-        link = make_link(rate=RATE, feedback_bits=1.5, block_length=64)
-        log = run_quantized(link, model, 128 * 500, np.random.default_rng(9))
-        bound = analytics.avg_rate_quantized(model, RATE, 1.5)
-        assert log.delivered_rate <= bound + 1e-9
-        assert log.integrity_ok
+        # (mean SNR dB, k, F, L, K) with R = log2(1 + k * mean SNR).  A slot
+        # is lost if it and every later slot of its process fail, so chains
+        # still open at the horizon hold back (1 - p_R) / p_R slots' worth
+        # of new bits per process in expectation.
+        for db, k, fbits, length, cell_count in [
+            (10.0, 2.0, 1.5, 64, 1), (10.0, 2.0, 2.0, 64, 2), (20.0, 1.0, 4.0, 16, 8),
+        ]:
+            model = Rayleigh(10.0 ** (db / 10.0))
+            rate = math.log2(1.0 + k * model.mean_snr)
+            link = make_link(rate=rate, feedback_bits=fbits, block_length=length)
+            assert planned_config(fbits, length, link.gamma_r).cell_count == cell_count
+            processes, horizon = 2 * length, 2 * length * 2000
+            log = run_quantized(link, model, horizon, np.random.default_rng(9))
+            counted = horizon - processes  # after the warm-up blocks
+            mean, sd = self.operational_rate(model, link, cell_count)
+            p_r = model.decode_prob(link.gamma_r)
+            open_chains = processes * (1.0 - p_r) / p_r / counted
+            expected = mean * (1.0 - open_chains)
+            assert abs(log.delivered_rate - expected) < 6.0 * sd / math.sqrt(counted)
+            assert log.integrity_ok
 
     def test_degenerate_single_cell_rate(self):
         # F=1.5, L=64 plans a single cell: every chained packet is pure
