@@ -20,6 +20,7 @@ from .channel import (
     FadingModel,
     Rayleigh,
     capacity,
+    check_link_rate,
     inv_capacity,
 )
 from .errors import InfiniteDelayError, InsufficientFeedbackError, NumericError
@@ -251,13 +252,12 @@ def two_phase_ir_rate(rate: float, snr: float) -> float:
     information, so the pair delivers min{R, C(snr)}; snr = 0 yields
     rate 0 (the retransmission never ends), not an error.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    return min(rate, capacity(snr))
+    return min(check_link_rate(rate), capacity(snr))
 
 
 def three_slot_backtrack_rate(rate: float, snr1: float, snr2: float) -> float:
     """Delivered rate over two outage slots resolved by a third decodable one."""
+    check_link_rate(rate)
     c1, c2 = capacity(snr1), capacity(snr2)
     if c1 >= rate or c2 >= rate:
         raise ValueError("both leading slots must be in outage (C(snr) < rate)")

@@ -29,6 +29,14 @@ def db_to_linear(db: float) -> float:
         raise ValueError(f"mean SNR of {db} dB overflows a float") from None
 
 
+def check_link_rate(rate: float) -> float:
+    """`rate` itself if a link can run at it (finite and positive), else
+    ValueError."""
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and positive, got {rate}")
+    return rate
+
+
 def inv_capacity(rate: float) -> float:
     """Minimal linear SNR that supports `rate`: 2**rate - 1.
 
@@ -147,8 +155,7 @@ class LinkConfig:
     accounting: str = "fluid"
 
     def __post_init__(self) -> None:
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be finite and positive, got {self.rate}")
+        check_link_rate(self.rate)
         if self.slot_uses < 1:
             raise ValueError(f"slot_uses must be >= 1, got {self.slot_uses}")
         if self.feedback_bits is not None and not 0 <= self.feedback_bits < math.inf:

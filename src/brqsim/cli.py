@@ -176,6 +176,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = parts
+        if not all(map(math.isfinite, parts)):
+            raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -378,6 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="brqsim",
         description="Backtrack-retransmission link simulator and calculator",
     )
+    # The flags are added once and copied into each subcommand: every
+    # add_argument call builds a help formatter, which asks for the
+    # terminal size.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("analytic", "closed-form rates and delay for one operating point"),
@@ -385,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig4", "rate-vs-mean-SNR sweep table (CSV)"),
         ("fig5", "rate-vs-threshold-ratio sweep table (CSV)"),
     ):
-        sub = subs.add_parser(name, help=help_text, argument_default=None)
-        _add_common(sub)
+        subs.add_parser(name, help=help_text, argument_default=None, parents=[common])
     return parser
 
 

@@ -270,26 +270,29 @@ class BrqReceiver:
 class _ChainRenewals:
     """Renewal records of an array-kernel session, built when iterated.
 
-    Holds the delivered slots in delivery order (by renewal slot, then by
-    slot) with their new bits, delays and reports, and one chain length
-    per renewal slot.
+    Holds one chain length per renewal slot, the delivery order (by
+    renewal slot, then by slot) and the per-slot new bits, delivery slots
+    and reports that the records are gathered from.
     """
 
-    def __init__(self, slots, lengths, new_bits, delays, reports):
+    def __init__(self, slots, lengths, order, new_bits, due, reports):
         self._slots = slots
         self._lengths = lengths
+        self._order = order
         self._new_bits = new_bits
-        self._delays = delays
+        self._due = due
         self._reports = reports
 
     def __len__(self) -> int:
         return len(self._slots)
 
     def __iter__(self):
-        new_bits = self._new_bits.tolist()
-        delays = self._delays.tolist()
-        reports = self._reports.tolist()
-        rewards = _chain_rewards(self._new_bits, self._lengths).tolist()
+        order = self._order
+        chain_bits = self._new_bits[order]
+        new_bits = chain_bits.tolist()
+        delays = (self._due[order] - order).tolist()
+        reports = self._reports[order].tolist()
+        rewards = _chain_rewards(chain_bits, self._lengths).tolist()
         end = 0
         for slot, length, reward in zip(
             self._slots.tolist(), self._lengths.tolist(), rewards
@@ -502,10 +505,30 @@ def _codec_feedback(
     return feedback
 
 
-def _parity_needed(link: LinkConfig, snrs: np.ndarray) -> np.ndarray:
-    """Fluid parity N * (R - C(snr))^+ for each SNR, with C from math.log2
-    as `capacity` computes it, so the floats match the state machine's."""
-    caps = np.fromiter(map(math.log2, (1.0 + snrs).tolist()), float)
+def _capacities(snrs: np.ndarray) -> np.ndarray:
+    """C(snr) for each SNR, from math.log2 as `capacity` computes it (np.log2
+    differs from it in the last bit on about 0.1% of doubles)."""
+    return np.fromiter(map(math.log2, (1.0 + snrs).tolist()), float, len(snrs))
+
+
+def _cell_capacities(cell: np.ndarray, width: float, count: int) -> np.ndarray:
+    """C(c * width) for each of the cell indices `cell` (all below `count`),
+    with one math.log2 per distinct cell.  The distinct cells come from a
+    table of `count` flags when that is no longer than `cell`, else from
+    np.unique, so no table is ever larger than the session."""
+    if count > cell.size:
+        distinct, index = np.unique(cell, return_inverse=True)
+        return _capacities(distinct * width)[index]
+    seen = np.zeros(count, dtype=bool)
+    seen[cell] = True
+    distinct = np.flatnonzero(seen)
+    table = np.zeros(count)
+    table[distinct] = _capacities(distinct * width)
+    return table[cell]
+
+
+def _parity_needed(link: LinkConfig, caps: np.ndarray) -> np.ndarray:
+    """Fluid parity N * (R - C)^+ for each side-information capacity C."""
     return link.slot_uses * np.maximum(link.rate - caps, 0.0)
 
 
@@ -524,12 +547,17 @@ def _check_parity(
 
     A report equal to the SNR it stands for sizes the parity from the very
     capacity the check recomputes, so only differing reports are checked.
+    np.log2 lies within a few ulps of math.log2, far less than 1e-9, so a
+    slot whose parity meets the need at 1e-9 below np.log2's capacity is
+    not short; only the rest are checked at `capacity`'s own value.
     """
     n, p = len(snrs), processes
     prev = np.zeros(n)
-    prev[p:] = snrs[: n - p]
+    prev[p:] = snrs[:-p]
     suspect = np.flatnonzero(fed & (due < n) & (eff != prev))
-    required = _parity_needed(link, prev[suspect])
+    at_most = _parity_needed(link, np.log2(1.0 + prev[suspect]) - 1e-9)
+    suspect = suspect[parity[suspect] + _PARITY_TOL < at_most]
+    required = _parity_needed(link, _capacities(prev[suspect]))
     short = np.flatnonzero(parity[suspect] + _PARITY_TOL < required)
     if short.size:
         i = short[np.lexsort((-suspect[short], due[suspect[short]]))[0]]
@@ -567,7 +595,8 @@ def verify_windows(
     want_offsets = np.cumsum(sent_lengths) - sent_lengths
     want = (sent_lengths > 0) & (want_offsets < unresolved)
     got = np.flatnonzero((lengths > 0) & (offsets < unresolved))
-    got = got[np.argsort(offsets[got], kind="stable")]
+    # offsets repeat only for a window delivered twice, which the count fails
+    got = got[np.argsort(offsets[got])]
     return (
         got.size == np.count_nonzero(want)
         and np.array_equal(offsets[got], want_offsets[want])
@@ -581,51 +610,66 @@ def _run_kernel(
     snrs: np.ndarray,
     processes: int,
     reports: np.ndarray,
+    capacities: np.ndarray,
     source_rng: np.random.Generator | None,
     warmup: int,
     record_slots: bool,
 ) -> SessionLog:
     """One session as array operations, equal to `_run_processes` bit for bit.
 
-    Slot t is sized from reports[t - P] unless slot t - P decoded (or
-    t < P), and is delivered at the next decodable slot of its process
-    t mod P.  Sums run in the state machine's order, by delivery slot and
-    then by slot, and capacities use math.log2 as `capacity` does.  In
-    integer accounting the parity is rounded up, the receiver's parity
-    check runs, and the payload source (`source_rng`, else seed 0) gives
-    each slot's window one fingerprint word, checked by `verify_windows`.
+    Slot t is sized from reports[t - P], whose capacity is
+    capacities[t - P], unless slot t - P decoded (or t < P); only the
+    capacities of outage slots are read.  Slot t is delivered at the next
+    decodable slot of its process t mod P.  Sums run in the state
+    machine's order, by delivery slot and then by slot.  In integer
+    accounting the parity is rounded up, the receiver's parity check runs,
+    and the payload source (`source_rng`, else seed 0) gives each slot's
+    window one fingerprint word, checked by `verify_windows`.
     """
     n, p = len(snrs), processes
     integer = link.accounting == "integer"
     decoded = snrs >= link.gamma_r
     fed = np.zeros(n, dtype=bool)
-    fed[p:] = ~decoded[: n - p]
+    fed[p:] = ~decoded[:-p]
     eff = np.zeros(n)
-    eff[p:] = reports[: n - p]
+    eff[p:] = reports[:-p]
+    fed_slots = np.flatnonzero(fed)
     parity = np.zeros(n)
-    parity[fed] = _parity_needed(link, eff[fed])
+    parity[fed_slots] = _parity_needed(link, capacities[fed_slots - p])
     if integer:
-        parity[fed] = _round_up_parity(parity[fed])
+        parity[fed_slots] = _round_up_parity(parity[fed_slots])
     new_bits = link.bits_per_slot - parity
 
     # Delivery slot: the next decodable slot of the same process, else n.
     padded = np.full(-(-n // p) * p, n)
     padded[:n][decoded] = np.flatnonzero(decoded)
     due = np.minimum.accumulate(padded.reshape(-1, p)[::-1], axis=0)[::-1].ravel()[:n]
-    sent = np.flatnonzero(due < n)
-    order = sent[np.argsort(due[sent], kind="stable")]
 
-    counted = order[(new_bits[order] > 0) & (order >= warmup)]
+    # Renewal slot r delivers the L slots r - (L-1)P, ..., r - P, r of its
+    # chain, so laying the chains back to back in renewal order gives the
+    # delivery order: entry i of a chain whose last entry is e is r - P(e - i).
+    renewal_slots = np.flatnonzero(decoded)
+    lengths = np.bincount(due, minlength=n + 1)[renewal_slots]
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    order = p * np.arange(total) + np.repeat(renewal_slots - p * (ends - 1), lengths)
+    chain_bits = new_bits[order]
+
+    live = chain_bits > 0
+    counted = order[live & (order >= warmup)]
     bits, delays = new_bits[counted], due[counted] - counted
-    keys, first = np.unique(delays, return_index=True)
-    keys = keys[np.argsort(first)]  # first-occurrence order, as the dict fills
+    # Delay keys in first-occurrence order, as the state machine's dict fills.
+    first = np.full(n, delays.size)
+    np.minimum.at(first, delays, np.arange(delays.size))
+    keys = np.flatnonzero(first < delays.size)
+    keys = keys[np.argsort(first[keys])]
     hist = np.bincount(delays, weights=bits)[keys]
 
     # In-order release stops at the first undelivered window; later
     # delivered windows are held, summed in push order.
     stuck = np.flatnonzero((new_bits > 0) & (due == n))
     gap = stuck[0] if stuck.size else n
-    held = new_bits[order[(order > gap) & (new_bits[order] > 0)]]
+    held = chain_bits[live & (order > gap)]
 
     integrity_ok = True  # fluid sessions carry no payload to verify
     if integer:
@@ -634,20 +678,15 @@ def _run_kernel(
         replay_state = rng.bit_generator.state  # a copy
         fingerprints = rng.bit_generator.random_raw(n)  # one word per slot
         sizes = new_bits.astype(np.int64)
-        ends = np.cumsum(sizes)
-        offsets = ends - sizes
-        unresolved = offsets[gap] if stuck.size else ends[-1]
+        window_ends = np.cumsum(sizes)
+        offsets = window_ends - sizes
+        unresolved = offsets[gap] if stuck.size else window_ends[-1]
         integrity_ok = verify_windows(
             offsets[order], sizes[order], fingerprints[order],
             unresolved, sizes, replay_state,
         )
 
-    renewal_slots = np.flatnonzero(decoded)
-    lengths = np.bincount(due[sent], minlength=n)[renewal_slots]
-    chain_bits = new_bits[order]  # the chains back to back
-    renewals = _ChainRenewals(
-        renewal_slots, lengths, chain_bits, due[order] - order, eff[order]
-    )
+    renewals = _ChainRenewals(renewal_slots, lengths, order, new_bits, due, eff)
     records = None
     if record_slots:
         chain = np.zeros(n, dtype=np.int64)
@@ -695,7 +734,10 @@ def run_full_csit(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     snrs = model.sample(rng, horizon)
     # under full CSIT a failed slot reports its SNR itself
-    return _run_kernel(link, snrs, 1, snrs, source_rng, 0, record_slots)
+    capacities = np.zeros(horizon)
+    outage = snrs < link.gamma_r
+    capacities[outage] = _capacities(snrs[outage])
+    return _run_kernel(link, snrs, 1, snrs, capacities, source_rng, 0, record_slots)
 
 
 def run_quantized(
@@ -728,8 +770,12 @@ def run_quantized(
     quantizer = planned_config(link.feedback_bits, length, link.gamma_r)
     snrs = model.sample(rng, horizon)
     # a failed slot reports its cell's lower edge, exactly as the codec decodes it
-    reports = cells(snrs, quantizer) * quantizer.cell_width
+    cell, width = cells(snrs, quantizer), quantizer.cell_width
+    reports = cell * width
+    capacities = np.zeros(horizon)
+    outage = snrs < link.gamma_r
+    capacities[outage] = _cell_capacities(cell[outage], width, quantizer.cell_count)
     warmup = 0 if include_warmup else 2 * length
     return _run_kernel(
-        link, snrs, 2 * length, reports, source_rng, warmup, record_slots
+        link, snrs, 2 * length, reports, capacities, source_rng, warmup, record_slots
     )

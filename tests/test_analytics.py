@@ -201,6 +201,11 @@ class TestTwoPhaseIr:
     def test_zero_snr_returns_zero(self):
         assert analytics.two_phase_ir_rate(2.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_rate_no_link_runs_at(self, rate):
+        with pytest.raises(ValueError, match=f"rate must be finite and positive, got {rate}"):
+            analytics.two_phase_ir_rate(rate, 3.0)
+
     def test_equals_min_on_grid(self):
         for rate in np.linspace(0.5, 5.0, 10):
             for snr in np.linspace(0.0, 40.0, 10):
@@ -226,6 +231,11 @@ class TestThreeSlotBacktrack:
     def test_rejects_decodable_slot(self):
         with pytest.raises(ValueError):
             analytics.three_slot_backtrack_rate(2.0, 3.0, 1.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_rate_no_link_runs_at(self, rate):
+        with pytest.raises(ValueError, match=f"rate must be finite and positive, got {rate}"):
+            analytics.three_slot_backtrack_rate(rate, 1.0, 1.0)
 
 
 class TestBinaryEntropy:

@@ -127,6 +127,46 @@ class TestExperimentConfig:
         assert not out.exists()
 
 
+class TestParser:
+    """The subcommands share one set of flags, added once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["analytic", "-h"], ["simulate", "--help"], ["fig4", "-h"], ["fig5", "-h"],
+        [], ["bogus"], ["fig4", "--bad"], ["simulate", "--scheme", "x"],
+        ["analytic", "--seed", "x"], ["fig5", "--format"],
+    ])
+    def test_help_usage_and_errors_match_flags_added_per_subcommand(
+        self, monkeypatch, capsys, argv
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parser in (cli.build_parser(), self.reference_parser()):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+            texts.append((exit_.value.code, capsys.readouterr()))
+        assert texts[0] == texts[1]
+        assert texts[0][1].out or texts[0][1].err
+
+    @staticmethod
+    def reference_parser():
+        """The parser `build_parser` makes, with the flags added to each
+        subcommand by its own `_add_common` call."""
+        parser = argparse.ArgumentParser(
+            prog="brqsim",
+            description="Backtrack-retransmission link simulator and calculator",
+        )
+        subs = parser.add_subparsers(dest="command", required=True)
+        for name, help_text in (
+            ("analytic", "closed-form rates and delay for one operating point"),
+            ("simulate", "Monte Carlo protocol simulation"),
+            ("fig4", "rate-vs-mean-SNR sweep table (CSV)"),
+            ("fig5", "rate-vs-threshold-ratio sweep table (CSV)"),
+        ):
+            sub = subs.add_parser(name, help=help_text, argument_default=None)
+            cli._add_common(sub)
+        return parser
+
+
 class TestAnalyticCommand:
     def test_decode_probability_column(self, tmp_path, capsys):
         out = tmp_path / "row.csv"
@@ -311,6 +351,20 @@ class TestExitCodes:
 
     def test_bad_grid_is_usage_error(self):
         assert main(["fig4", "--snr-grid-db", "0:30"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, grid", [
+        (["fig5", "--ratio-grid", "0:inf:1"], "0:inf:1"),
+        (["fig4", "--snr-grid-db", "0:1:inf"], "0:1:inf"),
+        (["fig4", "--snr-grid-db", "0:nan:1"], "0:nan:1"),
+        (["fig5", "--ratio-grid=-inf:1:1"], "-inf:1:1"),
+    ], ids=["fig5-stop", "fig4-step", "fig4-nan", "fig5-start"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, argv, grid):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: grid start, stop and step must be finite, got {grid!r}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     @pytest.mark.parametrize("db", ["nan", "inf"])

@@ -25,6 +25,7 @@ from brqsim.protocol import (
     run_full_csit,
     run_quantized,
 )
+from brqsim.quantizer import cells as quantizer_cells
 from brqsim.quantizer import planned_config
 
 RATE = math.log2(21.0)  # threshold 20
@@ -266,6 +267,11 @@ def kernel_and_oracle(
     return same_outcome(kernel, oracle)
 
 
+def capacities(reports):
+    """`capacity` of each report, as the kernel takes them."""
+    return np.array([capacity(report) for report in reports.tolist()])
+
+
 # Both accountings at twice the examples, so each gets about as many as one did.
 _ACCOUNTING = st.sampled_from(["fluid", "integer"])
 
@@ -292,6 +298,23 @@ class TestKernelMatchesStateMachine:
         horizon = 2 * length * rounds
         snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
         kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([20.0, 60.0]),
+        st.integers(min_value=1, max_value=5),
+        st.booleans(),
+        _ACCOUNTING,
+        st.data(),
+    )
+    def test_quantized_cells_outnumber_the_slots(
+        self, fbits, rounds, include_warmup, accounting, data
+    ):
+        # L = 8 plans K = 2**19 cells at F = 20 and K = 2**52 at F = 60,
+        # far more than the at most 80 slots of a trace
+        horizon = 16 * rounds
+        snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
+        kernel_and_oracle(snrs, fbits, 8, include_warmup, accounting)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -328,7 +351,9 @@ class TestKernelMatchesStateMachine:
             for snr, report in zip(snrs.tolist(), reports.tolist())
         ]
         same_outcome(
-            lambda: protocol._run_kernel(link, snrs, processes, reports, None, 0, True),
+            lambda: protocol._run_kernel(
+                link, snrs, processes, reports, capacities(reports), None, 0, True
+            ),
             lambda: protocol._run_processes(
                 link, snrs.tolist(), processes, feedback, None, 0, True
             ),
@@ -341,7 +366,9 @@ class TestKernelMatchesStateMachine:
         reports = snrs.copy()
         reports[processes - 1] = 6.0  # the last process's outage, overstated
         with pytest.raises(ChainBrokenError) as caught:
-            protocol._run_kernel(link, snrs, processes, reports, None, 0, False)
+            protocol._run_kernel(
+                link, snrs, processes, reports, capacities(reports), None, 0, False
+            )
         slot = 2 * processes - 1
         required = 100 * (INT_RATE - capacity(3.0))
         assert str(caught.value) == (
@@ -412,6 +439,96 @@ class TestSlotLogBytes:
         rng = np.random.default_rng(seed)
         traces = [rng.exponential(10.0, 512).tolist() for _ in range(replications)]
         self.check(traces, fbits, length, include_warmup, accounting)
+
+
+class TestDeliveryOrder:
+    """The kernel lays the chains out directly; the order it delivers in
+    is the slots sorted stably by delivery slot."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from([1, 2, 4, 16]),
+        st.lists(st.one_of(st.just(0.0), _TRACE_SNR), min_size=1, max_size=80),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_equals_a_stable_sort_by_delivery_slot(self, processes, snrs, warmup):
+        # a zero SNR reports no side information, so the slot after it in
+        # its process carries parity only and no new bits
+        link = make_link(rate=RATE)
+        snrs = np.array(snrs)
+        n = len(snrs)
+        log = protocol._run_kernel(
+            link, snrs, processes, snrs, capacities(snrs), None, warmup, True
+        )
+        decoded = snrs >= link.gamma_r
+        due = np.full(n, n)
+        for t in range(n):
+            ahead = [s for s in range(t, n, processes) if decoded[s]]
+            if ahead:
+                due[t] = ahead[0]
+        sent = np.flatnonzero(due < n)
+        want = sent[np.argsort(due[sent], kind="stable")]
+        got = [r.slot - delay for r in log.renewals for _, delay in r.bit_delays]
+        assert got == want.tolist()
+
+        new_bits = log.slot_records.columns["new_bits"]
+        hist: dict[int, float] = {}
+        for t in want.tolist():
+            if new_bits[t] > 0 and t >= warmup:
+                delay = int(due[t]) - t
+                hist[delay] = hist.get(delay, 0.0) + float(new_bits[t])
+        assert_identical(list(log.delay_hist.items()), list(hist.items()))
+
+
+class TestCapacityEvaluations:
+    """How often a session evaluates math.log2 for its parity."""
+
+    class CountingMath:
+        def __init__(self):
+            self.log2_args = []
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log2(self, x):
+            self.log2_args.append(x)
+            return math.log2(x)
+
+    def counted(self, monkeypatch, run):
+        counter = self.CountingMath()
+        monkeypatch.setattr(protocol, "math", counter)
+        run()
+        return counter.log2_args
+
+    def test_full_csit_once_per_outage_slot(self, monkeypatch):
+        link = make_link(rate=RATE)
+        snrs = Rayleigh(10.0).sample(np.random.default_rng(4), 500)
+        args = self.counted(monkeypatch, lambda: run_full_csit(
+            link, EmpiricalTrace(snrs.tolist()), 500, np.random.default_rng(0)))
+        assert args == (1.0 + snrs[snrs < link.gamma_r]).tolist()
+
+    @pytest.mark.parametrize("fbits, length, cell_count, accounting", [
+        (2.0, 64, 2, "fluid"), (4.0, 16, 8, "fluid"), (20.0, 8, 2**19, "fluid"),
+        (60.0, 8, 2**52, "fluid"), (2.0, 64, 2, "integer"), (4.0, 16, 8, "integer"),
+    ])
+    def test_quantized_once_per_distinct_cell(self, monkeypatch, fbits, length,
+                                              cell_count, accounting):
+        # in integer accounting the receiver's parity check also runs
+        link = make_link(
+            rate=RATE if accounting == "fluid" else INT_RATE,
+            feedback_bits=fbits, block_length=length, accounting=accounting,
+        )
+        quantizer = planned_config(fbits, length, link.gamma_r)
+        assert quantizer.cell_count == cell_count
+        # few distinct SNRs, each repeated, so slots share cells at every K
+        horizon = 2 * length * 20
+        snrs = np.random.default_rng(4).choice([0.0, 1.5, 3.0, 9.5, 19.0, 25.0], horizon)
+        args = self.counted(monkeypatch, lambda: run_quantized(
+            link, EmpiricalTrace(snrs.tolist()), horizon, np.random.default_rng(0)))
+        outage = snrs[snrs < link.gamma_r]
+        lower_edges = {1.0 + c * quantizer.cell_width
+                       for c in np.unique(quantizer_cells(outage, quantizer)).tolist()}
+        assert sorted(args) == sorted(lower_edges)
 
 
 class TestKernelEdgeCases:
@@ -905,6 +1022,16 @@ class TestVerifyWindows:
         offsets, sizes, fingerprints, state = self.windows()
         keep = [i for i in range(8) if self.DELIVERY[i] != 3]
         assert not self.verify(offsets[keep], sizes[keep], fingerprints[keep], state)
+
+    def test_fails_on_a_window_delivered_twice(self):
+        offsets, sizes, fingerprints, state = self.windows()
+        again = self.DELIVERY.index(3)
+        assert not self.verify(
+            np.append(offsets, offsets[again]),
+            np.append(sizes, sizes[again]),
+            np.append(fingerprints, fingerprints[again]),
+            state,
+        )
 
     def test_fails_on_two_windows_swapped(self):
         offsets, sizes, fingerprints, state = self.windows()
