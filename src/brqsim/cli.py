@@ -280,33 +280,53 @@ _SLOT_LOG_FIELDS = [f.name for f in fields(SlotRecord)]
 _SLOT_LOG_HEADER = ["replication", *_SLOT_LOG_FIELDS]
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """`_fmt` of every entry of a 1-D array.
+# Rows of the slot log formatted, joined and written at a time.
+_SLOT_LOG_CHUNK = 4096
 
-    Floats are formatted once per distinct bit pattern, so -0.0 and 0.0
-    stay apart and every NaN gives ''.
+
+def _format_columns(*arrays: np.ndarray) -> list[list[str]]:
+    """`_fmt` of every entry of 1-D arrays of one dtype, one list per array.
+
+    Each distinct value is formatted once across all the arrays.  Floats
+    are keyed by bit pattern, so -0.0 and 0.0 stay apart and every NaN
+    gives ''.
     """
-    if values.dtype == bool:
-        return np.where(values, "1", "0").tolist()
-    if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
-    patterns, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [_fmt(x) for x in patterns.view(np.float64).tolist()]
-    return np.array(texts, dtype=object)[index].tolist()
+    pooled = np.concatenate(arrays)
+    if pooled.dtype == bool:
+        texts, index = np.array(["0", "1"], dtype=object), pooled.view(np.uint8)
+    elif pooled.dtype.kind == "f":
+        patterns, index = np.unique(pooled.view(np.int64), return_inverse=True)
+        values = patterns.view(np.float64)
+        texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+        texts[np.isnan(values)] = ""
+    else:
+        keys, index = np.unique(pooled, return_inverse=True)
+        texts = np.array(list(map(str, keys.tolist())), dtype=object)
+    bounds = np.cumsum([len(a) for a in arrays])[:-1]
+    return [part.tolist() for part in np.split(texts[index], bounds)]
 
 
 def _write_slot_log(path: str, logs) -> None:
-    """Write the slot records of every replication's log, column by column.
+    """Write the slot records of every replication's log, column by column,
+    `_SLOT_LOG_CHUNK` rows at a time.
 
     The bytes equal `_write_csv` over the records: no cell holds a comma,
-    quote or newline, so csv.writer would quote none of them.
+    quote or newline, so csv.writer would quote none of them.  `snr` and
+    `eff_snr` share one formatting pool, since the reports are earlier
+    slots' SNRs; every other column is formatted on its own.
     """
-    lines = [",".join(_SLOT_LOG_HEADER)]
-    for rep, log in enumerate(logs):
-        table = log.slot_records
-        columns = [_format_column(table.columns[name]) for name in _SLOT_LOG_FIELDS]
-        lines += map(",".join, zip([str(rep)] * len(table), *columns))
-    _write_text(path, "\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(_SLOT_LOG_HEADER) + "\n")
+        for rep, log in enumerate(logs):
+            table = log.slot_records
+            for start in range(0, len(table), _SLOT_LOG_CHUNK):
+                part = {name: col[start:start + _SLOT_LOG_CHUNK]
+                        for name, col in table.columns.items()}
+                cells = {name: _format_columns(col)[0] for name, col in part.items()
+                         if name not in ("snr", "eff_snr")}
+                cells["snr"], cells["eff_snr"] = _format_columns(part["snr"], part["eff_snr"])
+                rows = zip([str(rep)] * len(part["slot"]), *map(cells.get, _SLOT_LOG_FIELDS))
+                handle.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

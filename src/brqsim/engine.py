@@ -25,6 +25,8 @@ class RunConfig:
     include_warmup: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.horizon < 1:

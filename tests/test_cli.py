@@ -3,11 +3,13 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from brqsim import cli, engine
+from brqsim.channel import LinkConfig, Rayleigh
 from brqsim.cli import ExperimentConfig, main
 from brqsim.errors import (
     BrqError,
@@ -445,6 +447,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        argv = ["simulate", "--slots", "16", "--output", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("seed=-1\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--scheme", "quantized", "--feedback-bits=nan", "--slots", "128"],
          "feedback_bits must be finite and nonnegative, got nan"),
@@ -514,6 +530,10 @@ class TestExitCodes:
 class TestSlotLogColumns:
     """The slot-log column formatter agrees with `_fmt` cell by cell."""
 
+    @staticmethod
+    def fmt(values):
+        return [cli._fmt(x) for x in values.tolist()]
+
     def test_floats(self):
         nan = np.array([math.nan])
         other_nan = (nan.view(np.int64) ^ 1).view(np.float64)  # another payload
@@ -521,17 +541,66 @@ class TestSlotLogColumns:
             [-0.0, 0.0, 5e-324, 1e16, 1e-05, math.inf, 2.0, 439.0], nan, other_nan,
             [0.1 + 0.2, 0.3, -0.0, 1e16, 0.0, -math.inf, math.inf, -math.inf],
         ])
-        want = [cli._fmt(x) for x in col.tolist()]
+        want = self.fmt(col)
         assert want[:10] == ["-0.0", "0.0", "5e-324", "1e+16", "1e-05", "inf", "2.0",
                              "439.0", "", ""]
         assert want[-3:] == ["-inf", "inf", "-inf"]
         assert cli._fmt(-math.inf) == "-inf"
-        assert cli._format_column(col) == want
-        assert cli._format_column(col[::3]) == want[::3]
+        assert cli._format_columns(col) == [want]
+        assert cli._format_columns(col[::3]) == [want[::3]]
 
     def test_ints_and_bools(self):
         ints = np.array([0, 7, -3, 2**62])
         bools = np.array([True, False, True])
-        assert cli._format_column(ints) == [cli._fmt(x) for x in ints.tolist()]
-        assert cli._format_column(bools) == [cli._fmt(x) for x in bools.tolist()]
-        assert cli._format_column(bools) == ["1", "0", "1"]
+        assert cli._format_columns(ints) == [self.fmt(ints)]
+        assert cli._format_columns(bools) == [self.fmt(bools)]
+        assert cli._format_columns(bools) == [["1", "0", "1"]]
+
+    def test_pooled_floats_keep_their_bit_patterns(self):
+        # -0.0 and 0.0 compare equal, so a pool keyed by value would give
+        # the arrays of one the text of the other; NaN payloads differ in
+        # their bits and must still all give ''
+        nan = np.array([math.nan])
+        other_nan = (nan.view(np.int64) ^ 1).view(np.float64)
+        arrays = [
+            np.array([-0.0, 1.5, -0.0]),
+            np.array([0.0, 1.5, 2.5, 0.0]),
+            np.concatenate([nan, [2.5], nan]),
+            np.concatenate([other_nan, [-0.0], other_nan]),
+        ]
+        got = cli._format_columns(*arrays)
+        assert got == [self.fmt(a) for a in arrays]
+        assert got[0] == ["-0.0", "1.5", "-0.0"]
+        assert got[1] == ["0.0", "1.5", "2.5", "0.0"]
+        assert got[2] == ["", "2.5", ""]
+        assert got[3] == ["", "-0.0", ""]
+
+    def test_pooled_ints_bools_and_empty_arrays(self):
+        ints = [np.array([5, 5, -2, 5]), np.array([], dtype=np.int64), np.array([-2, 9, 9])]
+        assert cli._format_columns(*ints) == [["5", "5", "-2", "5"], [], ["-2", "9", "9"]]
+        bools = [np.array([True, True]), np.array([False, True, False])]
+        assert cli._format_columns(*bools) == [["1", "1"], ["0", "1", "0"]]
+        assert cli._format_columns(np.array([])) == [[]]
+        assert cli._format_columns(np.array([]), np.array([math.nan])) == [[], [""]]
+
+
+class TestSlotLogMemory:
+    @staticmethod
+    def peak(path, horizon):
+        """The tracemalloc peak, in bytes, of writing one full-CSIT
+        session's slot log of `horizon` rows."""
+        link = LinkConfig(rate=4.0, slot_uses=100, accounting="integer")
+        logs = []
+        engine.run_replicated(engine.RunConfig(seed=1, replications=1, horizon=horizon),
+                              link, Rayleigh(10.0), collect_logs=logs)
+        tracemalloc.start()
+        try:
+            cli._write_slot_log(str(path), logs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_peak_does_not_grow_with_rows(self, tmp_path):
+        small = self.peak(tmp_path / "small.csv", 4096)
+        large = self.peak(tmp_path / "large.csv", 65_536)
+        assert large < 1.5 * small, (small, large)

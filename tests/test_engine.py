@@ -21,6 +21,8 @@ class TestRunConfig:
             RunConfig(seed=0, replications=0, horizon=10)
         with pytest.raises(ValueError):
             RunConfig(seed=0, replications=1, horizon=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RunConfig(seed=-1, replications=1, horizon=10)
 
 
 class TestRunReplicated:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,24 +384,31 @@ class TestSlotLogBytes:
     slot records."""
 
     @staticmethod
-    def check(traces, *scheme):
+    def assert_same_bytes(logs, records, chunk=cli._SLOT_LOG_CHUNK):
+        """`_write_slot_log` of `logs`, `chunk` rows at a time, against
+        `_write_csv` of each replication's `records`."""
+        rows = [
+            [rep, *dataclasses.astuple(record)]
+            for rep, rep_records in enumerate(records)
+            for record in rep_records
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            got_path, want_path = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+            with mock.patch.object(cli, "_SLOT_LOG_CHUNK", chunk):
+                cli._write_slot_log(got_path, logs)
+            cli._write_csv(want_path, cli._SLOT_LOG_HEADER, rows)
+            with open(got_path, "rb") as got, open(want_path, "rb") as want:
+                assert got.read() == want.read()
+
+    @classmethod
+    def check(cls, traces, *scheme, chunk=cli._SLOT_LOG_CHUNK):
         kernel_logs, oracle_logs = [], []
         for snrs in traces:
             got, want = kernel_and_oracle(snrs, *scheme)
             assume(not isinstance(got, tuple))  # both hit the same budget error
             kernel_logs.append(got)
             oracle_logs.append(want)
-        rows = [
-            [rep, *dataclasses.astuple(record)]
-            for rep, log in enumerate(oracle_logs)
-            for record in log.slot_records
-        ]
-        with tempfile.TemporaryDirectory() as tmp:
-            got_path, want_path = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-            cli._write_slot_log(got_path, kernel_logs)
-            cli._write_csv(want_path, cli._SLOT_LOG_HEADER, rows)
-            with open(got_path, "rb") as got, open(want_path, "rb") as want:
-                assert got.read() == want.read()
+        cls.assert_same_bytes(kernel_logs, [log.slot_records for log in oracle_logs], chunk)
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -411,9 +419,12 @@ class TestSlotLogBytes:
         st.integers(min_value=1, max_value=3),
         st.booleans(),
         _ACCOUNTING,
+        st.integers(min_value=1, max_value=9),
         st.data(),
     )
-    def test_random_traces(self, scheme, replications, include_warmup, accounting, data):
+    def test_random_traces(self, scheme, replications, include_warmup, accounting, chunk,
+                           data):
+        # chunks of 1-9 rows: the logs here are too short to cross the default
         fbits, length = scheme
         if fbits is None:
             horizon = data.draw(st.integers(min_value=1, max_value=80))
@@ -423,7 +434,7 @@ class TestSlotLogBytes:
             data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
             for _ in range(replications)
         ]
-        self.check(traces, fbits, length, include_warmup, accounting)
+        self.check(traces, fbits, length, include_warmup, accounting, chunk=chunk)
 
     @settings(deadline=None, max_examples=10)
     @given(
@@ -439,6 +450,16 @@ class TestSlotLogBytes:
         rng = np.random.default_rng(seed)
         traces = [rng.exponential(10.0, 512).tolist() for _ in range(replications)]
         self.check(traces, fbits, length, include_warmup, accounting)
+
+    def test_logs_longer_than_the_default_chunk(self):
+        # 9001 = 2 full chunks and 809 rows; full-CSIT reports repeat the
+        # SNRs of earlier slots, also across chunk boundaries
+        link = LinkConfig(rate=4.0, slot_uses=100, accounting="integer")
+        logs = []
+        run_replicated(RunConfig(seed=3, replications=3, horizon=9001), link,
+                       Rayleigh(10.0), collect_logs=logs)
+        assert cli._SLOT_LOG_CHUNK < 9001 < 3 * cli._SLOT_LOG_CHUNK
+        self.assert_same_bytes(logs, [log.slot_records for log in logs])
 
 
 class TestDeliveryOrder:
