@@ -14,11 +14,18 @@ import numpy as np
 from .errors import TraceExhaustedError
 
 
-def capacity(snr: float) -> float:
-    """Maximal decodable rate log2(1 + snr) in bits per channel use."""
+def capacity(snr: float | np.ndarray) -> float | np.ndarray:
+    """Maximal decodable rate log2(1 + snr) in bits per channel use.
+
+    The one definition of C in the package: np.log2, elementwise on an
+    array (unchecked), or a float for a nonnegative scalar.  A scalar call
+    gives the same bits as the same value inside an array.
+    """
+    if isinstance(snr, np.ndarray):
+        return np.log2(1.0 + snr)
     if snr < 0:
         raise ValueError(f"SNR must be nonnegative, got {snr}")
-    return math.log2(1.0 + snr)
+    return float(np.log2(1.0 + snr))
 
 
 def db_to_linear(db: float) -> float:

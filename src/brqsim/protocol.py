@@ -13,7 +13,9 @@ SNR sequence, and one array kernel (`_run_kernel`) runs every session, in
 fluid and in integer accounting.  Integer sessions check their payload by
 one fingerprint word per window (`verify_windows`) instead of per-bit
 payloads.  The per-slot TX/RX state machines are the kernel's executable
-specification, held equal to it bit for bit by a differential test.
+specification, held equal to it bit for bit by a differential test: both
+take C = log2(1 + snr) from `channel.capacity`, the kernel once per
+session over an array, the state machine once per slot.
 """
 
 from __future__ import annotations
@@ -364,7 +366,7 @@ class SessionLog:
     renewals: list[RenewalRecord] | _ChainRenewals  # sized, iterable
     injected_bits: float
     delivered_bits: float
-    delay_hist: dict[int, float]  # delay in slots -> delivered new bits
+    delay_hist: dict[int, float]  # delay in slots -> delivered new bits, kept sorted
     integrity_ok: bool
     released_bits: float  # in-order verified prefix of the payload stream
     held_window_bits: float  # decoded but stuck behind an unresolved gap
@@ -373,6 +375,7 @@ class SessionLog:
     delivered_rate: float = field(init=False)
 
     def __post_init__(self) -> None:
+        self.delay_hist = dict(sorted(self.delay_hist.items()))
         self.undelivered_bits = self.injected_bits - self.delivered_bits
         counted = self.horizon - self.warmup_slots
         self.delivered_rate = (
@@ -505,28 +508,6 @@ def _codec_feedback(
     return feedback
 
 
-def _capacities(snrs: np.ndarray) -> np.ndarray:
-    """C(snr) for each SNR, from math.log2 as `capacity` computes it (np.log2
-    differs from it in the last bit on about 0.1% of doubles)."""
-    return np.fromiter(map(math.log2, (1.0 + snrs).tolist()), float, len(snrs))
-
-
-def _cell_capacities(cell: np.ndarray, width: float, count: int) -> np.ndarray:
-    """C(c * width) for each of the cell indices `cell` (all below `count`),
-    with one math.log2 per distinct cell.  The distinct cells come from a
-    table of `count` flags when that is no longer than `cell`, else from
-    np.unique, so no table is ever larger than the session."""
-    if count > cell.size:
-        distinct, index = np.unique(cell, return_inverse=True)
-        return _capacities(distinct * width)[index]
-    seen = np.zeros(count, dtype=bool)
-    seen[cell] = True
-    distinct = np.flatnonzero(seen)
-    table = np.zeros(count)
-    table[distinct] = _capacities(distinct * width)
-    return table[cell]
-
-
 def _parity_needed(link: LinkConfig, caps: np.ndarray) -> np.ndarray:
     """Fluid parity N * (R - C)^+ for each side-information capacity C."""
     return link.slot_uses * np.maximum(link.rate - caps, 0.0)
@@ -547,17 +528,12 @@ def _check_parity(
 
     A report equal to the SNR it stands for sizes the parity from the very
     capacity the check recomputes, so only differing reports are checked.
-    np.log2 lies within a few ulps of math.log2, far less than 1e-9, so a
-    slot whose parity meets the need at 1e-9 below np.log2's capacity is
-    not short; only the rest are checked at `capacity`'s own value.
     """
     n, p = len(snrs), processes
     prev = np.zeros(n)
     prev[p:] = snrs[:-p]
     suspect = np.flatnonzero(fed & (due < n) & (eff != prev))
-    at_most = _parity_needed(link, np.log2(1.0 + prev[suspect]) - 1e-9)
-    suspect = suspect[parity[suspect] + _PARITY_TOL < at_most]
-    required = _parity_needed(link, _capacities(prev[suspect]))
+    required = _parity_needed(link, capacity(prev[suspect]))
     short = np.flatnonzero(parity[suspect] + _PARITY_TOL < required)
     if short.size:
         i = short[np.lexsort((-suspect[short], due[suspect[short]]))[0]]
@@ -610,21 +586,19 @@ def _run_kernel(
     snrs: np.ndarray,
     processes: int,
     reports: np.ndarray,
-    capacities: np.ndarray,
     source_rng: np.random.Generator | None,
     warmup: int,
     record_slots: bool,
 ) -> SessionLog:
     """One session as array operations, equal to `_run_processes` bit for bit.
 
-    Slot t is sized from reports[t - P], whose capacity is
-    capacities[t - P], unless slot t - P decoded (or t < P); only the
-    capacities of outage slots are read.  Slot t is delivered at the next
-    decodable slot of its process t mod P.  Sums run in the state
-    machine's order, by delivery slot and then by slot.  In integer
-    accounting the parity is rounded up, the receiver's parity check runs,
-    and the payload source (`source_rng`, else seed 0) gives each slot's
-    window one fingerprint word, checked by `verify_windows`.
+    Slot t is sized from reports[t - P] unless slot t - P decoded (or
+    t < P), with one `capacity` call over all the reports read.  Slot t is
+    delivered at the next decodable slot of its process t mod P.  Sums run
+    in the state machine's order, by delivery slot and then by slot.  In
+    integer accounting the parity is rounded up, the receiver's parity
+    check runs, and the payload source (`source_rng`, else seed 0) gives
+    each slot's window one fingerprint word, checked by `verify_windows`.
     """
     n, p = len(snrs), processes
     integer = link.accounting == "integer"
@@ -635,7 +609,7 @@ def _run_kernel(
     eff[p:] = reports[:-p]
     fed_slots = np.flatnonzero(fed)
     parity = np.zeros(n)
-    parity[fed_slots] = _parity_needed(link, capacities[fed_slots - p])
+    parity[fed_slots] = _parity_needed(link, capacity(reports[fed_slots - p]))
     if integer:
         parity[fed_slots] = _round_up_parity(parity[fed_slots])
     new_bits = link.bits_per_slot - parity
@@ -658,11 +632,8 @@ def _run_kernel(
     live = chain_bits > 0
     counted = order[live & (order >= warmup)]
     bits, delays = new_bits[counted], due[counted] - counted
-    # Delay keys in first-occurrence order, as the state machine's dict fills.
-    first = np.full(n, delays.size)
-    np.minimum.at(first, delays, np.arange(delays.size))
-    keys = np.flatnonzero(first < delays.size)
-    keys = keys[np.argsort(first[keys])]
+    # every counted slot carries bits, so a delay is a key where it occurs
+    keys = np.flatnonzero(np.bincount(delays))
     hist = np.bincount(delays, weights=bits)[keys]
 
     # In-order release stops at the first undelivered window; later
@@ -734,10 +705,7 @@ def run_full_csit(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     snrs = model.sample(rng, horizon)
     # under full CSIT a failed slot reports its SNR itself
-    capacities = np.zeros(horizon)
-    outage = snrs < link.gamma_r
-    capacities[outage] = _capacities(snrs[outage])
-    return _run_kernel(link, snrs, 1, snrs, capacities, source_rng, 0, record_slots)
+    return _run_kernel(link, snrs, 1, snrs, source_rng, 0, record_slots)
 
 
 def run_quantized(
@@ -770,12 +738,8 @@ def run_quantized(
     quantizer = planned_config(link.feedback_bits, length, link.gamma_r)
     snrs = model.sample(rng, horizon)
     # a failed slot reports its cell's lower edge, exactly as the codec decodes it
-    cell, width = cells(snrs, quantizer), quantizer.cell_width
-    reports = cell * width
-    capacities = np.zeros(horizon)
-    outage = snrs < link.gamma_r
-    capacities[outage] = _cell_capacities(cell[outage], width, quantizer.cell_count)
+    reports = cells(snrs, quantizer) * quantizer.cell_width
     warmup = 0 if include_warmup else 2 * length
     return _run_kernel(
-        link, snrs, 2 * length, reports, capacities, source_rng, warmup, record_slots
+        link, snrs, 2 * length, reports, source_rng, warmup, record_slots
     )

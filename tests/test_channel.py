@@ -53,6 +53,13 @@ def test_capacity_monotone():
     assert all(b >= a for a, b in zip(caps, caps[1:]))
 
 
+def test_capacity_is_a_float_per_scalar_and_elementwise_on_an_array():
+    for snr in (3.0, 3, np.float64(3.0)):
+        assert type(capacity(snr)) is float and capacity(snr) == 2.0
+    caps = capacity(np.array([0.0, 1.0, 3.0, 7.0]))
+    assert isinstance(caps, np.ndarray) and caps.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
 class TestRayleigh:
     def test_pdf_values(self):
         assert Rayleigh(1.0).pdf(0.0) == pytest.approx(1.0)

@@ -26,7 +26,6 @@ from brqsim.protocol import (
     run_full_csit,
     run_quantized,
 )
-from brqsim.quantizer import cells as quantizer_cells
 from brqsim.quantizer import planned_config
 
 RATE = math.log2(21.0)  # threshold 20
@@ -268,11 +267,6 @@ def kernel_and_oracle(
     return same_outcome(kernel, oracle)
 
 
-def capacities(reports):
-    """`capacity` of each report, as the kernel takes them."""
-    return np.array([capacity(report) for report in reports.tolist()])
-
-
 # Both accountings at twice the examples, so each gets about as many as one did.
 _ACCOUNTING = st.sampled_from(["fluid", "integer"])
 
@@ -325,8 +319,8 @@ class TestKernelMatchesStateMachine:
         _ACCOUNTING,
     )
     def test_rayleigh_traces(self, seed, scheme, include_warmup, accounting):
-        # thousands of arbitrary doubles: np.log2 in place of math.log2 differs
-        # from `capacity` in the last bit on about 0.1% of them
+        # thousands of arbitrary doubles, each capacity from one array call in
+        # the kernel and from one scalar call per slot in the state machine
         snrs = np.random.default_rng(seed).exponential(10.0, 2048).tolist()
         fbits, length = scheme
         kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
@@ -353,7 +347,7 @@ class TestKernelMatchesStateMachine:
         ]
         same_outcome(
             lambda: protocol._run_kernel(
-                link, snrs, processes, reports, capacities(reports), None, 0, True
+                link, snrs, processes, reports, None, 0, True
             ),
             lambda: protocol._run_processes(
                 link, snrs.tolist(), processes, feedback, None, 0, True
@@ -368,7 +362,7 @@ class TestKernelMatchesStateMachine:
         reports[processes - 1] = 6.0  # the last process's outage, overstated
         with pytest.raises(ChainBrokenError) as caught:
             protocol._run_kernel(
-                link, snrs, processes, reports, capacities(reports), None, 0, False
+                link, snrs, processes, reports, None, 0, False
             )
         slot = 2 * processes - 1
         required = 100 * (INT_RATE - capacity(3.0))
@@ -464,7 +458,8 @@ class TestSlotLogBytes:
 
 class TestDeliveryOrder:
     """The kernel lays the chains out directly; the order it delivers in
-    is the slots sorted stably by delivery slot."""
+    is the slots sorted stably by delivery slot, and its delay histogram
+    is keyed in delay order."""
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -479,7 +474,7 @@ class TestDeliveryOrder:
         snrs = np.array(snrs)
         n = len(snrs)
         log = protocol._run_kernel(
-            link, snrs, processes, snrs, capacities(snrs), None, warmup, True
+            link, snrs, processes, snrs, None, warmup, True
         )
         decoded = snrs >= link.gamma_r
         due = np.full(n, n)
@@ -498,58 +493,62 @@ class TestDeliveryOrder:
             if new_bits[t] > 0 and t >= warmup:
                 delay = int(due[t]) - t
                 hist[delay] = hist.get(delay, 0.0) + float(new_bits[t])
-        assert_identical(list(log.delay_hist.items()), list(hist.items()))
+        assert_identical(list(log.delay_hist.items()), sorted(hist.items()))
 
 
-class TestCapacityEvaluations:
-    """How often a session evaluates math.log2 for its parity."""
+class TestKernelCapacity:
+    """The kernel's C is `capacity` called once on an array; it must give
+    the bits of the scalar call the state machine makes for each slot."""
 
-    class CountingMath:
-        def __init__(self):
-            self.log2_args = []
+    @staticmethod
+    def assert_same_bits(snrs):
+        want = np.array([capacity(snr) for snr in snrs.tolist()])
+        assert np.array_equal(capacity(snrs).view(np.int64), want.view(np.int64))
 
-        def __getattr__(self, name):
-            return getattr(math, name)
+    def test_one_array_call_equals_the_scalar_calls(self):
+        self.assert_same_bits(Rayleigh(10.0).sample(np.random.default_rng(16), 100_000))
 
-        def log2(self, x):
-            self.log2_args.append(x)
-            return math.log2(x)
+    def test_every_length_and_offset(self):
+        # views at offsets 0-8 into one buffer, lengths 1-69: the unaligned
+        # heads and the short tails of the vector loops
+        snrs = Rayleigh(10.0).sample(np.random.default_rng(17), 80)
+        for offset in range(9):
+            for length in range(1, 70):
+                self.assert_same_bits(snrs[offset : offset + length])
 
-    def counted(self, monkeypatch, run):
-        counter = self.CountingMath()
-        monkeypatch.setattr(protocol, "math", counter)
-        run()
-        return counter.log2_args
 
-    def test_full_csit_once_per_outage_slot(self, monkeypatch):
-        link = make_link(rate=RATE)
-        snrs = Rayleigh(10.0).sample(np.random.default_rng(4), 500)
-        args = self.counted(monkeypatch, lambda: run_full_csit(
-            link, EmpiricalTrace(snrs.tolist()), 500, np.random.default_rng(0)))
-        assert args == (1.0 + snrs[snrs < link.gamma_r]).tolist()
+class TestDeliveredBitsIdentity:
+    """Full CSIT, fluid accounting: each parity pays exactly the shortfall
+    N (R - C) of the slot before it, so a chain's new bits telescope to
+    N (R + sum of C over its outage slots), and a session delivers
+    N * sum of min(C(snr_t), R) over the slots t of its completed chains,
+    a decodable slot counting R."""
 
-    @pytest.mark.parametrize("fbits, length, cell_count, accounting", [
-        (2.0, 64, 2, "fluid"), (4.0, 16, 8, "fluid"), (20.0, 8, 2**19, "fluid"),
-        (60.0, 8, 2**52, "fluid"), (2.0, 64, 2, "integer"), (4.0, 16, 8, "integer"),
-    ])
-    def test_quantized_once_per_distinct_cell(self, monkeypatch, fbits, length,
-                                              cell_count, accounting):
-        # in integer accounting the receiver's parity check also runs
-        link = make_link(
-            rate=RATE if accounting == "fluid" else INT_RATE,
-            feedback_bits=fbits, block_length=length, accounting=accounting,
-        )
-        quantizer = planned_config(fbits, length, link.gamma_r)
-        assert quantizer.cell_count == cell_count
-        # few distinct SNRs, each repeated, so slots share cells at every K
-        horizon = 2 * length * 20
-        snrs = np.random.default_rng(4).choice([0.0, 1.5, 3.0, 9.5, 19.0, 25.0], horizon)
-        args = self.counted(monkeypatch, lambda: run_quantized(
-            link, EmpiricalTrace(snrs.tolist()), horizon, np.random.default_rng(0)))
-        outage = snrs[snrs < link.gamma_r]
-        lower_edges = {1.0 + c * quantizer.cell_width
-                       for c in np.unique(quantizer_cells(outage, quantizer)).tolist()}
-        assert sorted(args) == sorted(lower_edges)
+    @staticmethod
+    def check(link, snrs):
+        n = len(snrs)
+        log = run_full_csit(link, EmpiricalTrace(snrs.tolist()), n, np.random.default_rng(0))
+        decoded = snrs >= link.gamma_r
+        completed = np.flatnonzero(decoded)[-1] + 1 if decoded.any() else 0
+        per_slot = np.where(decoded, link.rate, np.minimum(capacity(snrs), link.rate))
+        want = link.slot_uses * math.fsum(per_slot[:completed].tolist())
+        # The kernel adds n terms in [0, N R] left to right: each addition
+        # rounds by at most half an ulp of a partial sum below n N R, and
+        # each term carries a few ulps of N R.
+        bound = 4 * n * np.spacing(n * link.slot_uses * link.rate)
+        assert abs(log.delivered_bits - want) <= bound
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_TRACE_SNR, min_size=1, max_size=80))
+    def test_random_traces(self, snrs):
+        self.check(make_link(rate=RATE), np.array(snrs))
+
+    @pytest.mark.parametrize("k", [2.0, 5.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rayleigh_sessions(self, k, seed):
+        # 10 dB, R = log2(1 + k * 10): mean chains of e^k slots
+        link = make_link(rate=math.log2(1.0 + k * 10.0))
+        self.check(link, Rayleigh(10.0).sample(np.random.default_rng(seed), 40_000))
 
 
 class TestKernelEdgeCases:

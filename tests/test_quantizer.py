@@ -348,6 +348,24 @@ class TestPlanCellWidth:
         assert max(block_bits(2, 2**63)) <= math.floor(2 * feedback_bits)
         assert planned_config(feedback_bits, 2, 21.0).cell_count == 2**52
 
+    @pytest.mark.parametrize("feedback_bits, cell_counts", [
+        # K at L = 2, 4, 8, 16, 64, 256, 1024: one power of two for every
+        # failed slot, sized for the worst block, so pooling L slots buys
+        # nothing at an integer F
+        (1.5, [1, 1, 1, 1, 1, 1, 1]),
+        (2.0, [2, 2, 2, 2, 2, 2, 2]),
+        (2.25, [2, 2, 2, 2, 2, 2, 2]),
+        (2.5, [2, 2, 2, 2, 4, 4, 4]),
+        (3.0, [4, 4, 4, 4, 4, 4, 4]),
+        (3.5, [4, 4, 8, 8, 8, 8, 8]),
+        (4.0, [8, 8, 8, 8, 8, 8, 8]),
+        (5.0, [16, 16, 16, 16, 16, 16, 16]),
+    ])
+    def test_cell_count_table(self, feedback_bits, cell_counts):
+        lengths = [2, 4, 8, 16, 64, 256, 1024]
+        got = [planned_config(feedback_bits, n, 20.0).cell_count for n in lengths]
+        assert got == cell_counts
+
     def test_infeasible_even_single_cell(self):
         # L=2 slots, tiny fractional budget: floor(2 * 0.6) = 1 bit
         # cannot carry the 2-bit success count.
