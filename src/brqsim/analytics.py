@@ -182,27 +182,25 @@ def _wf_mean_power(model: FadingModel, level: float) -> float:
     raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
-def waterfilling_rate(model: FadingModel, power_budget: float = 1.0) -> float:
+def waterfilling_rate(model: FadingModel) -> float:
     """Average rate with prior CSIT and water-filling power allocation.
 
-    Solves the water level by bisection so the mean power meets the
+    Solves the water level by bisection so the mean power meets the unit
     budget within 1e-9, then takes E[log2(snr / level); snr > level].
     """
-    if power_budget <= 0:
-        raise ValueError(f"power budget must be positive, got {power_budget}")
     if isinstance(model, Deterministic):
         # Constant channel: all power goes to the single state.
-        return capacity(model.snr * power_budget)
+        return capacity(model.snr)
 
     lo, hi = _WF_BRACKET_EPS, 1.0 / _WF_BRACKET_EPS
     for _ in range(8):
-        if _wf_mean_power(model, lo) >= power_budget:
+        if _wf_mean_power(model, lo) >= 1.0:
             break
         lo /= 1e6
     else:
         raise NumericError("water-level bracket: lower end carries too little power")
     for _ in range(8):
-        if _wf_mean_power(model, hi) <= power_budget:
+        if _wf_mean_power(model, hi) <= 1.0:
             break
         hi *= 1e6
     else:
@@ -213,15 +211,15 @@ def waterfilling_rate(model: FadingModel, power_budget: float = 1.0) -> float:
     for _ in range(200):
         level = 0.5 * (lo + hi)
         power = _wf_mean_power(model, level)
-        if abs(power - power_budget) <= _WF_POWER_TOL:
+        if abs(power - 1.0) <= _WF_POWER_TOL:
             break
-        if power > power_budget:
+        if power > 1.0:
             lo = level
         else:
             hi = level
     else:
         raise NumericError(
-            f"water-level bisection stalled: power residual {power - power_budget:.2e}"
+            f"water-level bisection stalled: power residual {power - 1.0:.2e}"
         )
 
     if isinstance(model, Rayleigh):

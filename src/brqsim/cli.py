@@ -15,8 +15,6 @@ integrity is "fail" (written, with nothing on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -54,10 +52,11 @@ class ExperimentConfig:
     """Flat experiment description; round-trips through key=value text.
 
     Each field is one setting of the config file and, apart from
-    `command` (the subcommand), one command-line flag: `--<name>` with
-    underscores as dashes, unless its metadata names a `flag`.  The
-    annotation gives the type (`| None` admits 'none' in the file) and a
-    `choices` entry limits the values, in the file as on the command line.
+    `command` (the positional argument), one command-line flag:
+    `--<name>` with underscores as dashes, unless its metadata names a
+    `flag`.  The annotation gives the type (`| None` admits 'none' in the
+    file) and a `choices` entry limits the values, in the file as on the
+    command line.
     """
 
     command: str = "analytic"
@@ -165,7 +164,7 @@ def _flag(f: Field) -> tuple[str, dict]:
     return flag, {"type": base, "choices": f.metadata.get("choices"), "dest": f.name}
 
 
-# Every setting but `command`, which is the subcommand itself.
+# Every setting but `command`, which is the positional argument.
 _FLAGS = [_flag(f) for f in fields(ExperimentConfig) if f.name != "command"]
 
 
@@ -192,30 +191,17 @@ def _parse_list(text: str) -> list[float]:
     return values
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
-
-
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    """Write a header line and rows whose cells follow the header's order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(value) for value in row])
-    _write_text(path, buf.getvalue())
+def _join_rows(rows) -> str:
+    """CSV lines of rows of cell texts.  No cell holds a comma, quote or
+    newline, so none needs quoting."""
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def _write_table(path: str | None, rows: list[dict]) -> None:
-    """Write dict rows under the first row's keys."""
+    """Write dict rows, which share their keys, under the first row's keys."""
     header = list(rows[0])
-    _write_csv(path, header, ([row.get(col) for col in header] for row in rows))
+    columns = [_format_columns(np.array([row[col] for row in rows]))[0] for col in header]
+    _write_text(path, _join_rows([header, *zip(*columns)]))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -238,10 +224,9 @@ def _resolve_rate(cfg: ExperimentConfig, mean_snr: float) -> float:
         raise ValueError("give either rate or rate_factor, not both")
     if cfg.rate is not None:
         return cfg.rate
-    k = cfg.rate_factor if cfg.rate_factor is not None else 2.0
-    if k <= 0:
-        raise ValueError("rate_factor must be positive")
-    return math.log2(1.0 + k * mean_snr)
+    return engine.rate_for_factor(
+        cfg.rate_factor if cfg.rate_factor is not None else 2.0, mean_snr
+    )
 
 
 def cmd_analytic(cfg: ExperimentConfig) -> int:
@@ -285,7 +270,9 @@ _SLOT_LOG_CHUNK = 4096
 
 
 def _format_columns(*arrays: np.ndarray) -> list[list[str]]:
-    """`_fmt` of every entry of 1-D arrays of one dtype, one list per array.
+    """The CSV cell of every entry of 1-D arrays of one dtype, one list per
+    array: a float's repr, '' for NaN, '1' or '0' for a bool and `str` of
+    anything else.
 
     Each distinct value is formatted once across all the arrays.  Floats
     are keyed by bit pattern, so -0.0 and 0.0 stay apart and every NaN
@@ -310,13 +297,11 @@ def _write_slot_log(path: str, logs) -> None:
     """Write the slot records of every replication's log, column by column,
     `_SLOT_LOG_CHUNK` rows at a time.
 
-    The bytes equal `_write_csv` over the records: no cell holds a comma,
-    quote or newline, so csv.writer would quote none of them.  `snr` and
-    `eff_snr` share one formatting pool, since the reports are earlier
-    slots' SNRs; every other column is formatted on its own.
+    `snr` and `eff_snr` share one formatting pool, since the reports are
+    earlier slots' SNRs; every other column is formatted on its own.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(_SLOT_LOG_HEADER) + "\n")
+        handle.write(_join_rows([_SLOT_LOG_HEADER]))
         for rep, log in enumerate(logs):
             table = log.slot_records
             for start in range(0, len(table), _SLOT_LOG_CHUNK):
@@ -325,8 +310,8 @@ def _write_slot_log(path: str, logs) -> None:
                 cells = {name: _format_columns(col)[0] for name, col in part.items()
                          if name not in ("snr", "eff_snr")}
                 cells["snr"], cells["eff_snr"] = _format_columns(part["snr"], part["eff_snr"])
-                rows = zip([str(rep)] * len(part["slot"]), *map(cells.get, _SLOT_LOG_FIELDS))
-                handle.write("\n".join(map(",".join, rows)) + "\n")
+                reps = [str(rep)] * len(part["slot"])
+                handle.write(_join_rows(zip(reps, *map(cells.get, _SLOT_LOG_FIELDS))))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -381,49 +366,38 @@ def cmd_fig5(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# Each command with its one-line description.
 _COMMANDS = {
-    "analytic": cmd_analytic,
-    "simulate": cmd_simulate,
-    "fig4": cmd_fig4,
-    "fig5": cmd_fig5,
+    "analytic": (cmd_analytic, "closed-form rates and delay for one operating point"),
+    "simulate": (cmd_simulate, "Monte Carlo protocol simulation"),
+    "fig4": (cmd_fig4, "rate-vs-mean-SNR sweep table (CSV)"),
+    "fig5": (cmd_fig5, "rate-vs-threshold-ratio sweep table (CSV)"),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file; flags take precedence")
-    for flag, options in _FLAGS:
-        sub.add_argument(flag, **options)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<10}{text}" for name, (_, text) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="brqsim",
-        description="Backtrack-retransmission link simulator and calculator",
+        description="Backtrack-retransmission link simulator and calculator\n\n"
+                    "commands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # The flags are added once and copied into each subcommand: every
-    # add_argument call builds a help formatter, which asks for the
-    # terminal size.
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analytic", "closed-form rates and delay for one operating point"),
-        ("simulate", "Monte Carlo protocol simulation"),
-        ("fig4", "rate-vs-mean-SNR sweep table (CSV)"),
-        ("fig5", "rate-vs-threshold-ratio sweep table (CSV)"),
-    ):
-        subs.add_parser(name, help=help_text, argument_default=None, parents=[common])
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands above")
+    parser.add_argument("--config", help="key=value config file; flags take precedence")
+    for flag, options in _FLAGS:
+        parser.add_argument(flag, **options)
     return parser
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = ExperimentConfig.from_text(handle.read())
     else:
         cfg = ExperimentConfig()
     for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
             setattr(cfg, f.name, value)
     return cfg
@@ -457,7 +431,7 @@ def main(argv=None) -> int:
     )
     try:
         cfg = load_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except (ChainBrokenError, FeedbackDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

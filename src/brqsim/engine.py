@@ -129,6 +129,13 @@ def quant_rate_column(feedback_bits: float) -> str:
     return f"brq_quant_rate_F{feedback_bits:g}"
 
 
+def rate_for_factor(k: float, mean_snr: float) -> float:
+    """The rate R = log2(1 + k * mean_snr) of rate factor k."""
+    if k < 0:
+        raise ValueError(f"rate factor must be nonnegative, got {k}")
+    return math.log2(1.0 + k * mean_snr)
+
+
 def quantized_rate(model: Rayleigh, rate: float, fbits: float) -> float:
     """Analytic quantized rate, NaN where the budget cannot cover the mask."""
     try:
@@ -140,7 +147,7 @@ def quantized_rate(model: Rayleigh, rate: float, fbits: float) -> float:
 def sweep_mean_snr(
     mean_snr_db_grid, rate_factors=(2.0, 3.0), feedback_bits=(1.0,)
 ) -> list[dict]:
-    """fig4 table rows over a mean-SNR grid, with R = log2(1 + k * mean_snr).
+    """fig4 table rows over a mean-SNR grid, one rate per factor k.
 
     Each row holds the water-filling and fixed-power prior-CSIT baselines
     plus, per rate factor k, the rate, decoding probability and full-CSIT
@@ -153,7 +160,7 @@ def sweep_mean_snr(
     for db in mean_snr_db_grid:
         mean_snr = db_to_linear(db)
         model = Rayleigh(mean_snr)
-        wf = analytics.waterfilling_rate(model, 1.0)
+        wf = analytics.waterfilling_rate(model)
         pf = analytics.avg_rate_prior_fixed_power(model)
         row = {
             "mean_snr_db": db,
@@ -163,7 +170,7 @@ def sweep_mean_snr(
         }
         for k in rate_factors:
             kt = f"_k{k:g}"
-            rate = math.log2(1.0 + k * mean_snr)
+            rate = rate_for_factor(k, mean_snr)
             full = analytics.avg_rate_full_csit(model, rate)
             row["rate_R" + kt] = rate
             row["p_R" + kt] = model.decode_prob(inv_capacity(rate))
@@ -182,15 +189,16 @@ def sweep_threshold_ratio(
 ) -> list[dict]:
     """fig5 table rows at fixed mean SNR over a gamma_R / mean_snr grid.
 
-    Each ratio x sets R = log2(1 + x * mean_snr).  Budgets that cannot
-    cover the success mask give a NaN rate, not an error.
+    Each ratio x is the rate factor of R = log2(1 + x * mean_snr).
+    Budgets that cannot cover the success mask give a NaN rate, not an
+    error.
     """
     if len(ratio_grid) == 0:
         raise ValueError("ratio grid must be nonempty")
     model = Rayleigh(mean_snr)
     rows = []
     for x in ratio_grid:
-        rate = math.log2(1.0 + x * mean_snr)
+        rate = rate_for_factor(x, mean_snr)
         row = {
             "ratio": x,
             "rate_R": rate,

@@ -152,10 +152,6 @@ class TestWaterfilling:
                 m
             ) - 1e-9
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            analytics.waterfilling_rate(model(), power_budget=0.0)
-
 
 def capacity_of(snr):
     return math.log2(1.0 + snr)

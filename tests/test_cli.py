@@ -1,15 +1,15 @@
-import argparse
 import csv
 import dataclasses
 import json
 import math
 import tracemalloc
 
+import csv_reference
 import numpy as np
 import pytest
 
 from brqsim import cli, engine
-from brqsim.channel import LinkConfig, Rayleigh
+from brqsim.channel import LinkConfig, Rayleigh, db_to_linear
 from brqsim.cli import ExperimentConfig, main
 from brqsim.errors import (
     BrqError,
@@ -79,9 +79,8 @@ class TestExperimentConfig:
         defaults = ExperimentConfig()
         assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                    for f in dataclasses.fields(cfg))
-        sub = argparse.ArgumentParser()
-        cli._add_common(sub)
-        flags = {a.dest: a.option_strings[0] for a in sub._actions}
+        flags = {a.dest: a.option_strings[0] for a in cli.build_parser()._actions
+                 if a.option_strings}
         settings = {f.name for f in dataclasses.fields(cfg)} - {"command"}
         assert set(flags) == settings | {"help", "config"}
         assert flags["out_format"] == "--format"
@@ -130,43 +129,93 @@ class TestExperimentConfig:
 
 
 class TestParser:
-    """The subcommands share one set of flags, added once."""
+    """One flat parser: the command is its one positional argument, and
+    every setting is one option, added once."""
+
+    def test_one_positional_and_one_option_per_setting(self):
+        actions = cli.build_parser()._actions
+        positionals = [a for a in actions if not a.option_strings]
+        assert [a.dest for a in positionals] == ["command"]
+        assert list(positionals[0].choices) == ["analytic", "simulate", "fig4", "fig5"]
+        options = [a.dest for a in actions if a.option_strings]
+        settings = [f.name for f in dataclasses.fields(ExperimentConfig)
+                    if f.name != "command"]
+        assert sorted(options) == sorted(settings + ["config", "help"])
+
+    def test_every_command_prints_the_one_help(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        helps = []
+        argvs = [["--help"], *([name, "--help"] for name in cli._COMMANDS), ["fig4", "-h"]]
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 0
+            helps.append(capsys.readouterr())
+        assert helps[0].err == ""
+        assert helps[1:] == [helps[0]] * 5
+        lines = [line.split() for line in helps[0].out.splitlines()]
+        for name, (_, description) in cli._COMMANDS.items():
+            assert [name, *description.split()] in lines
 
     @pytest.mark.parametrize("argv", [
-        ["-h"], ["analytic", "-h"], ["simulate", "--help"], ["fig4", "-h"], ["fig5", "-h"],
         [], ["bogus"], ["fig4", "--bad"], ["simulate", "--scheme", "x"],
         ["analytic", "--seed", "x"], ["fig5", "--format"],
     ])
-    def test_help_usage_and_errors_match_flags_added_per_subcommand(
-        self, monkeypatch, capsys, argv
-    ):
-        monkeypatch.setenv("COLUMNS", "80")
-        texts = []
-        for parser in (cli.build_parser(), self.reference_parser()):
-            with pytest.raises(SystemExit) as exit_:
-                parser.parse_args(argv)
-            texts.append((exit_.value.code, capsys.readouterr()))
-        assert texts[0] == texts[1]
-        assert texts[0][1].out or texts[0][1].err
+    def test_usage_errors_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: brqsim ")
+        assert captured.err.splitlines()[-1].startswith("brqsim: error: ")
 
-    @staticmethod
-    def reference_parser():
-        """The parser `build_parser` makes, with the flags added to each
-        subcommand by its own `_add_common` call."""
-        parser = argparse.ArgumentParser(
-            prog="brqsim",
-            description="Backtrack-retransmission link simulator and calculator",
-        )
-        subs = parser.add_subparsers(dest="command", required=True)
-        for name, help_text in (
-            ("analytic", "closed-form rates and delay for one operating point"),
-            ("simulate", "Monte Carlo protocol simulation"),
-            ("fig4", "rate-vs-mean-SNR sweep table (CSV)"),
-            ("fig5", "rate-vs-threshold-ratio sweep table (CSV)"),
-        ):
-            sub = subs.add_parser(name, help=help_text, argument_default=None)
-            cli._add_common(sub)
-        return parser
+    def test_flags_may_come_before_the_command(self, tmp_path):
+        flags = ["--seed", "7", "--snr-grid-db", "-5:0:5", "--include-warmup",
+                 "--rate-factors=1,2"]
+        parse = cli.build_parser().parse_args
+        before = cli.load_config(parse(cli._attach_negative_values([*flags, "fig4"])))
+        after = cli.load_config(parse(cli._attach_negative_values(["fig4", *flags])))
+        assert before == after
+        assert (before.command, before.seed, before.snr_grid_db) == ("fig4", 7, "-5:0:5")
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        assert main([*flags, "fig4", "--output", str(first)]) == cli.EXIT_OK
+        assert main(["fig4", *flags, "--output", str(last)]) == cli.EXIT_OK
+        assert first.read_bytes() == last.read_bytes()
+
+
+class TestRateFactor:
+    """R = log2(1 + k * mean_snr) for every rate factor k >= 0."""
+
+    @pytest.mark.parametrize("argv, factor", [
+        (["analytic", "--rate-factor", "-2"], "-2.0"),
+        (["analytic", "--rate-factor", "-0.5"], "-0.5"),
+        (["simulate", "--rate-factor", "-2", "--slots", "10"], "-2.0"),
+        (["fig4", "--snr-grid-db", "0", "--rate-factors", "-2"], "-2.0"),
+        (["fig4", "--snr-grid-db", "0", "--rate-factors", "1,-0.5"], "-0.5"),
+        (["fig5", "--mean-snr-db", "0", "--ratio-grid", "-2"], "-2.0"),
+        (["fig5", "--mean-snr-db", "0", "--ratio-grid", "-0.5"], "-0.5"),
+    ], ids=["analytic", "analytic-half", "simulate", "fig4", "fig4-half", "fig5",
+            "fig5-half"])
+    def test_negative_factor_is_named(self, tmp_path, capsys, argv, factor):
+        # at 0 dB, -2 once failed inside log2 and -0.5 named the rate -1.0
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
+        message = f"rate factor must be nonnegative, got {factor}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_zero_factor_is_the_zero_rate(self, tmp_path, capsys):
+        by_factor, by_rate = tmp_path / "factor.csv", tmp_path / "rate.csv"
+        assert main(["analytic", "--rate-factor", "0", "--output", str(by_factor)]) == 0
+        assert main(["analytic", "--rate", "0", "--output", str(by_rate)]) == 0
+        assert by_factor.read_bytes() == by_rate.read_bytes()
+        for flag in ("--rate-factor", "--rate"):
+            assert main(["simulate", flag, "0", "--slots", "10",
+                         "--output", str(tmp_path / "s.json")]) == cli.EXIT_USAGE
+            message = "rate must be finite and positive, got 0.0"
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestAnalyticCommand:
@@ -528,11 +577,11 @@ class TestExitCodes:
 
 
 class TestSlotLogColumns:
-    """The slot-log column formatter agrees with `_fmt` cell by cell."""
+    """The column formatter agrees with the reference's cell by cell."""
 
     @staticmethod
     def fmt(values):
-        return [cli._fmt(x) for x in values.tolist()]
+        return [csv_reference.fmt(x) for x in values.tolist()]
 
     def test_floats(self):
         nan = np.array([math.nan])
@@ -545,7 +594,7 @@ class TestSlotLogColumns:
         assert want[:10] == ["-0.0", "0.0", "5e-324", "1e+16", "1e-05", "inf", "2.0",
                              "439.0", "", ""]
         assert want[-3:] == ["-inf", "inf", "-inf"]
-        assert cli._fmt(-math.inf) == "-inf"
+        assert csv_reference.fmt(-math.inf) == "-inf"
         assert cli._format_columns(col) == [want]
         assert cli._format_columns(col[::3]) == [want[::3]]
 
@@ -582,6 +631,55 @@ class TestSlotLogColumns:
         assert cli._format_columns(*bools) == [["1", "1"], ["0", "1", "0"]]
         assert cli._format_columns(np.array([])) == [[]]
         assert cli._format_columns(np.array([]), np.array([math.nan])) == [[], [""]]
+
+
+class TestTableBytes:
+    """Tables formatted column by column have the bytes that csv.writer
+    and the reference's cells give, row by row."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, rows):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_table(str(got), rows)
+        csv_reference.write_table(str(want), rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_fig4_rows(self, tmp_path):
+        rows = engine.sweep_mean_snr(cli._parse_grid("-5:30:0.5"), [1.0, 2.0, 3.0],
+                                     [0.5, 1.0, 2.0])
+        assert any(math.isnan(v) for row in rows for v in row.values())
+        self.assert_same_bytes(tmp_path, rows)
+
+    @pytest.mark.parametrize("db", [2.5, 12.5, 22.5])
+    def test_fig5_rows(self, tmp_path, db):
+        rows = engine.sweep_threshold_ratio(db_to_linear(db), cli._parse_grid("0.05:8:0.05"),
+                                            [0.5, 1.0, 2.0, 8.0])
+        self.assert_same_bytes(tmp_path, rows)
+
+    def test_analytic_rows(self, monkeypatch, tmp_path):
+        rows = []
+        monkeypatch.setattr(cli, "_write_table", lambda path, table: rows.extend(table))
+        for point in (["--mean-snr-db", "10", "--rate-factor", "2"],  # H(p_R) > 0.5
+                      ["--mean-snr-db", "0", "--rate-factor", "1000"],  # p_R = 0
+                      ["--mean-snr-db=-2", "--rate-factor", "0.5"],
+                      ["--rate", "0"]):
+            assert main(["analytic", *point, "--feedback-bits", "0.5"]) == cli.EXIT_OK
+        assert {row["note"] for row in rows} == {"insufficient_feedback", ""}
+        assert rows[1]["delay_slots"] == math.inf
+        monkeypatch.undo()
+        for row in rows:
+            self.assert_same_bytes(tmp_path, [row])
+        self.assert_same_bytes(tmp_path, rows)
+
+    def test_hand_rows(self, tmp_path):
+        other_nan = (np.array([math.nan]).view(np.int64) ^ 1).view(np.float64)[0]
+        rows = [
+            {"a": math.nan, "b": -0.0, "c": -math.inf, "d": "x", "n": 3, "flag": True},
+            {"a": 0.1 + 0.2, "b": 0.0, "c": math.inf, "d": "", "n": -2, "flag": False},
+            {"a": float(other_nan), "b": -0.0, "c": 5e-324, "d": "x", "n": 0, "flag": True},
+        ]
+        self.assert_same_bytes(tmp_path, rows)
+        self.assert_same_bytes(tmp_path, rows[2:])
 
 
 class TestSlotLogMemory:

@@ -144,6 +144,21 @@ class TestSweeps:
         assert math.isnan(row["brq_quant_rate_F0.9"])
         assert math.isfinite(row["brq_full_rate"])
 
+    def test_rate_for_factor(self):
+        for k, mean_snr in [(0.0, 10.0), (0.5, 1.0), (2.0, 10.0), (3.0, 10.0**2.25)]:
+            assert engine.rate_for_factor(k, mean_snr) == math.log2(1.0 + k * mean_snr)
+        assert math.isnan(engine.rate_for_factor(math.nan, 10.0))
+        assert engine.rate_for_factor(math.inf, 10.0) == math.inf
+        for k in (-2.0, -0.5, -math.inf):
+            with pytest.raises(ValueError) as err:
+                engine.rate_for_factor(k, 1.0)
+            assert str(err.value) == f"rate factor must be nonnegative, got {k}"
+        # both sweeps take their rates from it
+        with pytest.raises(ValueError, match="got -2.0"):
+            engine.sweep_mean_snr([0.0], rate_factors=(1.0, -2.0))
+        with pytest.raises(ValueError, match="got -0.5"):
+            engine.sweep_threshold_ratio(1.0, [0.5, -0.5])
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             engine.sweep_mean_snr([])

@@ -48,6 +48,13 @@ def test_parser_loads_no_scipy(tmp_path):
     assert scipy_modules_after(code, tmp_path) == set()
 
 
+def test_parser_loads_no_csv(tmp_path):
+    # the command line formats its CSV cells itself
+    code = ("import sys\nimport brqsim.cli as cli\ncli.build_parser()\n"
+            "assert not {'csv', '_csv'} & set(sys.modules), 'csv loaded'\n")
+    scipy_modules_after(code, tmp_path)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--scheme", "full", "--accounting", "fluid", "--slots", "500",
      "--replications", "2", "--output", "s.json"],

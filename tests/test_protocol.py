@@ -6,6 +6,7 @@ import os
 import tempfile
 from unittest import mock
 
+import csv_reference
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,7 @@ from brqsim.protocol import (
     run_full_csit,
     run_quantized,
 )
-from brqsim.quantizer import planned_config
+from brqsim.quantizer import cells, planned_config
 
 RATE = math.log2(21.0)  # threshold 20
 INT_RATE = 4.39  # 439 whole bits per slot of 100 uses, threshold 19.966...
@@ -374,13 +375,13 @@ class TestKernelMatchesStateMachine:
 
 class TestSlotLogBytes:
     """The slot log written column by column from kernel logs has the bytes
-    that csv.writer and `_fmt` give, cell by cell, on the state machine's
-    slot records."""
+    that csv.writer and the reference's cells give, cell by cell, on the
+    state machine's slot records."""
 
     @staticmethod
     def assert_same_bytes(logs, records, chunk=cli._SLOT_LOG_CHUNK):
-        """`_write_slot_log` of `logs`, `chunk` rows at a time, against
-        `_write_csv` of each replication's `records`."""
+        """`_write_slot_log` of `logs`, `chunk` rows at a time, against the
+        reference `write_csv` of each replication's `records`."""
         rows = [
             [rep, *dataclasses.astuple(record)]
             for rep, rep_records in enumerate(records)
@@ -390,7 +391,7 @@ class TestSlotLogBytes:
             got_path, want_path = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
             with mock.patch.object(cli, "_SLOT_LOG_CHUNK", chunk):
                 cli._write_slot_log(got_path, logs)
-            cli._write_csv(want_path, cli._SLOT_LOG_HEADER, rows)
+            csv_reference.write_csv(want_path, cli._SLOT_LOG_HEADER, rows)
             with open(got_path, "rb") as got, open(want_path, "rb") as want:
                 assert got.read() == want.read()
 
@@ -518,20 +519,43 @@ class TestKernelCapacity:
 
 
 class TestDeliveredBitsIdentity:
-    """Full CSIT, fluid accounting: each parity pays exactly the shortfall
-    N (R - C) of the slot before it, so a chain's new bits telescope to
-    N (R + sum of C over its outage slots), and a session delivers
-    N * sum of min(C(snr_t), R) over the slots t of its completed chains,
-    a decodable slot counting R."""
+    """Fluid accounting: each parity pays exactly the shortfall N (R - C) of
+    the report on the slot before it in its process, so a chain's new bits
+    telescope to N (R + sum of C(report_t) over its outage slots t).  The
+    report is the SNR itself under full CSIT and its cell's lower edge when
+    quantized.  So a session delivers N * sum of v(t) over the slots t >= W
+    of its completed chains, with v(t) = R for a decodable slot and
+    C(report_t) otherwise, plus a warm-up edge term: a chain that straddles
+    the W warm-up slots delivers N (C(report_t) - R) more for its last
+    outage slot t < W, whose report sizes its first counted slot."""
 
     @staticmethod
-    def check(link, snrs):
+    def check(link, snrs, processes=1, include_warmup=True):
         n = len(snrs)
-        log = run_full_csit(link, EmpiricalTrace(snrs.tolist()), n, np.random.default_rng(0))
+        trace = EmpiricalTrace(snrs.tolist())
+        rng = np.random.default_rng(0)
+        if processes == 1:
+            log = run_full_csit(link, trace, n, rng)
+            reports, warmup = snrs, 0
+        else:
+            log = run_quantized(link, trace, n, rng, include_warmup=include_warmup)
+            quantizer = planned_config(link.feedback_bits, link.block_length, link.gamma_r)
+            reports = cells(snrs, quantizer) * quantizer.cell_width
+            warmup = 0 if include_warmup else processes
         decoded = snrs >= link.gamma_r
-        completed = np.flatnonzero(decoded)[-1] + 1 if decoded.any() else 0
-        per_slot = np.where(decoded, link.rate, np.minimum(capacity(snrs), link.rate))
-        want = link.slot_uses * math.fsum(per_slot[:completed].tolist())
+        slots = np.arange(n)
+        last = np.full(processes, -1)
+        np.maximum.at(last, slots[decoded] % processes, slots[decoded])
+        completes = slots <= last[slots % processes]
+        # W is 0 or P, so every outage slot before W is the last of its
+        # chain there
+        counted = completes & (slots >= warmup)
+        edge = completes & (slots < warmup) & ~decoded
+        per_slot = np.where(decoded, link.rate, capacity(reports))
+        want = link.slot_uses * (
+            math.fsum(per_slot[counted].tolist())
+            + math.fsum((capacity(reports[edge]) - link.rate).tolist())
+        )
         # The kernel adds n terms in [0, N R] left to right: each addition
         # rounds by at most half an ulp of a partial sum below n N R, and
         # each term carries a few ulps of N R.
@@ -549,6 +573,31 @@ class TestDeliveredBitsIdentity:
         # 10 dB, R = log2(1 + k * 10): mean chains of e^k slots
         link = make_link(rate=math.log2(1.0 + k * 10.0))
         self.check(link, Rayleigh(10.0).sample(np.random.default_rng(seed), 40_000))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from([1.5, 2.0, 4.0, 8.0]),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+        st.data(),
+    )
+    def test_quantized_random_traces(self, fbits, length, rounds, include_warmup, data):
+        horizon = 2 * length * rounds
+        snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
+        link = make_link(rate=RATE, feedback_bits=fbits, block_length=length)
+        self.check(link, np.array(snrs), 2 * length, include_warmup)
+
+    @pytest.mark.parametrize("include_warmup", [False, True])
+    @pytest.mark.parametrize("db, k, fbits, length", [
+        (20.0, 1.0, 4.0, 16), (10.0, 2.0, 2.0, 64), (5.0, 3.0, 2.0, 64),
+    ])
+    def test_quantized_rayleigh_sessions(self, db, k, fbits, length, include_warmup):
+        mean_snr = 10.0 ** (db / 10.0)
+        link = make_link(rate=math.log2(1.0 + k * mean_snr), feedback_bits=fbits,
+                         block_length=length)
+        snrs = Rayleigh(mean_snr).sample(np.random.default_rng(3), 2 * length * 2000)
+        self.check(link, snrs, 2 * length, include_warmup)
 
 
 class TestKernelEdgeCases:
