@@ -39,7 +39,7 @@ from .errors import (
     InfiniteDelayError,
     NumericError,
 )
-from .protocol import SlotRecord
+from .protocol import SLOT_FIELDS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,15 +51,14 @@ EXIT_INTEGRITY = 4
 class ExperimentConfig:
     """Flat experiment description; round-trips through key=value text.
 
-    Each field is one setting of the config file and, apart from
-    `command` (the positional argument), one command-line flag:
-    `--<name>` with underscores as dashes, unless its metadata names a
-    `flag`.  The annotation gives the type (`| None` admits 'none' in the
+    Each field is one setting of the config file and one command-line
+    flag: `--<name>` with underscores as dashes, unless its metadata names
+    a `flag`.  The command is not a setting: it is the positional argument
+    only.  The annotation gives the type (`| None` admits 'none' in the
     file) and a `choices` entry limits the values, in the file as on the
     command line.
     """
 
-    command: str = "analytic"
     mean_snr_db: float = 10.0
     rate: float | None = None
     rate_factor: float | None = None
@@ -164,8 +163,7 @@ def _flag(f: Field) -> tuple[str, dict]:
     return flag, {"type": base, "choices": f.metadata.get("choices"), "dest": f.name}
 
 
-# Every setting but `command`, which is the positional argument.
-_FLAGS = [_flag(f) for f in fields(ExperimentConfig) if f.name != "command"]
+_FLAGS = [_flag(f) for f in fields(ExperimentConfig)]
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -261,8 +259,7 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-_SLOT_LOG_FIELDS = [f.name for f in fields(SlotRecord)]
-_SLOT_LOG_HEADER = ["replication", *_SLOT_LOG_FIELDS]
+_SLOT_LOG_HEADER = ["replication", *SLOT_FIELDS]
 
 
 # Rows of the slot log formatted, joined and written at a time.
@@ -294,8 +291,8 @@ def _format_columns(*arrays: np.ndarray) -> list[list[str]]:
 
 
 def _write_slot_log(path: str, logs) -> None:
-    """Write the slot records of every replication's log, column by column,
-    `_SLOT_LOG_CHUNK` rows at a time.
+    """Write the slot columns of every replication's log, `_SLOT_LOG_CHUNK`
+    rows at a time.
 
     `snr` and `eff_snr` share one formatting pool, since the reports are
     earlier slots' SNRs; every other column is formatted on its own.
@@ -303,15 +300,15 @@ def _write_slot_log(path: str, logs) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_join_rows([_SLOT_LOG_HEADER]))
         for rep, log in enumerate(logs):
-            table = log.slot_records
-            for start in range(0, len(table), _SLOT_LOG_CHUNK):
+            columns = log.slot_columns
+            for start in range(0, len(columns["slot"]), _SLOT_LOG_CHUNK):
                 part = {name: col[start:start + _SLOT_LOG_CHUNK]
-                        for name, col in table.columns.items()}
+                        for name, col in columns.items()}
                 cells = {name: _format_columns(col)[0] for name, col in part.items()
                          if name not in ("snr", "eff_snr")}
                 cells["snr"], cells["eff_snr"] = _format_columns(part["snr"], part["eff_snr"])
                 reps = [str(rep)] * len(part["slot"])
-                handle.write(_join_rows(zip(reps, *map(cells.get, _SLOT_LOG_FIELDS))))
+                handle.write(_join_rows(zip(reps, *map(cells.get, SLOT_FIELDS))))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -431,7 +428,7 @@ def main(argv=None) -> int:
     )
     try:
         cfg = load_config(args)
-        return _COMMANDS[cfg.command][0](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ChainBrokenError, FeedbackDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

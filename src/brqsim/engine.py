@@ -85,7 +85,7 @@ def run_replicated(
     function of (run, link, model).
 
     A finite feedback budget selects the quantized scheme.  Logs go to
-    `collect_logs`, if given, with their slot records.
+    `collect_logs`, if given, with their slot columns.
     """
     record_slots = collect_logs is not None
     logs = []

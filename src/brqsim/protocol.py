@@ -21,7 +21,7 @@ session over an array, the state machine once per slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,28 +41,31 @@ ACK = None
 
 _PARITY_TOL = 1e-9
 
+# Columns of the per-slot log, in CSV order.  In `eff_snr`, NaN stands for
+# no report (an ack).
+SLOT_FIELDS = (
+    "slot", "instance", "snr", "eff_snr", "parity_bits", "new_bits",
+    "decoded", "renewal", "chain_length", "reward_bits",
+)
 
-def parity_bit_count(
-    rate: float, eff_snr: float, slot_uses: int, accounting: str = "fluid"
-) -> float:
-    """Parity bits protecting a predecessor received at effective SNR `eff_snr`.
 
-    Fluid: N * (R - C(eff_snr))^+.  Integer: the ceiling of that, so the
-    parity is never under-provisioned.
+def parity_needed(link: LinkConfig, caps):
+    """Fluid parity N * (R - C)^+ for side-information capacity C (a float
+    or an array): what a predecessor received at capacity C still lacks."""
+    return link.slot_uses * np.maximum(link.rate - caps, 0.0)
+
+
+def parity_bits(link: LinkConfig, caps):
+    """Parity a packet carries for a predecessor reported at capacity C.
+
+    Fluid: `parity_needed`.  Integer: whole bits, rounded up unless within
+    1e-9 above a whole number, so the parity is never under-provisioned.
+    Adding 0.0 turns the -0.0 that np.ceil gives below 1e-9 into 0.0.
     """
-    if eff_snr < 0:
-        raise ValueError(f"effective SNR must be nonnegative, got {eff_snr}")
-    raw = slot_uses * max(rate - capacity(eff_snr), 0.0)
-    if accounting == "integer":
-        return float(_round_up_parity(raw))
+    raw = parity_needed(link, caps)
+    if link.accounting == "integer":
+        return np.ceil(raw - _PARITY_TOL) + 0.0
     return raw
-
-
-def _round_up_parity(raw):
-    """Integer accounting's parity for a fluid count `raw` (float or array):
-    whole bits, rounded up unless `raw` is within 1e-9 above a whole number.
-    Adding 0.0 turns the -0.0 that np.ceil gives for raw < 1e-9 into 0.0."""
-    return np.ceil(raw - _PARITY_TOL) + 0.0
 
 
 def reward_of_chain(rate: float, slot_uses: int, outage_snrs) -> float:
@@ -101,22 +104,6 @@ class RenewalRecord:
     reward_bits: float
     bit_delays: list[tuple[float, int]]  # (new bits, slots waited)
     effective_snrs: list[float]  # lower bounds used for the L-1 outage slots
-
-
-@dataclass(slots=True)
-class SlotRecord:
-    """Per-slot log row (CSV export schema)."""
-
-    slot: int
-    instance: int
-    snr: float
-    eff_snr: float | None
-    parity_bits: float
-    new_bits: float
-    decoded: bool
-    renewal: bool
-    chain_length: int
-    reward_bits: float
 
 
 class SourceStream:
@@ -169,7 +156,7 @@ class ReassemblyStream:
 
     @property
     def pending_bits(self) -> float:
-        return sum(length for length, _ in self._pending.values())
+        return sum((length for length, _ in self._pending.values()), 0.0)
 
 
 class BrqTransmitter:
@@ -190,9 +177,7 @@ class BrqTransmitter:
         if feedback is ACK:
             parity, bin_ref = 0.0, None
         else:
-            parity = parity_bit_count(
-                link.rate, feedback, link.slot_uses, link.accounting
-            )
+            parity = float(parity_bits(link, capacity(feedback)))
             bin_ref = self._prev_slot
         new_bits = link.bits_per_slot - parity
         offset, payload = self.source.fetch(new_bits)
@@ -236,9 +221,7 @@ class BrqReceiver:
                     f"slot {current.slot} references slot {current.bin_ref}, "
                     f"buffer holds slot {prev_slot}"
                 )
-            required = self.link.slot_uses * max(
-                self.link.rate - capacity(prev_snr), 0.0
-            )
+            required = float(parity_needed(self.link, capacity(prev_snr)))
             if current.parity_bits + _PARITY_TOL < required:
                 raise ChainBrokenError(
                     f"slot {current.slot} carries {current.parity_bits} parity "
@@ -329,32 +312,6 @@ def _chain_rewards(new_bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return rewards
 
 
-class _SlotTable:
-    """Slot records of an array-kernel session, kept as one array per
-    `SlotRecord` field and built into records only when indexed or
-    iterated.  In `eff_snr`, NaN stands for no report (an ack).
-    """
-
-    def __init__(self, **columns: np.ndarray):
-        self.columns = {f.name: columns[f.name] for f in fields(SlotRecord)}
-
-    def __len__(self) -> int:
-        return len(self.columns["slot"])
-
-    def __getitem__(self, index: int) -> SlotRecord:
-        return self._record([col[index].item() for col in self.columns.values()])
-
-    def __iter__(self):
-        return map(self._record, zip(*(col.tolist() for col in self.columns.values())))
-
-    @staticmethod
-    def _record(values) -> SlotRecord:
-        record = SlotRecord(*values)
-        if math.isnan(record.eff_snr):
-            record.eff_snr = ACK
-        return record
-
-
 @dataclass
 class SessionLog:
     """Outcome of one simulated session; slots before `warmup_slots` stay
@@ -370,7 +327,7 @@ class SessionLog:
     integrity_ok: bool
     released_bits: float  # in-order verified prefix of the payload stream
     held_window_bits: float  # decoded but stuck behind an unresolved gap
-    slot_records: list[SlotRecord] | _SlotTable | None = None  # sized, indexable
+    slot_columns: dict[str, np.ndarray] | None = None  # one array per SLOT_FIELDS
     undelivered_bits: float = field(init=False)
     delivered_rate: float = field(init=False)
 
@@ -447,7 +404,7 @@ def _run_processes(
     txs = [BrqTransmitter(link, source) for _ in range(processes)]
     rxs = [BrqReceiver(link, stream) for _ in range(processes)]
     acct = _Accounting(warmup)
-    records: list[SlotRecord] | None = [] if record_slots else None
+    rows: list[tuple] = []  # one per slot, in SLOT_FIELDS order
     gamma_r = link.gamma_r
 
     for t, snr in enumerate(snrs):
@@ -458,21 +415,16 @@ def _run_processes(
         renewal = rxs[instance].step(t, snr, packet)
         if renewal is not None:
             acct.on_renewal(renewal)
-        if records is not None:
-            records.append(
-                SlotRecord(
-                    slot=t,
-                    instance=instance,
-                    snr=snr,
-                    eff_snr=packet.eff_snr,
-                    parity_bits=packet.parity_bits,
-                    new_bits=packet.new_bits,
-                    decoded=snr >= gamma_r,
-                    renewal=renewal is not None,
-                    chain_length=renewal.chain_length if renewal else 0,
-                    reward_bits=renewal.reward_bits if renewal else 0.0,
-                )
-            )
+        if record_slots:
+            rows.append((
+                t, instance, snr, math.nan if packet.eff_snr is ACK else packet.eff_snr,
+                packet.parity_bits, packet.new_bits, snr >= gamma_r, renewal is not None,
+                renewal.chain_length if renewal else 0,
+                renewal.reward_bits if renewal else 0.0,
+            ))
+    columns = None
+    if record_slots:
+        columns = {name: np.array(col) for name, col in zip(SLOT_FIELDS, zip(*rows))}
     return SessionLog(
         horizon=len(snrs),
         slot_uses=link.slot_uses,
@@ -484,7 +436,7 @@ def _run_processes(
         integrity_ok=stream.ok,
         released_bits=stream.released_bits,
         held_window_bits=stream.pending_bits,
-        slot_records=records,
+        slot_columns=columns,
     )
 
 
@@ -508,11 +460,6 @@ def _codec_feedback(
     return feedback
 
 
-def _parity_needed(link: LinkConfig, caps: np.ndarray) -> np.ndarray:
-    """Fluid parity N * (R - C)^+ for each side-information capacity C."""
-    return link.slot_uses * np.maximum(link.rate - caps, 0.0)
-
-
 def _check_parity(
     link: LinkConfig,
     snrs: np.ndarray,
@@ -533,7 +480,7 @@ def _check_parity(
     prev = np.zeros(n)
     prev[p:] = snrs[:-p]
     suspect = np.flatnonzero(fed & (due < n) & (eff != prev))
-    required = _parity_needed(link, capacity(prev[suspect]))
+    required = parity_needed(link, capacity(prev[suspect]))
     short = np.flatnonzero(parity[suspect] + _PARITY_TOL < required)
     if short.size:
         i = short[np.lexsort((-suspect[short], due[suspect[short]]))[0]]
@@ -609,9 +556,7 @@ def _run_kernel(
     eff[p:] = reports[:-p]
     fed_slots = np.flatnonzero(fed)
     parity = np.zeros(n)
-    parity[fed_slots] = _parity_needed(link, capacity(reports[fed_slots - p]))
-    if integer:
-        parity[fed_slots] = _round_up_parity(parity[fed_slots])
+    parity[fed_slots] = parity_bits(link, capacity(reports[fed_slots - p]))
     new_bits = link.bits_per_slot - parity
 
     # Delivery slot: the next decodable slot of the same process, else n.
@@ -658,13 +603,13 @@ def _run_kernel(
         )
 
     renewals = _ChainRenewals(renewal_slots, lengths, order, new_bits, due, eff)
-    records = None
+    columns = None
     if record_slots:
         chain = np.zeros(n, dtype=np.int64)
         chain[renewal_slots] = lengths
         rewards = np.zeros(n)
         rewards[renewal_slots] = _chain_rewards(chain_bits, lengths)
-        records = _SlotTable(
+        columns = dict(
             slot=np.arange(n),
             instance=np.arange(n) % p,
             snr=snrs,
@@ -686,8 +631,8 @@ def _run_kernel(
         delay_hist=dict(zip(keys.tolist(), hist.tolist())),
         integrity_ok=integrity_ok,
         released_bits=_sequential_sum(new_bits[:gap]),
-        held_window_bits=sum(held.tolist()),
-        slot_records=records,
+        held_window_bits=_sequential_sum(held),
+        slot_columns=columns,
     )
 
 

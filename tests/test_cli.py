@@ -31,7 +31,6 @@ def read_csv(path):
 class TestExperimentConfig:
     def test_round_trip_is_lossless(self):
         cfg = ExperimentConfig(
-            command="simulate",
             mean_snr_db=12.5,
             rate=None,
             rate_factor=3.0,
@@ -69,7 +68,7 @@ class TestExperimentConfig:
 
     def test_flags_and_file_read_every_setting_alike(self):
         cfg = ExperimentConfig(
-            command="fig5", mean_snr_db=-3.5, rate=2.25, rate_factor=4.0,
+            mean_snr_db=-3.5, rate=2.25, rate_factor=4.0,
             slot_uses=50, feedback_bits=3.0, block_length=8, accounting="integer",
             scheme="quantized", seed=11, slots=2048, replications=3,
             include_warmup=True, output="o.json", csv_log="l.csv", out_format="json",
@@ -81,7 +80,7 @@ class TestExperimentConfig:
                    for f in dataclasses.fields(cfg))
         flags = {a.dest: a.option_strings[0] for a in cli.build_parser()._actions
                  if a.option_strings}
-        settings = {f.name for f in dataclasses.fields(cfg)} - {"command"}
+        settings = {f.name for f in dataclasses.fields(cfg)}
         assert set(flags) == settings | {"help", "config"}
         assert flags["out_format"] == "--format"
         argv = ["fig5"]
@@ -90,6 +89,16 @@ class TestExperimentConfig:
             argv += [flags[name]] if value is True else [f"{flags[name]}={value}"]
         from_flags = cli.load_config(cli.build_parser().parse_args(argv))
         assert from_flags == ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    def test_command_is_not_a_setting(self, tmp_path, capsys):
+        # the command is the positional argument only; a file that names
+        # one is refused, not silently overridden
+        assert "command" not in ExperimentConfig().to_text()
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text("mean_snr_db=3\ncommand=fig4\n")
+        assert main(["analytic", "--config", str(path), "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 2: unknown key 'command'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, choices", [
         ("out_format", "xml", "'csv', 'json'"),
@@ -138,8 +147,7 @@ class TestParser:
         assert [a.dest for a in positionals] == ["command"]
         assert list(positionals[0].choices) == ["analytic", "simulate", "fig4", "fig5"]
         options = [a.dest for a in actions if a.option_strings]
-        settings = [f.name for f in dataclasses.fields(ExperimentConfig)
-                    if f.name != "command"]
+        settings = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert sorted(options) == sorted(settings + ["config", "help"])
 
     def test_every_command_prints_the_one_help(self, monkeypatch, capsys):
@@ -174,10 +182,12 @@ class TestParser:
         flags = ["--seed", "7", "--snr-grid-db", "-5:0:5", "--include-warmup",
                  "--rate-factors=1,2"]
         parse = cli.build_parser().parse_args
-        before = cli.load_config(parse(cli._attach_negative_values([*flags, "fig4"])))
-        after = cli.load_config(parse(cli._attach_negative_values(["fig4", *flags])))
+        before_args = parse(cli._attach_negative_values([*flags, "fig4"]))
+        after_args = parse(cli._attach_negative_values(["fig4", *flags]))
+        assert before_args.command == after_args.command == "fig4"
+        before, after = cli.load_config(before_args), cli.load_config(after_args)
         assert before == after
-        assert (before.command, before.seed, before.snr_grid_db) == ("fig4", 7, "-5:0:5")
+        assert (before.seed, before.snr_grid_db) == (7, "-5:0:5")
         first, last = tmp_path / "first.csv", tmp_path / "last.csv"
         assert main([*flags, "fig4", "--output", str(first)]) == cli.EXIT_OK
         assert main(["fig4", *flags, "--output", str(last)]) == cli.EXIT_OK

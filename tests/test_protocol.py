@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -18,11 +17,12 @@ from brqsim.engine import RunConfig, run_replicated
 from brqsim.errors import BrqError, ChainBrokenError
 from brqsim.protocol import (
     ACK,
+    SLOT_FIELDS,
     BrqReceiver,
     BrqTransmitter,
     ReassemblyStream,
     SourceStream,
-    parity_bit_count,
+    parity_bits,
     reward_of_chain,
     run_full_csit,
     run_quantized,
@@ -50,24 +50,23 @@ def fresh_session(link):
 
 
 class TestParityBitCount:
+    """`parity_bits` of the capacity C of a report, fluid and integer."""
+
     def test_no_deficit(self):
-        assert parity_bit_count(2.0, 5.0, 100) == 0.0
+        assert parity_bits(make_link(), capacity(5.0)) == 0.0
 
     def test_half_deficit(self):
-        assert parity_bit_count(2.0, 1.0, 100) == pytest.approx(100.0)
+        assert parity_bits(make_link(), capacity(1.0)) == pytest.approx(100.0)
 
     def test_zero_side_information(self):
-        assert parity_bit_count(2.0, 0.0, 100) == pytest.approx(200.0)
+        assert parity_bits(make_link(), capacity(0.0)) == pytest.approx(200.0)
 
     def test_integer_mode_rounds_up(self):
         raw = 100 * (4.0 - capacity(7.5))
-        assert parity_bit_count(4.0, 7.5, 100, "integer") == math.ceil(raw)
+        link = make_link(rate=4.0, accounting="integer")
+        assert parity_bits(link, capacity(7.5)) == math.ceil(raw)
         # exact integers stay exact
-        assert parity_bit_count(2.0, 1.0, 100, "integer") == 100.0
-
-    def test_rejects_negative_snr(self):
-        with pytest.raises(ValueError):
-            parity_bit_count(2.0, -1.0, 100)
+        assert parity_bits(make_link(accounting="integer"), capacity(1.0)) == 100.0
 
 
 class TestTxStep:
@@ -138,17 +137,19 @@ def check_feedback_delay_law(log, snrs, processes, gamma_r, cell_width):
     """Slot t belongs to process t mod P and is sized from the report on
     slot t - P: an ack while t < P or when that slot decoded, else its SNR
     (exact for full CSIT, within one cell below it when quantized)."""
-    assert [rec.slot for rec in log.slot_records] == list(range(len(snrs)))
-    for rec in log.slot_records:
-        t = rec.slot
-        assert rec.instance == t % processes
+    columns = log.slot_columns
+    assert columns["slot"].tolist() == list(range(len(snrs)))
+    for t, instance, eff_snr in zip(
+        *(columns[name].tolist() for name in ("slot", "instance", "eff_snr"))
+    ):
+        assert instance == t % processes
         if t < processes or snrs[t - processes] >= gamma_r:
-            assert rec.eff_snr is None
+            assert math.isnan(eff_snr)  # an ack
         elif cell_width == 0.0:
-            assert rec.eff_snr == snrs[t - processes]
+            assert eff_snr == snrs[t - processes]
         else:
             reported = snrs[t - processes]
-            assert reported - cell_width < rec.eff_snr <= reported
+            assert reported - cell_width < eff_snr <= reported
 
 
 class TestFeedbackDelayLaw:
@@ -197,10 +198,19 @@ def assert_identical(a, b):
     assert repr(a) == repr(b)
 
 
+def assert_same_columns(a, b):
+    """Slot columns keyed by `SLOT_FIELDS`, equal in dtype and raw bytes
+    (so -0.0 differs from 0.0, and one NaN from another)."""
+    assert tuple(a) == tuple(b) == SLOT_FIELDS
+    for name in SLOT_FIELDS:
+        assert (name, a[name].dtype) == (name, b[name].dtype)
+        assert (name, a[name].tobytes()) == (name, b[name].tobytes())
+
+
 def same_outcome(kernel, oracle):
     """Run both session functions and check they agree exactly: every
     scalar of the log, `delay_hist` with its key order, every renewal and
-    every slot record, or the same error type and message.
+    every slot column, or the same error type and message.
 
     Returns both logs, or both errors as (type, message) pairs.
     """
@@ -223,9 +233,7 @@ def same_outcome(kernel, oracle):
         assert_identical(getattr(got, name), getattr(want, name))
     assert_identical(list(got.delay_hist.items()), list(want.delay_hist.items()))
     assert_identical(list(got.renewals), want.renewals)
-    assert_identical(list(got.slot_records), want.slot_records)
-    records = got.slot_records
-    assert_identical([records[i] for i in range(len(records))], want.slot_records)
+    assert_same_columns(got.slot_columns, want.slot_columns)
     return got, want
 
 
@@ -376,16 +384,16 @@ class TestKernelMatchesStateMachine:
 class TestSlotLogBytes:
     """The slot log written column by column from kernel logs has the bytes
     that csv.writer and the reference's cells give, cell by cell, on the
-    state machine's slot records."""
+    rows of the state machine's slot columns."""
 
     @staticmethod
-    def assert_same_bytes(logs, records, chunk=cli._SLOT_LOG_CHUNK):
+    def assert_same_bytes(logs, columns, chunk=cli._SLOT_LOG_CHUNK):
         """`_write_slot_log` of `logs`, `chunk` rows at a time, against the
-        reference `write_csv` of each replication's `records`."""
+        reference `write_csv` of the rows of each replication's `columns`."""
         rows = [
-            [rep, *dataclasses.astuple(record)]
-            for rep, rep_records in enumerate(records)
-            for record in rep_records
+            [rep, *row]
+            for rep, rep_columns in enumerate(columns)
+            for row in zip(*(rep_columns[name].tolist() for name in SLOT_FIELDS))
         ]
         with tempfile.TemporaryDirectory() as tmp:
             got_path, want_path = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
@@ -403,7 +411,7 @@ class TestSlotLogBytes:
             assume(not isinstance(got, tuple))  # both hit the same budget error
             kernel_logs.append(got)
             oracle_logs.append(want)
-        cls.assert_same_bytes(kernel_logs, [log.slot_records for log in oracle_logs], chunk)
+        cls.assert_same_bytes(kernel_logs, [log.slot_columns for log in oracle_logs], chunk)
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -454,7 +462,7 @@ class TestSlotLogBytes:
         run_replicated(RunConfig(seed=3, replications=3, horizon=9001), link,
                        Rayleigh(10.0), collect_logs=logs)
         assert cli._SLOT_LOG_CHUNK < 9001 < 3 * cli._SLOT_LOG_CHUNK
-        self.assert_same_bytes(logs, [log.slot_records for log in logs])
+        self.assert_same_bytes(logs, [log.slot_columns for log in logs])
 
 
 class TestDeliveryOrder:
@@ -488,7 +496,7 @@ class TestDeliveryOrder:
         got = [r.slot - delay for r in log.renewals for _, delay in r.bit_delays]
         assert got == want.tolist()
 
-        new_bits = log.slot_records.columns["new_bits"]
+        new_bits = log.slot_columns["new_bits"]
         hist: dict[int, float] = {}
         for t in want.tolist():
             if new_bits[t] > 0 and t >= warmup:
@@ -527,7 +535,12 @@ class TestDeliveredBitsIdentity:
     of its completed chains, with v(t) = R for a decodable slot and
     C(report_t) otherwise, plus a warm-up edge term: a chain that straddles
     the W warm-up slots delivers N (C(report_t) - R) more for its last
-    outage slot t < W, whose report sizes its first counted slot."""
+    outage slot t < W, whose report sizes its first counted slot.
+
+    Integer accounting: the same telescoping in whole bits, exactly.  With
+    B bits per slot, v(t) = B for a decodable slot and otherwise B less
+    the whole-bit parity sized from report_t, N (R - C(report_t)) rounded
+    up (but for 1e-9); the edge term is v(t) - B."""
 
     @staticmethod
     def check(link, snrs, processes=1, include_warmup=True):
@@ -551,6 +564,13 @@ class TestDeliveredBitsIdentity:
         # chain there
         counted = completes & (slots >= warmup)
         edge = completes & (slots < warmup) & ~decoded
+        if link.accounting == "integer":
+            bits = link.bits_per_slot
+            need = link.slot_uses * (link.rate - capacity(reports))
+            v = np.where(decoded, bits, bits - np.ceil(need - 1e-9))
+            want = math.fsum(v[counted].tolist()) + math.fsum((v[edge] - bits).tolist())
+            assert log.delivered_bits == want
+            return
         per_slot = np.where(decoded, link.rate, capacity(reports))
         want = link.slot_uses * (
             math.fsum(per_slot[counted].tolist())
@@ -573,6 +593,25 @@ class TestDeliveredBitsIdentity:
         # 10 dB, R = log2(1 + k * 10): mean chains of e^k slots
         link = make_link(rate=math.log2(1.0 + k * 10.0))
         self.check(link, Rayleigh(10.0).sample(np.random.default_rng(seed), 40_000))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(_TRACE_SNR, min_size=1, max_size=80))
+    def test_integer_random_traces(self, snrs):
+        self.check(make_link(rate=INT_RATE, accounting="integer"), np.array(snrs))
+
+    @staticmethod
+    def whole_bit_link(db, k, **kw):
+        """Integer accounting at R = log2(1 + k * mean SNR), rounded to
+        whole bits per slot."""
+        rate = round(100 * math.log2(1.0 + k * 10.0 ** (db / 10.0))) / 100
+        return make_link(rate=rate, accounting="integer", **kw)
+
+    @pytest.mark.parametrize("db, k", [(10.0, 2.0), (10.0, 5.0), (5.0, 1.0)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_integer_rayleigh_sessions(self, db, k, seed):
+        link = self.whole_bit_link(db, k)
+        model = Rayleigh(10.0 ** (db / 10.0))
+        self.check(link, model.sample(np.random.default_rng(seed), 40_000))
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -599,6 +638,18 @@ class TestDeliveredBitsIdentity:
         snrs = Rayleigh(mean_snr).sample(np.random.default_rng(3), 2 * length * 2000)
         self.check(link, snrs, 2 * length, include_warmup)
 
+    @pytest.mark.parametrize("db, k, fbits, length, include_warmup", [
+        (20.0, 1.0, 4.0, 16, False), (5.0, 3.0, 2.0, 64, False),
+        (10.0, 2.0, 2.0, 64, False), (10.0, 2.0, 2.0, 64, True),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_integer_quantized_rayleigh_sessions(self, db, k, fbits, length,
+                                                 include_warmup, seed):
+        link = self.whole_bit_link(db, k, feedback_bits=fbits, block_length=length)
+        model = Rayleigh(10.0 ** (db / 10.0))
+        snrs = model.sample(np.random.default_rng(seed), 2 * length * 2000)
+        self.check(link, snrs, 2 * length, include_warmup)
+
 
 class TestKernelEdgeCases:
     GOOD = 25.0  # above RATE's threshold gamma_R = 20
@@ -609,7 +660,7 @@ class TestKernelEdgeCases:
             assert log.renewal_count == (snr >= 20.0)
             reward = 100 * RATE if snr >= 20.0 else 0.0
             assert [r.reward_bits for r in log.renewals] == [reward] * log.renewal_count
-            assert log.slot_records[0].reward_bits == reward
+            assert log.slot_columns["reward_bits"].tolist() == [reward]
 
     def test_warmup_fills_whole_horizon(self):
         log, _ = kernel_and_oracle([self.GOOD, 3.0, 7.0, self.GOOD], 4.0, 2)
@@ -623,7 +674,7 @@ class TestKernelEdgeCases:
         log, _ = kernel_and_oracle(snrs, fbits, 2)
         assert log.renewal_count == 0
         assert list(log.renewals) == []
-        assert [r.reward_bits for r in log.slot_records] == [0.0] * len(snrs)
+        assert log.slot_columns["reward_bits"].tolist() == [0.0] * len(snrs)
         no_chains = protocol._chain_rewards(np.zeros(0), np.zeros(0, dtype=np.int64))
         assert no_chains.shape == (0,)
         assert log.delay_hist == {}
@@ -646,7 +697,7 @@ class TestKernelEdgeCases:
         want = [r.reward_bits for r in oracle.renewals]
         assert [r.chain_length for r in oracle.renewals] == [301, 401, 4]
         assert_identical([r.reward_bits for r in log.renewals], want)
-        new_bits = np.array([r.new_bits for r in oracle.slot_records])
+        new_bits = oracle.slot_columns["new_bits"]
         assert np.add.reduceat(new_bits, [0, 301, 702]).tolist() != want
         assert float(np.sum(new_bits[301:702])) != want[1]
 
@@ -658,6 +709,14 @@ class TestKernelEdgeCases:
         assert log.delay_hist == {0: 16 * 100 * RATE}
         assert log.undelivered_bits == 0.0
 
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    @pytest.mark.parametrize("fbits", [None, 4.0])
+    def test_nothing_held_is_the_float_zero(self, fbits, accounting):
+        # every delivered window is released in order, in one process and in
+        # four: both producers report the float 0.0, not the int 0
+        log, oracle = kernel_and_oracle([25.0, 25.0, 3.0, 3.0], fbits, 2, True, accounting)
+        assert repr(log.held_window_bits) == repr(oracle.held_window_bits) == "0.0"
+
     @pytest.mark.parametrize("below", [1, 100])
     def test_integer_parity_just_below_threshold_is_positive_zero(self, below):
         # an outage SNR within ulps of gamma_R leaves under 1e-9 bits to
@@ -666,14 +725,14 @@ class TestKernelEdgeCases:
         for _ in range(below):
             snr = math.nextafter(snr, 0.0)
         log, _ = kernel_and_oracle([snr, 3.0, 25.0], accounting="integer")
-        assert repr(log.slot_records[1].parity_bits) == "0.0"
-        assert log.slot_records[1].new_bits == 439.0
+        assert repr(log.slot_columns["parity_bits"].tolist()[1]) == "0.0"
+        assert log.slot_columns["new_bits"][1] == 439.0
 
     @pytest.mark.parametrize("fbits", [None, 4.0])
     def test_snr_at_threshold_decodes(self, fbits):
         gamma_r = 2.0**RATE - 1.0
         log, _ = kernel_and_oracle([3.0, gamma_r, gamma_r, 3.0], fbits, 2, True)
-        assert [r.decoded for r in log.slot_records] == [False, True, True, False]
+        assert log.slot_columns["decoded"].tolist() == [False, True, True, False]
 
     @pytest.mark.parametrize(
         "fbits, snrs, zero_slot",
@@ -683,9 +742,10 @@ class TestKernelEdgeCases:
         # SNR 0 reports cell 0, whose lower edge is 0: the next slot of its
         # process is all parity, and its zero new bits stay out of delay_hist
         log, _ = kernel_and_oracle(snrs, fbits, 2, include_warmup=True)
-        assert log.slot_records[zero_slot].eff_snr == 0.0
-        assert log.slot_records[zero_slot].new_bits == 0.0
-        assert log.slot_records[zero_slot].renewal
+        columns = log.slot_columns
+        assert columns["eff_snr"][zero_slot] == 0.0
+        assert columns["new_bits"][zero_slot] == 0.0
+        assert columns["renewal"][zero_slot]
         assert log.delay_hist == {zero_slot: 100 * RATE}
 
 
@@ -767,15 +827,15 @@ class TestRunFullCsit:
         log = run_full_csit(
             link, Rayleigh(10.0), 5000, np.random.default_rng(2), record_slots=True
         )
-        injected = sum(r.new_bits for r in log.slot_records)
-        delivered = sum(r.reward_bits for r in log.slot_records if r.renewal)
+        columns = log.slot_columns
+        renewal = columns["renewal"]
+        injected = sum(columns["new_bits"].tolist())
+        delivered = sum(columns["reward_bits"][renewal].tolist())
         assert injected == pytest.approx(log.injected_bits, abs=1e-6)
         assert delivered == pytest.approx(log.delivered_bits, abs=1e-6)
         assert log.undelivered_bits == pytest.approx(injected - delivered, abs=1e-6)
-        last_renewal = max(
-            (r.slot for r in log.slot_records if r.renewal), default=-1
-        )
-        tail = sum(r.new_bits for r in log.slot_records if r.slot > last_renewal)
+        last_renewal = max(columns["slot"][renewal].tolist(), default=-1)
+        tail = sum(columns["new_bits"][columns["slot"] > last_renewal].tolist())
         assert log.undelivered_bits == pytest.approx(tail, abs=1e-6)
         # single-process delivery is in payload order: nothing is ever held
         assert log.released_bits == pytest.approx(log.delivered_bits, abs=1e-6)
@@ -825,10 +885,10 @@ class TestRunFullCsit:
         log = run_full_csit(
             link, Rayleigh(10.0), 3000, np.random.default_rng(12), record_slots=True
         )
-        for rec in log.slot_records:
-            assert rec.parity_bits == int(rec.parity_bits)
-            assert rec.new_bits == int(rec.new_bits)
-            assert rec.parity_bits + rec.new_bits == 400
+        parity, new_bits = log.slot_columns["parity_bits"], log.slot_columns["new_bits"]
+        assert np.array_equal(parity, np.floor(parity))
+        assert np.array_equal(new_bits, np.floor(new_bits))
+        assert np.all(parity + new_bits == 400)
         assert log.integrity_ok
 
 
@@ -1033,9 +1093,8 @@ class TestRunQuantized:
             np.random.default_rng(0),
             record_slots=True,
         )
-        for rec in log.slot_records:
-            block, pos = divmod(rec.slot, 4)
-            assert rec.instance == (block % 2) * 4 + pos
+        block, pos = np.divmod(log.slot_columns["slot"], 4)
+        assert np.array_equal(log.slot_columns["instance"], (block % 2) * 4 + pos)
 
     def test_integer_mode_byte_exact_prefix(self):
         link = make_link(
