@@ -16,12 +16,19 @@ payloads.  The per-slot TX/RX state machines are the kernel's executable
 specification, held equal to it bit for bit by a differential test: both
 take C = log2(1 + snr) from `channel.capacity`, the kernel once per
 session over an array, the state machine once per slot.
+
+Every decodable slot renews its process's chain, so a session's renewals
+are two int64 arrays in `SessionLog`: the renewal slots and the chain
+lengths.  With P interleaved processes, a chain of length L renewed at
+slot r delivers the slots r - (L-1)P, ..., r - P, r; what each slot
+carried is in the slot log (`SessionLog.slot_columns`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,20 +75,6 @@ def parity_bits(link: LinkConfig, caps):
     return raw
 
 
-def reward_of_chain(rate: float, slot_uses: int, outage_snrs) -> float:
-    """New information bits credited at a renewal: N * (R + sum C(snr)).
-
-    `outage_snrs` are the effective SNRs of the chain's L-1 failed slots.
-    """
-    total = 0.0
-    for s in outage_snrs:
-        c = capacity(s)
-        if c >= rate:
-            raise ValueError(f"chain slot with C({s}) = {c} >= rate {rate}")
-        total += c
-    return slot_uses * (rate + total)
-
-
 @dataclass(slots=True)
 class Packet:
     """One slot's transmission at the bit-accounting level."""
@@ -93,17 +86,6 @@ class Packet:
     payload_offset: float
     payload: np.ndarray | None = None  # materialized bits (integer accounting)
     eff_snr: float | None = None  # feedback the parity was sized from
-
-
-@dataclass(slots=True)
-class RenewalRecord:
-    """Everything delivered by one successful backtrack chain."""
-
-    slot: int
-    chain_length: int
-    reward_bits: float
-    bit_delays: list[tuple[float, int]]  # (new bits, slots waited)
-    effective_snrs: list[float]  # lower bounds used for the L-1 outage slots
 
 
 class SourceStream:
@@ -201,13 +183,15 @@ class BrqReceiver:
         self.stream = stream
         self._buffer: list[tuple[int, float, Packet]] = []
 
-    def step(self, slot: int, snr: float, packet: Packet) -> RenewalRecord | None:
-        """Buffer an outage slot, or decode and backtrack on a renewal."""
+    def step(self, slot: int, snr: float, packet: Packet) -> list[Packet] | None:
+        """Buffer an outage slot (None), or decode and backtrack on a
+        renewal: the chain's packets in payload order, oldest first, each
+        pushed to the reassembly stream."""
         if snr < self.link.gamma_r:
             self._buffer.append((slot, snr, packet))
             return None
 
-        chain: list[tuple[int, Packet]] = [(slot, packet)]
+        chain = [packet]
         current = packet
         while current.bin_ref is not None:
             if not self._buffer:
@@ -227,7 +211,7 @@ class BrqReceiver:
                     f"slot {current.slot} carries {current.parity_bits} parity "
                     f"bits, slot {prev_slot} needs {required}"
                 )
-            chain.append((prev_slot, prev_pkt))
+            chain.append(prev_pkt)
             current = prev_pkt
         if self._buffer:
             raise ChainBrokenError(
@@ -235,61 +219,10 @@ class BrqReceiver:
                 f"{len(self._buffer)} slots remain buffered"
             )
 
-        chain.reverse()  # payload order: oldest first
-        reward = 0.0
-        delays: list[tuple[float, int]] = []
-        for s, pkt in chain:
-            reward += pkt.new_bits
-            delays.append((pkt.new_bits, slot - s))
+        chain.reverse()
+        for pkt in chain:
             self.stream.push(pkt.payload_offset, pkt.new_bits, pkt.payload)
-        eff = [pkt.eff_snr for _, pkt in chain[1:]]
-        return RenewalRecord(
-            slot=slot,
-            chain_length=len(chain),
-            reward_bits=reward,
-            bit_delays=delays,
-            effective_snrs=eff,
-        )
-
-
-class _ChainRenewals:
-    """Renewal records of an array-kernel session, built when iterated.
-
-    Holds one chain length per renewal slot, the delivery order (by
-    renewal slot, then by slot) and the per-slot new bits, delivery slots
-    and reports that the records are gathered from.
-    """
-
-    def __init__(self, slots, lengths, order, new_bits, due, reports):
-        self._slots = slots
-        self._lengths = lengths
-        self._order = order
-        self._new_bits = new_bits
-        self._due = due
-        self._reports = reports
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self):
-        order = self._order
-        chain_bits = self._new_bits[order]
-        new_bits = chain_bits.tolist()
-        delays = (self._due[order] - order).tolist()
-        reports = self._reports[order].tolist()
-        rewards = _chain_rewards(chain_bits, self._lengths).tolist()
-        end = 0
-        for slot, length, reward in zip(
-            self._slots.tolist(), self._lengths.tolist(), rewards
-        ):
-            start, end = end, end + length
-            yield RenewalRecord(
-                slot=slot,
-                chain_length=length,
-                reward_bits=reward,
-                bit_delays=list(zip(new_bits[start:end], delays[start:end])),
-                effective_snrs=reports[start + 1 : end],
-            )
+        return chain
 
 
 def _chain_rewards(new_bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -312,6 +245,13 @@ def _chain_rewards(new_bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return rewards
 
 
+class Renewal(NamedTuple):
+    """One renewal: its slot and the length of the chain it decoded."""
+
+    slot: int
+    chain_length: int
+
+
 @dataclass
 class SessionLog:
     """Outcome of one simulated session; slots before `warmup_slots` stay
@@ -320,7 +260,8 @@ class SessionLog:
     horizon: int
     slot_uses: int
     warmup_slots: int
-    renewals: list[RenewalRecord] | _ChainRenewals  # sized, iterable
+    renewal_slots: np.ndarray  # int64, one per renewal, in renewal order
+    chain_lengths: np.ndarray  # int64, the chain each renewal decoded
     injected_bits: float
     delivered_bits: float
     delay_hist: dict[int, float]  # delay in slots -> delivered new bits, kept sorted
@@ -341,7 +282,17 @@ class SessionLog:
 
     @property
     def renewal_count(self) -> int:
-        return len(self.renewals)
+        return len(self.chain_lengths)
+
+    @property
+    def renewals(self) -> list[Renewal]:
+        """The renewal table as `Renewal`s of plain ints.
+
+        It exists for the benchmark tracer: `_on_protocol_session` in
+        `bench/tracing.py` takes `len()` of it, reads `.chain_length` and
+        writes the sums with `json.dumps`, which a numpy integer would break.
+        """
+        return list(map(Renewal, self.renewal_slots.tolist(), self.chain_lengths.tolist()))
 
     @property
     def mean_delay(self) -> float:
@@ -349,28 +300,6 @@ class SessionLog:
         if total <= 0:
             return math.nan
         return sum(d * b for d, b in self.delay_hist.items()) / total
-
-
-class _Accounting:
-    """Shared per-session bookkeeping with optional warm-up exclusion."""
-
-    def __init__(self, warmup_slots: int):
-        self.warmup = warmup_slots
-        self.injected = 0.0
-        self.delivered = 0.0
-        self.delay_hist: dict[int, float] = {}
-        self.renewals: list[RenewalRecord] = []
-
-    def on_packet(self, slot: int, packet: Packet) -> None:
-        if slot >= self.warmup:
-            self.injected += packet.new_bits
-
-    def on_renewal(self, record: RenewalRecord) -> None:
-        self.renewals.append(record)
-        for bits, delay in record.bit_delays:
-            if bits > 0 and record.slot - delay >= self.warmup:
-                self.delivered += bits
-                self.delay_hist[delay] = self.delay_hist.get(delay, 0.0) + bits
 
 
 def _source_and_replay(
@@ -403,7 +332,10 @@ def _run_processes(
     source, stream = _source_and_replay(source_rng, link.accounting == "integer")
     txs = [BrqTransmitter(link, source) for _ in range(processes)]
     rxs = [BrqReceiver(link, stream) for _ in range(processes)]
-    acct = _Accounting(warmup)
+    injected = delivered = 0.0
+    delay_hist: dict[int, float] = {}
+    renewal_slots: list[int] = []
+    chain_lengths: list[int] = []
     rows: list[tuple] = []  # one per slot, in SLOT_FIELDS order
     gamma_r = link.gamma_r
 
@@ -411,16 +343,25 @@ def _run_processes(
         instance = t % processes
         report = feedback[t - processes] if t >= processes else ACK
         packet = txs[instance].step(t, report)
-        acct.on_packet(t, packet)
-        renewal = rxs[instance].step(t, snr, packet)
-        if renewal is not None:
-            acct.on_renewal(renewal)
+        if t >= warmup:
+            injected += packet.new_bits
+        chain = rxs[instance].step(t, snr, packet)
+        reward = 0.0
+        if chain is not None:
+            renewal_slots.append(t)
+            chain_lengths.append(len(chain))
+            for pkt in chain:
+                bits = pkt.new_bits
+                reward += bits
+                if bits > 0 and pkt.slot >= warmup:
+                    delay = t - pkt.slot
+                    delivered += bits
+                    delay_hist[delay] = delay_hist.get(delay, 0.0) + bits
         if record_slots:
             rows.append((
                 t, instance, snr, math.nan if packet.eff_snr is ACK else packet.eff_snr,
-                packet.parity_bits, packet.new_bits, snr >= gamma_r, renewal is not None,
-                renewal.chain_length if renewal else 0,
-                renewal.reward_bits if renewal else 0.0,
+                packet.parity_bits, packet.new_bits, snr >= gamma_r, chain is not None,
+                len(chain) if chain else 0, reward,
             ))
     columns = None
     if record_slots:
@@ -429,10 +370,11 @@ def _run_processes(
         horizon=len(snrs),
         slot_uses=link.slot_uses,
         warmup_slots=warmup,
-        renewals=acct.renewals,
-        injected_bits=acct.injected,
-        delivered_bits=acct.delivered,
-        delay_hist=acct.delay_hist,
+        renewal_slots=np.array(renewal_slots, dtype=np.int64),
+        chain_lengths=np.array(chain_lengths, dtype=np.int64),
+        injected_bits=injected,
+        delivered_bits=delivered,
+        delay_hist=delay_hist,
         integrity_ok=stream.ok,
         released_bits=stream.released_bits,
         held_window_bits=stream.pending_bits,
@@ -602,7 +544,6 @@ def _run_kernel(
             unresolved, sizes, replay_state,
         )
 
-    renewals = _ChainRenewals(renewal_slots, lengths, order, new_bits, due, eff)
     columns = None
     if record_slots:
         chain = np.zeros(n, dtype=np.int64)
@@ -625,7 +566,8 @@ def _run_kernel(
         horizon=n,
         slot_uses=link.slot_uses,
         warmup_slots=warmup,
-        renewals=renewals,
+        renewal_slots=renewal_slots,
+        chain_lengths=lengths,
         injected_bits=_sequential_sum(new_bits[warmup:]),
         delivered_bits=_sequential_sum(bits),
         delay_hist=dict(zip(keys.tolist(), hist.tolist())),

@@ -169,10 +169,9 @@ def encode_feedback_block(snrs, config: QuantizerConfig) -> FeedbackBlock:
     return FeedbackBlock(success_mask=mask, cell_indices=tuple(failed), bits="".join(parts))
 
 
-def decode_feedback_block(block, config: QuantizerConfig) -> tuple[float | None, ...]:
-    """Recover per-slot feedback from a block: None for an ack, else the
-    failed slot's cell lower edge cell * d."""
-    bits = block.bits if isinstance(block, FeedbackBlock) else block
+def decode_feedback_block(bits: str, config: QuantizerConfig) -> tuple[float | None, ...]:
+    """Recover per-slot feedback from a block's bit string: None for an
+    ack, else the failed slot's cell lower edge cell * d."""
     if not isinstance(bits, str) or any(c not in "01" for c in bits):
         raise FeedbackDecodeError("feedback bits must be a string of 0/1")
     n = config.block_length

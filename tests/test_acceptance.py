@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from chain_reference import reward_of_chain
 from scipy import stats
 
 from brqsim import analytics, engine
@@ -22,11 +23,7 @@ from brqsim.channel import (
     capacity,
 )
 from brqsim.cli import main as cli_main
-from brqsim.protocol import (
-    reward_of_chain,
-    run_full_csit,
-    run_quantized,
-)
+from brqsim.protocol import run_full_csit, run_quantized
 
 GAMMA = 10.0
 RATE_K2 = math.log2(1.0 + 2.0 * GAMMA)  # decode threshold 20, p_R = e^-2
@@ -62,14 +59,17 @@ def test_criterion_02_trace_coupled_equivalence():
     worst = 0.0
     for _ in range(100):
         snrs = tuple(rng.exponential(GAMMA, 10_000))
-        log = run_full_csit(link, EmpiricalTrace(snrs), 10_000, np.random.default_rng(0))
+        log = run_full_csit(
+            link, EmpiricalTrace(snrs), 10_000, np.random.default_rng(0), record_slots=True
+        )
         reference = np.cumsum(np.minimum(np.log2(1.0 + np.asarray(snrs)), RATE_K2))
+        rewards = log.slot_columns["reward_bits"].tolist()
         cumulative = 0.0
         assert log.renewal_count > 0
-        for record in log.renewals:
-            cumulative += record.reward_bits
-            delta = abs(cumulative - 100.0 * reference[record.slot])
-            per_slot = delta / (record.slot + 1)
+        for slot in log.renewal_slots.tolist():
+            cumulative += rewards[slot]
+            delta = abs(cumulative - 100.0 * reference[slot])
+            per_slot = delta / (slot + 1)
             worst = max(worst, per_slot)
             assert per_slot < 1e-6
     report(2, f"100 traces x 10^4 slots, worst drift {worst:.2e} bits/slot")
@@ -82,7 +82,9 @@ def test_criterion_03_lemma1_conservation_enumeration():
     checked = 0
     for pattern in itertools.product((False, True), repeat=10):
         snrs = tuple(good if ok else outage[i] for i, ok in enumerate(pattern))
-        log = run_full_csit(link, EmpiricalTrace(snrs), 10, np.random.default_rng(0))
+        log = run_full_csit(
+            link, EmpiricalTrace(snrs), 10, np.random.default_rng(0), record_slots=True
+        )
 
         # reference chain rewards straight from the reward formula
         expected = []
@@ -96,7 +98,7 @@ def test_criterion_03_lemma1_conservation_enumeration():
                 expected.append(reward_of_chain(RATE_K2, 100, chain_snrs))
                 chain_snrs = []
                 fresh = True
-        got = [r.reward_bits for r in log.renewals]
+        got = log.slot_columns["reward_bits"][log.renewal_slots].tolist()
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert abs(a - b) < 1e-9 * max(1.0, b)
@@ -117,7 +119,7 @@ def test_criterion_04_delay_law():
     # chi-square on the independent per-chain waiting times; per-slot and
     # per-bit delays are serially dependent inside a chain
     p_r = MODEL.decode_prob(link.gamma_r)
-    waits = np.array([r.chain_length - 1 for r in log.renewals])
+    waits = log.chain_lengths - 1
     kmax = 40
     observed = np.bincount(np.minimum(waits, kmax), minlength=kmax + 1).astype(float)
     pmf = np.array([(1.0 - p_r) ** j * p_r for j in range(kmax)])

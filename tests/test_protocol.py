@@ -8,6 +8,7 @@ from unittest import mock
 import csv_reference
 import numpy as np
 import pytest
+from chain_reference import reward_of_chain
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from brqsim.protocol import (
     ReassemblyStream,
     SourceStream,
     parity_bits,
-    reward_of_chain,
     run_full_csit,
     run_quantized,
 )
@@ -111,19 +111,6 @@ class TestTxStep:
             cursor += pkt.new_bits
 
 
-class TestRewardOfChain:
-    def test_empty_chain(self):
-        assert reward_of_chain(2.0, 100, []) == pytest.approx(200.0)
-
-    def test_two_outage_slots(self):
-        got = reward_of_chain(2.0, 100, [1.0, 0.5])
-        assert got == pytest.approx(100 * (2.0 + 1.0 + capacity(0.5)))
-
-    def test_rejects_decodable_snr(self):
-        with pytest.raises(ValueError):
-            reward_of_chain(2.0, 100, [3.0])
-
-
 # SNRs on both sides of the thresholds gamma_R of RATE and INT_RATE, plus
 # the quantizer's cell edges gamma_R * i / 64 (the threshold among them).
 _TRACE_SNR = st.one_of(
@@ -198,19 +185,24 @@ def assert_identical(a, b):
     assert repr(a) == repr(b)
 
 
+def assert_same_array(name, a, b):
+    """Arrays equal in dtype and raw bytes (so -0.0 differs from 0.0, and
+    one NaN from another); `name` labels a failure."""
+    assert (name, a.dtype) == (name, b.dtype)
+    assert (name, a.tobytes()) == (name, b.tobytes())
+
+
 def assert_same_columns(a, b):
-    """Slot columns keyed by `SLOT_FIELDS`, equal in dtype and raw bytes
-    (so -0.0 differs from 0.0, and one NaN from another)."""
+    """Slot columns keyed by `SLOT_FIELDS`, each the same array."""
     assert tuple(a) == tuple(b) == SLOT_FIELDS
     for name in SLOT_FIELDS:
-        assert (name, a[name].dtype) == (name, b[name].dtype)
-        assert (name, a[name].tobytes()) == (name, b[name].tobytes())
+        assert_same_array(name, a[name], b[name])
 
 
 def same_outcome(kernel, oracle):
     """Run both session functions and check they agree exactly: every
-    scalar of the log, `delay_hist` with its key order, every renewal and
-    every slot column, or the same error type and message.
+    scalar of the log, `delay_hist` with its key order, the renewal table
+    and every slot column, or the same error type and message.
 
     Returns both logs, or both errors as (type, message) pairs.
     """
@@ -232,7 +224,8 @@ def same_outcome(kernel, oracle):
     ):
         assert_identical(getattr(got, name), getattr(want, name))
     assert_identical(list(got.delay_hist.items()), list(want.delay_hist.items()))
-    assert_identical(list(got.renewals), want.renewals)
+    for name in ("renewal_slots", "chain_lengths"):
+        assert_same_array(name, getattr(got, name), getattr(want, name))
     assert_same_columns(got.slot_columns, want.slot_columns)
     return got, want
 
@@ -466,9 +459,10 @@ class TestSlotLogBytes:
 
 
 class TestDeliveryOrder:
-    """The kernel lays the chains out directly; the order it delivers in
-    is the slots sorted stably by delivery slot, and its delay histogram
-    is keyed in delay order."""
+    """The kernel's renewal table lays the chains out back to back: the
+    chain of length L renewed at slot r is the slots r - (L-1)P, ..., r,
+    and this order is the slots sorted stably by delivery slot.  Its delay
+    histogram is keyed in delay order."""
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -493,7 +487,11 @@ class TestDeliveryOrder:
                 due[t] = ahead[0]
         sent = np.flatnonzero(due < n)
         want = sent[np.argsort(due[sent], kind="stable")]
-        got = [r.slot - delay for r in log.renewals for _, delay in r.bit_delays]
+        got = [
+            slot - processes * back
+            for slot, length in zip(log.renewal_slots.tolist(), log.chain_lengths.tolist())
+            for back in range(length - 1, -1, -1)
+        ]
         assert got == want.tolist()
 
         new_bits = log.slot_columns["new_bits"]
@@ -658,8 +656,8 @@ class TestKernelEdgeCases:
         for snr in (self.GOOD, 3.0):
             log, _ = kernel_and_oracle([snr])
             assert log.renewal_count == (snr >= 20.0)
+            assert log.renewals == [protocol.Renewal(0, 1)] * log.renewal_count
             reward = 100 * RATE if snr >= 20.0 else 0.0
-            assert [r.reward_bits for r in log.renewals] == [reward] * log.renewal_count
             assert log.slot_columns["reward_bits"].tolist() == [reward]
 
     def test_warmup_fills_whole_horizon(self):
@@ -673,7 +671,9 @@ class TestKernelEdgeCases:
         snrs = [3.0, 0.5, 19.0, 7.0] * 4
         log, _ = kernel_and_oracle(snrs, fbits, 2)
         assert log.renewal_count == 0
-        assert list(log.renewals) == []
+        assert log.renewals == []
+        for table in (log.renewal_slots, log.chain_lengths):
+            assert table.shape == (0,) and table.dtype == np.int64
         assert log.slot_columns["reward_bits"].tolist() == [0.0] * len(snrs)
         no_chains = protocol._chain_rewards(np.zeros(0), np.zeros(0, dtype=np.int64))
         assert no_chains.shape == (0,)
@@ -694,9 +694,9 @@ class TestKernelEdgeCases:
         log, oracle = kernel_and_oracle(
             outages[:300] + good + outages[300:700] + good + outages[700:] + good
         )
-        want = [r.reward_bits for r in oracle.renewals]
-        assert [r.chain_length for r in oracle.renewals] == [301, 401, 4]
-        assert_identical([r.reward_bits for r in log.renewals], want)
+        want = oracle.slot_columns["reward_bits"][oracle.renewal_slots].tolist()
+        assert oracle.chain_lengths.tolist() == [301, 401, 4]
+        assert_identical(log.slot_columns["reward_bits"][log.renewal_slots].tolist(), want)
         new_bits = oracle.slot_columns["new_bits"]
         assert np.add.reduceat(new_bits, [0, 301, 702]).tolist() != want
         assert float(np.sum(new_bits[301:702])) != want[1]
@@ -705,7 +705,7 @@ class TestKernelEdgeCases:
     def test_all_decoding(self, fbits):
         log, _ = kernel_and_oracle([self.GOOD] * 16, fbits, 2, include_warmup=True)
         assert log.renewal_count == 16
-        assert all(r.chain_length == 1 for r in log.renewals)
+        assert log.chain_lengths.tolist() == [1] * 16
         assert log.delay_hist == {0: 16 * 100 * RATE}
         assert log.undelivered_bits == 0.0
 
@@ -754,11 +754,9 @@ class TestRxStep:
         link = make_link()
         tx, rx, _ = fresh_session(link)
         pkt = tx.step(0, ACK)
-        record = rx.step(0, 5.0, pkt)
-        assert record is not None
-        assert record.chain_length == 1
-        assert record.reward_bits == pytest.approx(200.0)
-        assert record.bit_delays == [(pytest.approx(200.0), 0)]
+        chain = rx.step(0, 5.0, pkt)
+        assert chain == [pkt]  # delivered in its own slot, delay 0
+        assert pkt.new_bits == pytest.approx(200.0)
 
     def test_worked_three_slot_chain(self):
         # two outage slots resolved by a third decodable one
@@ -766,25 +764,25 @@ class TestRxStep:
         tx, rx, stream = fresh_session(link)
         snrs = [3.0, 7.0, 25.0]
         feedback = ACK
-        record = None
+        chain = None
         for t, snr in enumerate(snrs):
             pkt = tx.step(t, feedback)
-            record = rx.step(t, snr, pkt)
+            chain = rx.step(t, snr, pkt)
             feedback = ACK if snr >= link.gamma_r else snr
-        assert record is not None
-        assert record.chain_length == 3
+        assert chain is not None
+        assert [p.slot for p in chain] == [0, 1, 2]  # payload order
+        assert [p.eff_snr for p in chain] == [ACK, 3.0, 7.0]
+        reward = sum(p.new_bits for p in chain)
         expected = 100 * (RATE + capacity(3.0) + capacity(7.0))
-        assert record.reward_bits == pytest.approx(expected, abs=1e-9)
-        assert record.reward_bits == pytest.approx(
-            reward_of_chain(RATE, 100, [3.0, 7.0]), abs=1e-9
-        )
+        assert reward == pytest.approx(expected, abs=1e-9)
+        assert reward == pytest.approx(reward_of_chain(RATE, 100, [3.0, 7.0]), abs=1e-9)
         # delivered rate over the three slots matches the closed form
-        rate = record.reward_bits / (100 * 3)
+        rate = reward / (100 * 3)
         assert rate == pytest.approx(
             analytics.three_slot_backtrack_rate(RATE, 3.0, 7.0), abs=1e-12
         )
         # everything released in order
-        assert stream.released_bits == pytest.approx(record.reward_bits)
+        assert stream.released_bits == pytest.approx(reward)
         assert stream.ok
 
     def test_chain_broken_on_unsafe_feedback(self):
@@ -842,13 +840,20 @@ class TestRunFullCsit:
         assert log.held_window_bits == 0.0
 
     def test_lemma_reward_equality(self):
+        # a chain of L slots ending at slot r is sized from the reports of
+        # its L - 1 outage slots, read in slots r - L + 2, ..., r
         link = make_link(rate=RATE)
-        log = run_full_csit(link, Rayleigh(10.0), 20_000, np.random.default_rng(4))
+        log = run_full_csit(
+            link, Rayleigh(10.0), 20_000, np.random.default_rng(4), record_slots=True
+        )
         assert log.renewal_count > 100
-        for record in log.renewals:
-            recomputed = reward_of_chain(link.rate, link.slot_uses, record.effective_snrs)
-            assert record.reward_bits == pytest.approx(recomputed, abs=1e-6)
-            assert len(record.effective_snrs) == record.chain_length - 1
+        eff_snr = log.slot_columns["eff_snr"].tolist()
+        rewards = log.slot_columns["reward_bits"].tolist()
+        for slot, length in log.renewals:
+            reports = eff_snr[slot - length + 2 : slot + 1]
+            assert len(reports) == length - 1
+            recomputed = reward_of_chain(link.rate, link.slot_uses, reports)
+            assert rewards[slot] == pytest.approx(recomputed, abs=1e-6)
 
     def test_mean_delay_near_geometric(self):
         link = make_link(rate=RATE)
@@ -860,17 +865,20 @@ class TestRunFullCsit:
         rng = np.random.default_rng(8)
         snrs = tuple(rng.exponential(10.0, 3000))
         link = make_link(rate=RATE)
-        log = run_full_csit(link, EmpiricalTrace(snrs), 3000, np.random.default_rng(0))
+        log = run_full_csit(
+            link, EmpiricalTrace(snrs), 3000, np.random.default_rng(0), record_slots=True
+        )
         caps = [min(capacity(s), link.rate) for s in snrs]
+        rewards = log.slot_columns["reward_bits"].tolist()
         cum = 0.0
         running = 0.0
         idx = 0
-        for record in log.renewals:
-            cum += record.reward_bits
-            while idx <= record.slot:
+        for slot in log.renewal_slots.tolist():
+            cum += rewards[slot]
+            while idx <= slot:
                 running += link.slot_uses * caps[idx]
                 idx += 1
-            assert abs(cum - running) < 1e-6 * (record.slot + 1)
+            assert abs(cum - running) < 1e-6 * (slot + 1)
 
     def test_same_seed_reproduces(self):
         link = make_link(rate=RATE)
@@ -920,13 +928,13 @@ class TestPatternEnumeration:
         for pattern in itertools.product((False, True), repeat=6):
             snrs = tuple(good if ok else outage[i] for i, ok in enumerate(pattern))
             log = run_full_csit(
-                link, EmpiricalTrace(snrs), 6, np.random.default_rng(0)
+                link, EmpiricalTrace(snrs), 6, np.random.default_rng(0), record_slots=True
             )
             # on success slots the trace uses `good`, so the accounting
             # reference uses min(C, R) = R there and C(outage) elsewhere
             ref_caps = [link.rate if ok else caps[i] for i, ok in enumerate(pattern)]
             rewards, pending = enumerate_chains(pattern, ref_caps, link.rate, 100)
-            got = [r.reward_bits for r in log.renewals]
+            got = log.slot_columns["reward_bits"][log.renewal_slots].tolist()
             assert len(got) == len(rewards)
             for a, b in zip(got, rewards):
                 assert a == pytest.approx(b, abs=1e-9)
@@ -1100,13 +1108,15 @@ class TestRunQuantized:
         link = make_link(
             rate=4.0, feedback_bits=2.0, block_length=16, accounting="integer"
         )
-        log = run_quantized(link, Rayleigh(10.0), 32 * 200, np.random.default_rng(13))
+        log = run_quantized(
+            link, Rayleigh(10.0), 32 * 200, np.random.default_rng(13), record_slots=True
+        )
         assert log.integrity_ok
         assert log.delivered_bits > 0
         assert log.released_bits > 0
         # every decoded window is either released in order or held behind
         # a gap; together they account for all chain rewards exactly
-        pushed = sum(r.reward_bits for r in log.renewals)
+        pushed = sum(log.slot_columns["reward_bits"].tolist())
         assert log.released_bits + log.held_window_bits == pytest.approx(
             pushed, abs=1e-6
         )

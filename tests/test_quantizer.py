@@ -36,7 +36,7 @@ def config(feedback_bits=2.0, block_length=4, gamma_r=3.0, cell_count=2):
 
 def reports(snrs, cfg):
     """What the transmitter sees for a block: its bits encoded and decoded."""
-    return decode_feedback_block(encode_feedback_block(snrs, cfg), cfg)
+    return decode_feedback_block(encode_feedback_block(snrs, cfg).bits, cfg)
 
 
 class TestEffectiveSnr:
@@ -177,7 +177,7 @@ class TestEncodeDecode:
         assert block.cell_indices == ()
         # count field only: C(4,4) = 1 -> no pattern bits, no cells
         assert len(block.bits) == 3
-        assert decode_feedback_block(block, cfg) == (None, None, None, None)
+        assert decode_feedback_block(block.bits, cfg) == (None, None, None, None)
 
     def test_hand_enumerated_budget_overflow(self):
         # L=4, F=2, K=3: mask (1,0,0,0) costs ceil(log2 5) + ceil(log2 4)
@@ -196,7 +196,7 @@ class TestEncodeDecode:
         assert block.success_mask == (True, False, False, False)
         assert block.cell_indices == (0, 1, 0)
         # each failed slot reads back as its cell's lower edge
-        assert decode_feedback_block(block, cfg) == (None, 0.0, 1.5, 0.0)
+        assert decode_feedback_block(block.bits, cfg) == (None, 0.0, 1.5, 0.0)
 
     def test_roundtrip_random_blocks(self):
         rng = np.random.default_rng(11)

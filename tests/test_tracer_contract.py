@@ -7,6 +7,7 @@ file here and used as it is.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -50,6 +51,9 @@ def test_traced_commands_count_and_uninstall_restores(tracing, tmp_path):
     finally:
         tracer.uninstall()
     counts = tracer.counts
+    json.dumps(counts)  # the benchmark writes the counts as JSON
+    for name in ("protocol.renewals", "protocol.chain_slots", "protocol.max_chain_length"):
+        assert type(counts[name]) is int, name
     assert counts["protocol.slots"] == 2000 + 2048
     assert counts["protocol.renewals"] > 0
     assert counts["engine.sweep_points"] == 3
