@@ -15,7 +15,7 @@ one fingerprint word per window (`verify_windows`) instead of per-bit
 payloads.  The per-slot TX/RX state machines are the kernel's executable
 specification, held equal to it bit for bit by a differential test: both
 take C = log2(1 + snr) from `channel.capacity`, the kernel once per
-session over an array, the state machine once per slot.
+chunk of slots over an array, the state machine once per slot.
 
 Every decodable slot renews its process's chain, so a session's renewals
 are two int64 arrays in `SessionLog`: the renewal slots and the chain
@@ -225,26 +225,6 @@ class BrqReceiver:
         return chain
 
 
-def _chain_rewards(new_bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each chain's new bits summed left to right, as the receiver adds them.
-
-    `new_bits` holds the chains back to back, `lengths` their lengths.  The
-    loop runs over chain position, across every chain still that long
-    (longest first), so the sums keep the receiver's order; np.sum and
-    np.add.reduceat add in another order and differ in the last bits.
-    """
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    longer = np.cumsum(np.bincount(lengths)[::-1])[::-1]  # chains >= each length
-    totals = np.zeros(len(lengths))
-    for position in range(int(lengths.max(initial=0))):
-        live = longer[position + 1]
-        totals[:live] += new_bits[starts[:live] + position]
-    rewards = np.empty_like(totals)
-    rewards[order] = totals
-    return rewards
-
-
 class Renewal(NamedTuple):
     """One renewal: its slot and the length of the chain it decoded."""
 
@@ -382,9 +362,34 @@ def _run_processes(
     )
 
 
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right sum, as the state machine adds (np.sum adds pairwise)."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """`total` plus `values` added left to right, as the state machine adds
+    (np.sum adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
+def _check_parity(link, snrs, reports, order, new_bits, due, processes) -> None:
+    """Raise ChainBrokenError as `BrqReceiver.step` does, at the first
+    renewal whose chain holds a slot with less parity than the true SNR of
+    its predecessor needs; within a chain the receiver walks newest first.
+
+    One chunk's deliveries: slots `order`, their new bits (whole bits, so
+    the parity is the bits per slot less them) and renewal slots `due`.
+    Only a report that differs from the SNR it stands for can fall short.
+    """
+    before = order - processes
+    prev, eff = snrs[before.clip(0)], reports[before.clip(0)]
+    suspect = np.flatnonzero((before >= 0) & (prev < link.gamma_r) & (eff != prev))
+    required = parity_needed(link, capacity(prev[suspect]))
+    parity = link.bits_per_slot - new_bits[suspect]
+    short = np.flatnonzero(parity + _PARITY_TOL < required)
+    if short.size:
+        i = short[due[suspect[short]] == due[suspect[short[0]]]][-1]
+        slot = int(order[suspect[i]])
+        raise ChainBrokenError(
+            f"slot {slot} carries {float(parity[i])} parity "
+            f"bits, slot {slot - processes} needs {float(required[i])}"
+        )
 
 
 def _codec_feedback(
@@ -400,37 +405,6 @@ def _codec_feedback(
         encoded = encode_feedback_block(snrs[start : start + length], quantizer)
         feedback += decode_feedback_block(encoded.bits, quantizer)
     return feedback
-
-
-def _check_parity(
-    link: LinkConfig,
-    snrs: np.ndarray,
-    eff: np.ndarray,
-    fed: np.ndarray,
-    parity: np.ndarray,
-    due: np.ndarray,
-    processes: int,
-) -> None:
-    """Raise ChainBrokenError as `BrqReceiver.step` does, at the first
-    renewal whose chain holds a slot with less parity than the true SNR of
-    its predecessor needs; within a chain the receiver walks newest first.
-
-    A report equal to the SNR it stands for sizes the parity from the very
-    capacity the check recomputes, so only differing reports are checked.
-    """
-    n, p = len(snrs), processes
-    prev = np.zeros(n)
-    prev[p:] = snrs[:-p]
-    suspect = np.flatnonzero(fed & (due < n) & (eff != prev))
-    required = parity_needed(link, capacity(prev[suspect]))
-    short = np.flatnonzero(parity[suspect] + _PARITY_TOL < required)
-    if short.size:
-        i = short[np.lexsort((-suspect[short], due[suspect[short]]))[0]]
-        slot = suspect[i]
-        raise ChainBrokenError(
-            f"slot {slot} carries {float(parity[slot])} parity "
-            f"bits, slot {slot - p} needs {float(required[i])}"
-        )
 
 
 def verify_windows(
@@ -470,6 +444,11 @@ def verify_windows(
     )
 
 
+# Slots per kernel chunk, rounded up to a multiple of P: 4096 ran slower,
+# 16384 no faster.
+_SESSION_CHUNK = 8192
+
+
 def _run_kernel(
     link: LinkConfig,
     snrs: np.ndarray,
@@ -482,99 +461,143 @@ def _run_kernel(
     """One session as array operations, equal to `_run_processes` bit for bit.
 
     Slot t is sized from reports[t - P] unless slot t - P decoded (or
-    t < P), with one `capacity` call over all the reports read.  Slot t is
-    delivered at the next decodable slot of its process t mod P.  Sums run
-    in the state machine's order, by delivery slot and then by slot.  In
-    integer accounting the parity is rounded up, the receiver's parity
+    t < P), and is delivered at the next decodable slot of its process
+    t mod P.  The horizon is walked in chunks of `_SESSION_CHUNK` slots that
+    carry over only the open chains and running totals, so the memory used
+    is bounded by the chunk and the open chains, not by the horizon.  Sums
+    run in the state machine's order, by delivery slot and then by slot.
+    In integer accounting the parity is rounded up, the receiver's parity
     check runs, and the payload source (`source_rng`, else seed 0) gives
-    each slot's window one fingerprint word, checked by `verify_windows`.
+    each slot's window one fingerprint word; `verify_windows` checks the
+    windows each chunk releases.
     """
     n, p = len(snrs), processes
-    integer = link.accounting == "integer"
-    decoded = snrs >= link.gamma_r
-    fed = np.zeros(n, dtype=bool)
-    fed[p:] = ~decoded[:-p]
-    eff = np.zeros(n)
-    eff[p:] = reports[:-p]
-    fed_slots = np.flatnonzero(fed)
-    parity = np.zeros(n)
-    parity[fed_slots] = parity_bits(link, capacity(reports[fed_slots - p]))
-    new_bits = link.bits_per_slot - parity
-
-    # Delivery slot: the next decodable slot of the same process, else n.
-    padded = np.full(-(-n // p) * p, n)
-    padded[:n][decoded] = np.flatnonzero(decoded)
-    due = np.minimum.accumulate(padded.reshape(-1, p)[::-1], axis=0)[::-1].ravel()[:n]
-
-    # Renewal slot r delivers the L slots r - (L-1)P, ..., r - P, r of its
-    # chain, so laying the chains back to back in renewal order gives the
-    # delivery order: entry i of a chain whose last entry is e is r - P(e - i).
-    renewal_slots = np.flatnonzero(decoded)
-    lengths = np.bincount(due, minlength=n + 1)[renewal_slots]
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    order = p * np.arange(total) + np.repeat(renewal_slots - p * (ends - 1), lengths)
-    chain_bits = new_bits[order]
-
-    live = chain_bits > 0
-    counted = order[live & (order >= warmup)]
-    bits, delays = new_bits[counted], due[counted] - counted
-    # every counted slot carries bits, so a delay is a key where it occurs
-    keys = np.flatnonzero(np.bincount(delays))
-    hist = np.bincount(delays, weights=bits)[keys]
-
-    # In-order release stops at the first undelivered window; later
-    # delivered windows are held, summed in push order.
-    stuck = np.flatnonzero((new_bits > 0) & (due == n))
-    gap = stuck[0] if stuck.size else n
-    held = chain_bits[live & (order > gap)]
-
-    integrity_ok = True  # fluid sessions carry no payload to verify
+    size = -(-_SESSION_CHUNK // p) * p
+    integer, gamma_r = link.accounting == "integer", link.gamma_r
+    starts = range(0, n, size)
+    count = sum(int(np.count_nonzero(snrs[a : a + size] >= gamma_r)) for a in starts)
+    renewal_slots = np.empty(count, dtype=np.int64)
+    chain_lengths, count = np.empty_like(renewal_slots), 0
+    # the P slots before the chunk; those before slot 0 count as decoded
+    last_decoded, last_reports = np.ones(p, dtype=bool), np.zeros(p)
+    # the open chains: undelivered slots ascending, their new bits, and the
+    # bits sent before each (the released prefix, should it be the gap)
+    open_slots, open_bits, open_prefix = np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+    held_slots, held_bits = open_slots, open_bits  # delivered past the first gap, in order
+    sent = injected = delivered = 0.0
+    hist = np.zeros(1)
+    integrity_ok = True
     if integer:
-        _check_parity(link, snrs, eff, fed, parity, due, p)
         rng = source_rng if source_rng is not None else np.random.default_rng(0)
-        replay_state = rng.bit_generator.state  # a copy
-        fingerprints = rng.bit_generator.random_raw(n)  # one word per slot
-        sizes = new_bits.astype(np.int64)
-        window_ends = np.cumsum(sizes)
-        offsets = window_ends - sizes
-        unresolved = offsets[gap] if stuck.size else window_ends[-1]
-        integrity_ok = verify_windows(
-            offsets[order], sizes[order], fingerprints[order],
-            unresolved, sizes, replay_state,
+        replay = type(rng.bit_generator)()
+        replay.state = rng.bit_generator.state  # at the first unreleased window
+        # sizes and fingerprints of the windows from the first unreleased one
+        tail, sizes, prints = 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+    if record_slots:
+        flags = np.empty(n, dtype=bool)
+        columns = dict(
+            slot=np.arange(n), instance=np.arange(n) % p, snr=snrs, eff_snr=np.empty(n),
+            parity_bits=np.empty(n), new_bits=np.empty(n), decoded=flags,
+            renewal=flags,  # every decodable slot renews its chain
+            chain_length=np.zeros(n, dtype=np.int64), reward_bits=np.zeros(n),
         )
 
-    columns = None
-    if record_slots:
-        chain = np.zeros(n, dtype=np.int64)
-        chain[renewal_slots] = lengths
-        rewards = np.zeros(n)
-        rewards[renewal_slots] = _chain_rewards(chain_bits, lengths)
-        columns = dict(
-            slot=np.arange(n),
-            instance=np.arange(n) % p,
-            snr=snrs,
-            eff_snr=np.where(fed, eff, np.nan),
-            parity_bits=parity,
-            new_bits=new_bits,
-            decoded=decoded,
-            renewal=decoded,  # every decodable slot renews its chain
-            chain_length=chain,
-            reward_bits=rewards,
-        )
+    for a in starts:
+        chunk = slice(a, a + size)
+        decoded = snrs[chunk] >= gamma_r
+        m = len(decoded)
+        fed = ~np.concatenate((last_decoded, decoded))[:m]
+        eff = np.concatenate((last_reports, reports[chunk]))[:m]
+        parity = np.where(fed, parity_bits(link, capacity(eff)), 0.0)
+        new_bits = link.bits_per_slot - parity
+
+        # Local delivery slot: the next decodable slot of the process, else
+        # m.  Process j's first renewal, at due[j], also delivers its open
+        # chain; renewal r of a chain of L slots delivers r - (L-1)P, ..., r.
+        rows = -(-m // p)
+        due = np.full(rows * p, m)
+        local = np.flatnonzero(decoded)
+        due[local] = local
+        due = np.minimum.accumulate(due.reshape(rows, p)[::-1], axis=0)[::-1].ravel()
+        renewed, process = due[:p] < m, open_slots % p
+        lengths = np.bincount(due[:m], minlength=m + 1)[local]
+        waiting = np.bincount(process, minlength=p)[renewed]
+        lengths[np.searchsorted(local, due[:p][renewed])] += waiting
+        renewals, ends = local + a, np.cumsum(lengths)
+        # chains laid back to back: entry i of the chain ending at e is r - P(e - i)
+        order = p * np.arange(ends[-1] if ends.size else 0)
+        order += np.repeat(renewals - p * (ends - 1), lengths)
+        # new bits by slot from the first open one; only open and chunk slots are read
+        first = int(open_slots[0]) if open_slots.size else a
+        by_slot = np.empty(a + m - first)
+        by_slot[open_slots - first], by_slot[a - first :] = open_bits, new_bits
+        chain_bits = by_slot[order - first]
+        delivery = np.repeat(renewals, lengths)
+        if integer:
+            _check_parity(link, snrs, reports, order, chain_bits, delivery, p)
+        renewal_slots[count : count + len(renewals)] = renewals
+        chain_lengths[count : count + len(renewals)] = lengths
+        count += len(renewals)
+
+        # a window without bits adds 0.0 to every sum and to no delay key
+        bits, delays = chain_bits, delivery - order
+        if warmup:
+            counted = order >= warmup
+            bits, delays = bits[counted], delays[counted]
+        delivered = _running_sum(delivered, bits)
+        if delays.size and delays.max() >= hist.size:
+            hist = np.concatenate((hist, np.zeros(delays.max() + 1)))
+        np.add.at(hist, delays, bits)  # in delivery order, as the receiver adds
+        prefix = np.cumsum(np.concatenate(([sent], new_bits)))
+        sent = float(prefix[-1])
+        # with no warm-up the injected bits are the sent bits, summed alike
+        injected = _running_sum(injected, new_bits[max(warmup - a, 0) :]) if warmup else sent
+        still, keep = np.flatnonzero(due[:m] == m), ~renewed[process]
+        open_slots = np.concatenate((open_slots[keep], still + a))
+        open_bits = np.concatenate((open_bits[keep], new_bits[still]))
+        open_prefix = np.concatenate((open_prefix[keep], prefix[still]))
+
+        # In-order release stops at the first open window, the gap: a chain
+        # opens with an acked slot, so every open chain's first window has bits.
+        gap = int(open_slots[0]) if open_slots.size else a + m
+        if integer:
+            sizes = np.concatenate((sizes, new_bits.astype(np.int64)))
+            prints = np.concatenate((prints, rng.bit_generator.random_raw(m)))
+            got = np.concatenate((held_slots, order)) - tail
+            offsets, released = np.cumsum(sizes) - sizes, sizes[: gap - tail]
+            integrity_ok &= verify_windows(
+                offsets[got], sizes[got], prints[got], int(released.sum()), released,
+                replay.state,
+            )
+            replay.random_raw(gap - tail)
+            tail, sizes, prints = gap, sizes[gap - tail :], prints[gap - tail :]
+        later, fresh = held_slots > gap, order > gap
+        held_slots = np.concatenate((held_slots[later], order[fresh]))
+        held_bits = np.concatenate((held_bits[later], chain_bits[fresh]))
+        last_decoded, last_reports = decoded[-p:], reports[chunk][-p:]
+
+        if record_slots:
+            columns["eff_snr"][chunk] = np.where(fed, eff, np.nan)
+            columns["parity_bits"][chunk] = parity
+            columns["new_bits"][chunk] = new_bits
+            flags[chunk] = decoded
+            columns["chain_length"][renewals] = lengths
+            np.add.at(columns["reward_bits"], delivery, chain_bits)  # left to right
+
+    keys = np.flatnonzero(hist)
     return SessionLog(
         horizon=n,
         slot_uses=link.slot_uses,
         warmup_slots=warmup,
         renewal_slots=renewal_slots,
-        chain_lengths=lengths,
-        injected_bits=_sequential_sum(new_bits[warmup:]),
-        delivered_bits=_sequential_sum(bits),
-        delay_hist=dict(zip(keys.tolist(), hist.tolist())),
+        chain_lengths=chain_lengths,
+        injected_bits=injected,
+        delivered_bits=delivered,
+        delay_hist=dict(zip(keys.tolist(), hist[keys].tolist())),
         integrity_ok=integrity_ok,
-        released_bits=_sequential_sum(new_bits[:gap]),
-        held_window_bits=_sequential_sum(held),
-        slot_columns=columns,
+        released_bits=float(open_prefix[0]) if open_prefix.size else sent,
+        held_window_bits=_running_sum(0.0, held_bits),
+        slot_columns=columns if record_slots else None,
     )
 
 

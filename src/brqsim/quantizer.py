@@ -50,10 +50,11 @@ def block_bits(block_length: int, cell_count: int) -> list[int]:
     + (L-k) * ceil(log2 K) bits.
     """
     count, cell = _bits_for(block_length + 1), _bits_for(cell_count)
-    return [
-        count + _bits_for(math.comb(block_length, k)) + (block_length - k) * cell
-        for k in range(block_length + 1)
-    ]
+    table, masks = [], 1  # C(L, k), by C(L, k+1) = C(L, k) * (L-k) / (k+1)
+    for k in range(block_length + 1):
+        table.append(count + _bits_for(masks) + (block_length - k) * cell)
+        masks = masks * (block_length - k) // (k + 1)
+    return table
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import csv_reference
@@ -273,6 +274,36 @@ def kernel_and_oracle(
 _ACCOUNTING = st.sampled_from(["fluid", "integer"])
 
 
+# (SNR, lift) per slot: a report lifted above the true SNR by up to 3
+_LIFTED_TRACE = st.lists(
+    st.tuples(_TRACE_SNR, st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+    min_size=4,
+    max_size=40,
+)
+
+
+def reports_above_the_snr(processes, slots):
+    """Integer accounting on reports raised above the true SNR by a lift:
+    the receiver's parity check fires at the first renewal whose chain
+    holds a short slot, in the kernel as in the state machine, with the
+    same message."""
+    snrs = np.array([snr for snr, _ in slots])
+    reports = snrs + np.array([lift for _, lift in slots])
+    link = make_link(rate=INT_RATE, accounting="integer")
+    feedback = [
+        ACK if snr >= link.gamma_r else report
+        for snr, report in zip(snrs.tolist(), reports.tolist())
+    ]
+    same_outcome(
+        lambda: protocol._run_kernel(
+            link, snrs, processes, reports, None, 0, True
+        ),
+        lambda: protocol._run_processes(
+            link, snrs.tolist(), processes, feedback, None, 0, True
+        ),
+    )
+
+
 class TestKernelMatchesStateMachine:
     """The array kernel equals the per-slot state machine bit for bit."""
 
@@ -328,33 +359,9 @@ class TestKernelMatchesStateMachine:
         kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
 
     @settings(deadline=None)
-    @given(
-        st.sampled_from([1, 2, 4]),
-        st.lists(
-            st.tuples(_TRACE_SNR, st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
-            min_size=4,
-            max_size=40,
-        ),
-    )
+    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE)
     def test_reports_above_the_snr(self, processes, slots):
-        # Integer accounting on reports raised above the true SNR by up to
-        # 3: the receiver's parity check fires at the first renewal whose
-        # chain holds a short slot, in the kernel as in the state machine.
-        snrs = np.array([snr for snr, _ in slots])
-        reports = snrs + np.array([lift for _, lift in slots])
-        link = make_link(rate=INT_RATE, accounting="integer")
-        feedback = [
-            ACK if snr >= link.gamma_r else report
-            for snr, report in zip(snrs.tolist(), reports.tolist())
-        ]
-        same_outcome(
-            lambda: protocol._run_kernel(
-                link, snrs, processes, reports, None, 0, True
-            ),
-            lambda: protocol._run_processes(
-                link, snrs.tolist(), processes, feedback, None, 0, True
-            ),
-        )
+        reports_above_the_snr(processes, slots)
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_report_above_the_snr_breaks_the_chain(self, processes):
@@ -675,8 +682,6 @@ class TestKernelEdgeCases:
         for table in (log.renewal_slots, log.chain_lengths):
             assert table.shape == (0,) and table.dtype == np.int64
         assert log.slot_columns["reward_bits"].tolist() == [0.0] * len(snrs)
-        no_chains = protocol._chain_rewards(np.zeros(0), np.zeros(0, dtype=np.int64))
-        assert no_chains.shape == (0,)
         assert log.delay_hist == {}
         assert log.delivered_bits == 0.0
         link = make_link(rate=RATE, feedback_bits=fbits, block_length=2)
@@ -747,6 +752,163 @@ class TestKernelEdgeCases:
         assert columns["new_bits"][zero_slot] == 0.0
         assert columns["renewal"][zero_slot]
         assert log.delay_hist == {zero_slot: 100 * RATE}
+
+
+def chunk_of(factor, processes):
+    """Patch the kernel's chunk to `factor` * P slots; None keeps the default."""
+    size = protocol._SESSION_CHUNK if factor is None else factor * processes
+    return mock.patch.object(protocol, "_SESSION_CHUNK", size)
+
+
+# chunks of P, 2P, 3P and 7P slots, and the default
+_FACTORS = [1, 2, 3, 7, None]
+_FACTOR = st.sampled_from(_FACTORS)
+
+
+class TestChunkInvariance:
+    """The kernel walks the horizon in chunks of `_SESSION_CHUNK` slots,
+    rounded up to a multiple of P, and carries only the open chains across
+    them: at every chunk size it equals the state machine, which has no
+    chunks, in every output and error message."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(_TRACE_SNR, min_size=1, max_size=80), _ACCOUNTING, _FACTOR)
+    def test_full_csit(self, snrs, accounting, factor):
+        with chunk_of(factor, 1):
+            kernel_and_oracle(snrs, accounting=accounting)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([1.5, 2.0, 4.0, 8.0]),
+        st.booleans(),
+        _ACCOUNTING,
+        _FACTOR,
+        st.data(),
+    )
+    def test_quantized(self, length, rounds, fbits, include_warmup, accounting, factor, data):
+        horizon = 2 * length * rounds
+        snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
+        with chunk_of(factor, 2 * length):
+            kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(None, 2), (2.0, 16), (4.0, 8)]),
+        st.booleans(),
+        _ACCOUNTING,
+        _FACTOR,
+    )
+    def test_rayleigh_traces(self, seed, scheme, include_warmup, accounting, factor):
+        fbits, length = scheme
+        snrs = np.random.default_rng(seed).exponential(10.0, 1024).tolist()
+        with chunk_of(factor, 1 if fbits is None else 2 * length):
+            kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE, _FACTOR)
+    def test_reports_above_the_snr(self, processes, slots, factor):
+        with chunk_of(factor, processes):
+            reports_above_the_snr(processes, slots)
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    @pytest.mark.parametrize("factor", _FACTORS)
+    def test_chains_spanning_many_chunks(self, factor, accounting):
+        # chains of 301, 401 and 4 slots: at a chunk of one slot the second
+        # is carried open across 400 chunk boundaries
+        outages = np.random.default_rng(0).uniform(0.0, 19.0, 703).tolist()
+        good = [25.0]
+        with chunk_of(factor, 1):
+            log, _ = kernel_and_oracle(
+                outages[:300] + good + outages[300:700] + good + outages[700:] + good,
+                accounting=accounting,
+            )
+        assert log.chain_lengths.tolist() == [301, 401, 4]
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 7])
+    def test_warmup_longer_than_a_chunk(self, factor, accounting):
+        # 4 processes and a 30-slot warm-up, against chunks of 4 to 28 slots
+        snrs = np.random.default_rng(3).exponential(15.0, 64)
+        link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
+                         accounting=accounting)
+        feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs.tolist()]
+        with chunk_of(factor, 4):
+            log, _ = same_outcome(
+                lambda: protocol._run_kernel(link, snrs, 4, snrs, None, 30, True),
+                lambda: protocol._run_processes(link, snrs.tolist(), 4, feedback, None, 30, True),
+            )
+        assert 0.0 < log.injected_bits < log.slot_columns["new_bits"].sum()
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    @pytest.mark.parametrize("fbits", [None, 4.0])
+    @pytest.mark.parametrize("factor", _FACTORS)
+    def test_all_outage(self, factor, fbits, accounting):
+        snrs = [3.0, 0.5, 19.0, 7.0] * 4
+        with chunk_of(factor, 1 if fbits is None else 4):
+            log, _ = kernel_and_oracle(snrs, fbits, 2, accounting=accounting)
+        assert log.renewal_count == 0
+        assert log.delivered_bits == log.released_bits == log.held_window_bits == 0.0
+
+    @pytest.mark.parametrize("factor", _FACTORS)
+    def test_integer_held_windows_released_across_chunks(self, factor):
+        # Two processes: process 0 sends a full window at slot 0 and stays in
+        # outage until slot 20, while process 1 decodes every slot.  Its
+        # windows 1, 3, ..., 19 are held behind window 0, across up to ten
+        # chunks, and released and checked when slot 20 renews process 0.
+        snrs = np.full(24, 25.0)
+        snrs[0:20:2] = 3.0
+        link = make_link(rate=INT_RATE, accounting="integer")
+        feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs.tolist()]
+
+        def session(horizon):
+            return same_outcome(
+                lambda: protocol._run_kernel(
+                    link, snrs[:horizon], 2, snrs[:horizon], None, 0, True
+                ),
+                lambda: protocol._run_processes(
+                    link, snrs[:horizon].tolist(), 2, feedback[:horizon], None, 0, True
+                ),
+            )[0]
+
+        with chunk_of(factor, 2):
+            held = session(20)
+            with mock.patch.object(
+                protocol, "verify_windows", wraps=protocol.verify_windows
+            ) as verify:
+                released = session(24)
+        assert (held.released_bits, held.held_window_bits) == (0.0, 10 * 439.0)
+        assert held.integrity_ok and released.integrity_ok
+        assert released.held_window_bits == 0.0
+        assert released.released_bits == released.injected_bits
+        # the calls replay each window once; one releases windows 0 to 20
+        replayed = [len(call.args[4]) for call in verify.call_args_list]
+        assert sum(replayed) == 24 and max(replayed) >= 21
+
+
+class TestKernelMemory:
+    @staticmethod
+    def peak(horizon, accounting):
+        """The tracemalloc peak, in bytes, of one full-CSIT kernel session
+        of `horizon` slots (mean SNR 10, gamma_R about 20), less the
+        renewal arrays it returns."""
+        link = make_link(rate=INT_RATE, accounting=accounting)
+        snrs = Rayleigh(10.0).sample(np.random.default_rng(1), horizon)
+        tracemalloc.start()
+        try:
+            log = protocol._run_kernel(link, snrs, 1, snrs, None, 0, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - log.renewal_slots.nbytes - log.chain_lengths.nbytes
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    def test_session_peak_does_not_grow_with_the_horizon(self, accounting):
+        small = self.peak(2**14, accounting)
+        large = self.peak(2**18, accounting)
+        assert large < 1.25 * small, (small, large)
 
 
 class TestRxStep:
@@ -1181,6 +1343,16 @@ class TestVerifyWindows:
         offsets, sizes, fingerprints, state = self.windows()
         sizes[self.DELIVERY.index(7)] -= 1
         assert not self.verify(offsets, sizes, fingerprints, state)
+
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
+    def test_fingerprints_drawn_in_pieces_equal_one_draw(self, bit_generator):
+        # the kernel draws each chunk's fingerprint words, and advances its
+        # replay past each chunk's released windows, with a call of its own
+        make = getattr(np.random, bit_generator)
+        cuts = [0, 0, 1, 3, 128, 4096, 4096, 8192, 10_000]
+        pieces = make(7)
+        got = [pieces.random_raw(end - start) for start, end in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(got), make(7).random_raw(10_000))
 
     def test_fails_on_a_flipped_fingerprint(self):
         offsets, sizes, fingerprints, state = self.windows()

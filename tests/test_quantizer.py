@@ -272,6 +272,27 @@ def worst_block_bits(block_length, cells):
     )
 
 
+class TestBlockBits:
+    """`block_bits` builds C(L, k) by the recurrence C(L, k+1) =
+    C(L, k) (L-k) / (k+1); its table equals the one from `math.comb`."""
+
+    @staticmethod
+    def from_comb(block_length, cells):
+        def width(count):
+            return (count - 1).bit_length()
+
+        return [
+            width(block_length + 1) + width(math.comb(block_length, k))
+            + (block_length - k) * width(cells)
+            for k in range(block_length + 1)
+        ]
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 2**52])
+    def test_equals_the_binomial_form(self, cells):
+        for block_length in [*range(1, 301), 1024]:
+            assert block_bits(block_length, cells) == self.from_comb(block_length, cells)
+
+
 def brute_force_best_cells(block_length, budget):
     """Largest power-of-two cell count whose worst block fits, or None."""
     best = None
