@@ -196,9 +196,18 @@ def _join_rows(rows) -> str:
 
 
 def _write_table(path: str | None, rows: list[dict]) -> None:
-    """Write dict rows, which share their keys, under the first row's keys."""
+    """Write dict rows, which share their keys, under the first row's keys.
+
+    The columns of one kind (all the float columns, say) share one
+    formatting pool.
+    """
     header = list(rows[0])
-    columns = [_format_columns(np.array([row[col] for row in rows]))[0] for col in header]
+    arrays = [np.array([row[col] for row in rows]) for col in header]
+    columns = [None] * len(arrays)
+    for kind in {a.dtype.kind for a in arrays}:
+        picked = [i for i, a in enumerate(arrays) if a.dtype.kind == kind]
+        for i, cells in zip(picked, _format_columns(*(arrays[i] for i in picked))):
+            columns[i] = cells
     _write_text(path, _join_rows([header, *zip(*columns)]))
 
 

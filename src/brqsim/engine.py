@@ -144,6 +144,25 @@ def quantized_rate(model: Rayleigh, rate: float, fbits: float) -> float:
         return math.nan
 
 
+def _rate_columns(models: list[Rayleigh], rates: list[float], feedback_bits) -> dict:
+    """Grid columns at one rate per point: the rate, its decoding
+    probability, the full-CSIT rate and one quantized rate per budget."""
+    gammas = [inv_capacity(rate) for rate in rates]
+    p = np.array([model.decode_prob(g) for model, g in zip(models, gammas)])
+    m = np.array([model.mean_snr for model in models])
+    args = (m, np.array(rates), np.array(gammas), p)
+    columns = {"rate_R": args[1], "p_R": p, "brq_full_rate": analytics.rayleigh_rate(*args)}
+    for fbits in feedback_bits:
+        columns[quant_rate_column(fbits)] = analytics.rayleigh_rate(*args, fbits)
+    return columns
+
+
+def _rows(columns: dict) -> list[dict]:
+    """One dict per grid point from equal-length columns."""
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 def sweep_mean_snr(
     mean_snr_db_grid, rate_factors=(2.0, 3.0), feedback_bits=(1.0,)
 ) -> list[dict]:
@@ -152,36 +171,22 @@ def sweep_mean_snr(
     Each row holds the water-filling and fixed-power prior-CSIT baselines
     plus, per rate factor k, the rate, decoding probability and full-CSIT
     rate, and one quantized rate per feedback budget.  `norm_*` columns
-    divide by the water-filling rate.
+    divide by the water-filling rate.  Each column is one kernel call.
     """
     if len(mean_snr_db_grid) == 0:
         raise ValueError("SNR grid must be nonempty")
-    rows = []
-    for db in mean_snr_db_grid:
-        mean_snr = db_to_linear(db)
-        model = Rayleigh(mean_snr)
-        wf = analytics.waterfilling_rate(model)
-        pf = analytics.avg_rate_prior_fixed_power(model)
-        row = {
-            "mean_snr_db": db,
-            "wf_rate": wf,
-            "prior_fixed_rate": pf,
-            "norm_prior_fixed": pf / wf,
-        }
-        for k in rate_factors:
-            kt = f"_k{k:g}"
-            rate = rate_for_factor(k, mean_snr)
-            full = analytics.avg_rate_full_csit(model, rate)
-            row["rate_R" + kt] = rate
-            row["p_R" + kt] = model.decode_prob(inv_capacity(rate))
-            row["brq_full_rate" + kt] = full
-            row["norm_brq_full" + kt] = full / wf
-            for fbits in feedback_bits:
-                quant = quantized_rate(model, rate, fbits)
-                row[quant_rate_column(fbits) + kt] = quant
-                row[f"norm_brq_quant_F{fbits:g}" + kt] = quant / wf
-        rows.append(row)
-    return rows
+    models = [Rayleigh(db_to_linear(db)) for db in mean_snr_db_grid]
+    m = np.array([model.mean_snr for model in models])
+    wf, pf = analytics.rayleigh_waterfilling_rate(m), analytics.rayleigh_prior_fixed_rate(m)
+    columns = {"mean_snr_db": list(mean_snr_db_grid), "wf_rate": wf,
+               "prior_fixed_rate": pf, "norm_prior_fixed": pf / wf}
+    for k in rate_factors:
+        rates = [rate_for_factor(k, model.mean_snr) for model in models]
+        for name, col in _rate_columns(models, rates, feedback_bits).items():
+            columns[f"{name}_k{k:g}"] = col
+            if name.startswith("brq_"):
+                columns[f"norm_{name.replace('_rate', '')}_k{k:g}"] = col / wf
+    return _rows(columns)
 
 
 def sweep_threshold_ratio(
@@ -191,21 +196,10 @@ def sweep_threshold_ratio(
 
     Each ratio x is the rate factor of R = log2(1 + x * mean_snr).
     Budgets that cannot cover the success mask give a NaN rate, not an
-    error.
+    error.  Each column is one kernel call.
     """
     if len(ratio_grid) == 0:
         raise ValueError("ratio grid must be nonempty")
-    model = Rayleigh(mean_snr)
-    rows = []
-    for x in ratio_grid:
-        rate = rate_for_factor(x, mean_snr)
-        row = {
-            "ratio": x,
-            "rate_R": rate,
-            "p_R": model.decode_prob(inv_capacity(rate)),
-            "brq_full_rate": analytics.avg_rate_full_csit(model, rate),
-        }
-        for fbits in feedback_bits:
-            row[quant_rate_column(fbits)] = quantized_rate(model, rate, fbits)
-        rows.append(row)
-    return rows
+    models = [Rayleigh(mean_snr)] * len(ratio_grid)
+    rates = [rate_for_factor(x, mean_snr) for x in ratio_grid]
+    return _rows({"ratio": list(ratio_grid), **_rate_columns(models, rates, feedback_bits)})

@@ -413,7 +413,7 @@ def verify_windows(
     fingerprints: np.ndarray,
     unresolved: int,
     sent_lengths: np.ndarray,
-    replay_state: dict,
+    sent_fingerprints: np.ndarray,
 ) -> bool:
     """Whether the payload windows released in order match a replay of the source.
 
@@ -422,15 +422,12 @@ def verify_windows(
     receiver still buffers (the end of the stream if none).  The released
     windows are the delivered ones below it, ordered by offset, skipping
     windows of length zero as `ReassemblyStream.push` does.  The replay
-    starts a generator from `replay_state`, draws one fingerprint per sent
-    window in sequence (and so offset) order, and places window i at the
-    sum of `sent_lengths` before it.  The released windows must be exactly
-    the replay's nonempty windows below `unresolved`, in offset, length and
+    gives sent window i, in sequence (and so offset) order, the
+    fingerprint `sent_fingerprints[i]` and places it at the sum of
+    `sent_lengths` before it.  The released windows must be exactly the
+    replay's nonempty windows below `unresolved`, in offset, length and
     fingerprint: a window lost, swapped, resized or corrupted fails.
     """
-    replay = getattr(np.random, replay_state["bit_generator"])()
-    replay.state = replay_state
-    want_fingerprints = replay.random_raw(len(sent_lengths))
     want_offsets = np.cumsum(sent_lengths) - sent_lengths
     want = (sent_lengths > 0) & (want_offsets < unresolved)
     got = np.flatnonzero((lengths > 0) & (offsets < unresolved))
@@ -440,7 +437,7 @@ def verify_windows(
         got.size == np.count_nonzero(want)
         and np.array_equal(offsets[got], want_offsets[want])
         and np.array_equal(lengths[got], sent_lengths[want])
-        and np.array_equal(fingerprints[got], want_fingerprints[want])
+        and np.array_equal(fingerprints[got], sent_fingerprints[want])
     )
 
 
@@ -567,9 +564,8 @@ def _run_kernel(
             offsets, released = np.cumsum(sizes) - sizes, sizes[: gap - tail]
             integrity_ok &= verify_windows(
                 offsets[got], sizes[got], prints[got], int(released.sum()), released,
-                replay.state,
+                replay.random_raw(gap - tail),
             )
-            replay.random_raw(gap - tail)
             tail, sizes, prints = gap, sizes[gap - tail :], prints[gap - tail :]
         later, fresh = held_slots > gap, order > gap
         held_slots = np.concatenate((held_slots[later], order[fresh]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from brqsim import analytics
 from brqsim.channel import Deterministic, EmpiricalTrace, Rayleigh
-from brqsim.errors import InfiniteDelayError, InsufficientFeedbackError
+from brqsim.errors import InfiniteDelayError, InsufficientFeedbackError, NumericError
 
 GAMMA = 10.0
 RATE = math.log2(21.0)  # decode threshold 20, p_R = e^-2
@@ -151,6 +151,39 @@ class TestWaterfilling:
             assert analytics.waterfilling_rate(m) >= analytics.avg_rate_prior_fixed_power(
                 m
             ) - 1e-9
+
+    @pytest.mark.parametrize("db", np.linspace(-30.0, 40.0, 29).tolist())
+    def test_rayleigh_matches_40_digit_root(self, db):
+        # geometric bisection to 150 halvings of [m / (100 (1 + m)), 1],
+        # which brackets the level at every mean SNR here
+        mean_snr = 10.0 ** (db / 10.0)
+        with mp.workdps(40):
+            m = mp.mpf(mean_snr)
+
+            def excess_power(level):
+                return mp.exp(-level / m) / level - mp.e1(level / m) / m - 1
+
+            lo, hi = m / (100 * (1 + m)), mp.mpf(1)
+            assert excess_power(lo) > 0 > excess_power(hi)
+            for _ in range(150):
+                mid = mp.sqrt(lo * hi)
+                lo, hi = (mid, hi) if excess_power(mid) > 0 else (lo, mid)
+            oracle = mp.e1(lo / m) / mp.log(2)
+            got = analytics.waterfilling_rate(Rayleigh(mean_snr))
+            assert abs(got - oracle) <= 1e-13 * oracle
+
+    def test_every_level_above_the_floor_is_solved(self):
+        # the Newton start is left of the root (power >= 1) from a level of
+        # about 1e-54 up to the largest float mean SNR, else the solve raises
+        m = np.geomspace(1e-55, 1.7e308, 100_001)
+        rates = analytics.rayleigh_waterfilling_rate(m)
+        assert np.all(np.isfinite(rates)) and np.all(np.diff(rates) > 0)
+
+    @pytest.mark.parametrize("model", [Rayleigh(1e-300), EmpiricalTrace((0.0, 0.0))])
+    def test_level_below_the_floor_raises(self, model):
+        # -3000 dB puts the level near 7e-298; a dead trace has no level
+        with pytest.raises(NumericError, match="water-level bracket: lower end"):
+            analytics.waterfilling_rate(model)
 
 
 def capacity_of(snr):

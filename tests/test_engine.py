@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brqsim import analytics, engine
 from brqsim.channel import Deterministic, LinkConfig, Rayleigh
@@ -164,3 +166,92 @@ class TestSweeps:
             engine.sweep_mean_snr([])
         with pytest.raises(ValueError):
             engine.sweep_threshold_ratio(10.0, [])
+
+
+def same_cell(got, want):
+    """Equal bit for bit (0.0 and -0.0 apart), or both NaN."""
+    return type(got) is float and (repr(got) == repr(want))
+
+
+def point_row_fig4(db, factors, budgets):
+    """A fig4 row from the per-point public functions."""
+    model = Rayleigh(10.0 ** (db / 10.0))
+    wf = analytics.waterfilling_rate(model)
+    pf = analytics.avg_rate_prior_fixed_power(model)
+    row = {"wf_rate": wf, "prior_fixed_rate": pf, "norm_prior_fixed": pf / wf}
+    for k in factors:
+        kt = f"_k{k:g}"
+        row.update(point_cells(model, engine.rate_for_factor(k, model.mean_snr), budgets, kt))
+        row["norm_brq_full" + kt] = row["brq_full_rate" + kt] / wf
+        for f in budgets:
+            row[f"norm_brq_quant_F{f:g}" + kt] = row[engine.quant_rate_column(f) + kt] / wf
+    return row
+
+
+def point_cells(model, rate, budgets, suffix=""):
+    cells = {
+        "rate_R": rate,
+        "p_R": model.decode_prob(2.0**rate - 1.0),
+        "brq_full_rate": analytics.avg_rate_full_csit(model, rate),
+    }
+    for f in budgets:
+        cells[engine.quant_rate_column(f)] = engine.quantized_rate(model, rate, f)
+    return {name + suffix: value for name, value in cells.items()}
+
+
+# Reaches the E1 series (1/m >= 700 below -28.5 dB), budgets at or under
+# the mask cost H(p_R), distortion past the threshold (d >= gamma_R at
+# k = 0.1, F = 0.5), ratio 0 and rate factor 0 with F = 0.
+BRANCH_GRID_DB = [-40.0, -29.0, -3.0, 10.0, 33.0]
+BRANCH_FACTORS = [0.0, 0.1, 2.0]
+BRANCH_BUDGETS = [0.0, 0.5, 1.0, math.inf]
+
+grids_db = st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=6)
+factor_lists = st.lists(st.floats(0.0, 40.0) | st.sampled_from([0.0, 0.1]), min_size=1,
+                        max_size=3)
+budget_lists = st.lists(st.floats(0.0, 16.0) | st.sampled_from([0.0, 0.5, 1.0, math.inf]),
+                        max_size=3)
+
+
+class TestSweepsMatchPointFunctions:
+    """Every sweep cell is the per-point public function's value, NaN cells included."""
+
+    @settings(deadline=None)
+    @example(grid=BRANCH_GRID_DB, factors=BRANCH_FACTORS, budgets=BRANCH_BUDGETS)
+    @given(grid=grids_db, factors=factor_lists, budgets=budget_lists)
+    def test_mean_snr_sweep(self, grid, factors, budgets):
+        rows = engine.sweep_mean_snr(grid, factors, budgets)
+        assert len(rows) == len(grid)
+        for db, row in zip(grid, rows):
+            want = point_row_fig4(db, factors, budgets)
+            assert row["mean_snr_db"] == db
+            assert set(row) == {"mean_snr_db", *want}
+            for name, value in want.items():
+                assert same_cell(row[name], value), (db, name, row[name], value)
+
+    @settings(deadline=None)
+    @example(mean_db=-40.0, ratios=[0.0, 0.1, 2.0], budgets=BRANCH_BUDGETS)
+    @example(mean_db=20.0, ratios=[0.0, 0.1, 2.0], budgets=BRANCH_BUDGETS)
+    @given(mean_db=st.floats(-45.0, 45.0), ratios=factor_lists, budgets=budget_lists)
+    def test_threshold_sweep(self, mean_db, ratios, budgets):
+        model = Rayleigh(10.0 ** (mean_db / 10.0))
+        rows = engine.sweep_threshold_ratio(model.mean_snr, ratios, budgets)
+        for x, row in zip(ratios, rows, strict=True):
+            want = point_cells(model, engine.rate_for_factor(x, model.mean_snr), budgets)
+            assert row["ratio"] == x
+            assert list(row)[1:] == list(want)
+            for name, value in want.items():
+                assert same_cell(row[name], value), (x, name, row[name], value)
+
+    def test_branch_grid_reaches_every_branch(self):
+        models = [Rayleigh(10.0 ** (db / 10.0)) for db in BRANCH_GRID_DB]
+        assert 1.0 / models[0].mean_snr >= analytics._SERIES_FROM
+        row = engine.sweep_mean_snr(BRANCH_GRID_DB[2:3], [0.1], [0.5])[0]
+        rate, p_r = row["rate_R_k0.1"], row["p_R_k0.1"]
+        assert analytics.distortion_bound(0.5, p_r, models[2].mean_snr) >= 2.0**rate - 1
+        assert row["brq_quant_rate_F0.5_k0.1"] == rate * p_r  # no outage term
+        rows = engine.sweep_mean_snr(BRANCH_GRID_DB, BRANCH_FACTORS, BRANCH_BUDGETS)
+        for row in rows:
+            assert math.isnan(row["brq_quant_rate_F0_k0"])  # H(1) = 0 = F
+            assert math.isnan(row["brq_quant_rate_F0_k2"])  # F = 0 < H(p_R)
+            assert row["brq_full_rate_k0"] == row["brq_quant_rate_F1_k0"] == 0.0

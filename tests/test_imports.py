@@ -97,5 +97,5 @@ def test_quadrature_is_looked_up_through_the_module_attribute(monkeypatch):
 
 def test_first_use_puts_the_module_itself_in_place():
     """After one E1 call, `special.exp1` is a plain module attribute lookup."""
-    analytics._e1(1.0)
+    analytics.avg_rate_prior_fixed_power(Rayleigh(1.0))
     assert analytics.special is importlib.import_module("scipy.special")

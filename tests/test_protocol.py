@@ -1291,18 +1291,18 @@ class TestVerifyWindows:
     DELIVERY = [2, 0, 7, 3, 1, 6, 5, 4]  # not offset order
 
     def windows(self):
+        """The delivered windows and, in sequence order, the sent fingerprints."""
         rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        fingerprints = rng.bit_generator.random_raw(len(self.SIZES))
+        sent = rng.bit_generator.random_raw(len(self.SIZES))
         offsets = np.cumsum(self.SIZES) - self.SIZES
         order = self.DELIVERY
-        return offsets[order], self.SIZES[order], fingerprints[order], state
+        return offsets[order], self.SIZES[order], sent[order], sent
 
-    def verify(self, offsets, sizes, fingerprints, state, unresolved=None):
+    def verify(self, offsets, sizes, fingerprints, sent, unresolved=None):
         if unresolved is None:
             unresolved = int(self.SIZES.sum())
         return protocol.verify_windows(
-            offsets, sizes, fingerprints, unresolved, self.SIZES, state
+            offsets, sizes, fingerprints, unresolved, self.SIZES, sent
         )
 
     def test_passes_in_any_delivery_order(self):
@@ -1311,38 +1311,38 @@ class TestVerifyWindows:
     def test_windows_past_the_first_unresolved_one_are_held(self):
         # window 5 (7 bits at offset 96) is still buffered: windows 6 and 7
         # are held, whatever they hold
-        offsets, sizes, fingerprints, state = self.windows()
+        offsets, sizes, fingerprints, sent = self.windows()
         keep = [self.DELIVERY.index(i) for i in (2, 0, 7, 3, 1, 6, 4)]
         fingerprints[self.DELIVERY.index(7)] ^= 1
         assert self.verify(
-            offsets[keep], sizes[keep], fingerprints[keep], state, unresolved=96
+            offsets[keep], sizes[keep], fingerprints[keep], sent, unresolved=96
         )
 
     def test_fails_on_a_dropped_window(self):
-        offsets, sizes, fingerprints, state = self.windows()
+        offsets, sizes, fingerprints, sent = self.windows()
         keep = [i for i in range(8) if self.DELIVERY[i] != 3]
-        assert not self.verify(offsets[keep], sizes[keep], fingerprints[keep], state)
+        assert not self.verify(offsets[keep], sizes[keep], fingerprints[keep], sent)
 
     def test_fails_on_a_window_delivered_twice(self):
-        offsets, sizes, fingerprints, state = self.windows()
+        offsets, sizes, fingerprints, sent = self.windows()
         again = self.DELIVERY.index(3)
         assert not self.verify(
             np.append(offsets, offsets[again]),
             np.append(sizes, sizes[again]),
             np.append(fingerprints, fingerprints[again]),
-            state,
+            sent,
         )
 
     def test_fails_on_two_windows_swapped(self):
-        offsets, sizes, fingerprints, state = self.windows()
+        offsets, sizes, fingerprints, sent = self.windows()
         a, b = self.DELIVERY.index(2), self.DELIVERY.index(3)
         fingerprints[[a, b]] = fingerprints[[b, a]]
-        assert not self.verify(offsets, sizes, fingerprints, state)
+        assert not self.verify(offsets, sizes, fingerprints, sent)
 
     def test_fails_on_a_window_one_bit_short(self):
-        offsets, sizes, fingerprints, state = self.windows()
+        offsets, sizes, fingerprints, sent = self.windows()
         sizes[self.DELIVERY.index(7)] -= 1
-        assert not self.verify(offsets, sizes, fingerprints, state)
+        assert not self.verify(offsets, sizes, fingerprints, sent)
 
     @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
     def test_fingerprints_drawn_in_pieces_equal_one_draw(self, bit_generator):
@@ -1355,6 +1355,6 @@ class TestVerifyWindows:
         assert np.array_equal(np.concatenate(got), make(7).random_raw(10_000))
 
     def test_fails_on_a_flipped_fingerprint(self):
-        offsets, sizes, fingerprints, state = self.windows()
+        offsets, sizes, fingerprints, sent = self.windows()
         fingerprints[self.DELIVERY.index(3)] ^= 1 << 40
-        assert not self.verify(offsets, sizes, fingerprints, state)
+        assert not self.verify(offsets, sizes, fingerprints, sent)
