@@ -15,6 +15,7 @@ integrity is "fail" (written, with nothing on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -381,6 +382,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     commands = "".join(f"\n  {name:<10}{text}" for name, (_, text) in _COMMANDS.items())
     parser = argparse.ArgumentParser(

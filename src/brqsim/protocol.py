@@ -10,12 +10,15 @@ Decodability is threshold-based (snr >= gamma_r): slots are long enough
 that coding succeeds whenever the rate is below capacity, and binning is
 represented by its bit budget.  A session is then a pure function of the
 SNR sequence, and one array kernel (`_run_kernel`) runs every session, in
-fluid and in integer accounting.  Integer sessions check their payload by
-one fingerprint word per window (`verify_windows`) instead of per-bit
-payloads.  The per-slot TX/RX state machines are the kernel's executable
-specification, held equal to it bit for bit by a differential test: both
-take C = log2(1 + snr) from `channel.capacity`, the kernel once per
-chunk of slots over an array, the state machine once per slot.
+fluid and in integer accounting.  The kernel walks the horizon in chunks
+and carries one span between them: every slot from the gap, the first slot
+not yet delivered, where in-order release stops, to the chunk.  Integer
+sessions check their payload by one fingerprint word per window
+(`verify_windows`) instead of per-bit payloads.  The per-slot TX/RX state
+machines are the kernel's executable specification, held equal to it bit
+for bit by a differential test: both take C = log2(1 + snr) from
+`channel.capacity`, the kernel once per chunk of slots over an array, the
+state machine once per slot.
 
 Every decodable slot renews its process's chain, so a session's renewals
 are two int64 arrays in `SessionLog`: the renewal slots and the chain
@@ -459,14 +462,17 @@ def _run_kernel(
 
     Slot t is sized from reports[t - P] unless slot t - P decoded (or
     t < P), and is delivered at the next decodable slot of its process
-    t mod P.  The horizon is walked in chunks of `_SESSION_CHUNK` slots that
-    carry over only the open chains and running totals, so the memory used
-    is bounded by the chunk and the open chains, not by the horizon.  Sums
-    run in the state machine's order, by delivery slot and then by slot.
-    In integer accounting the parity is rounded up, the receiver's parity
-    check runs, and the payload source (`source_rng`, else seed 0) gives
-    each slot's window one fingerprint word; `verify_windows` checks the
-    windows each chunk releases.
+    t mod P.  In-order release stops at the first undelivered slot, the
+    gap.  The horizon is walked in chunks of `_SESSION_CHUNK` slots that
+    carry over only the span (every slot from the gap to the chunk, with
+    its new bits and its delivery slot), each process's last renewal and
+    running totals, so the memory used is bounded by one chunk plus about
+    P times the longest open chain, not by the horizon.  Sums run in the
+    state machine's order, by delivery slot and then by slot.  In integer
+    accounting the parity is rounded up, the receiver's parity check runs,
+    and the payload source (`source_rng`, else seed 0) gives each slot's
+    window one fingerprint word; `verify_windows` checks the windows each
+    chunk releases.
     """
     n, p = len(snrs), processes
     size = -(-_SESSION_CHUNK // p) * p
@@ -475,21 +481,19 @@ def _run_kernel(
     count = sum(int(np.count_nonzero(snrs[a : a + size] >= gamma_r)) for a in starts)
     renewal_slots = np.empty(count, dtype=np.int64)
     chain_lengths, count = np.empty_like(renewal_slots), 0
-    # the P slots before the chunk; those before slot 0 count as decoded
-    last_decoded, last_reports = np.ones(p, dtype=bool), np.zeros(p)
-    # the open chains: undelivered slots ascending, their new bits, and the
-    # bits sent before each (the released prefix, should it be the gap)
-    open_slots, open_bits, open_prefix = np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
-    held_slots, held_bits = open_slots, open_bits  # delivered past the first gap, in order
-    sent = injected = delivered = 0.0
+    # each process's last renewal (slot j - P before slot 0 counts as one)
+    last_renewal = np.arange(p) - p
+    # the span's new bits and delivery slots (-1 while open), and the sum
+    # of the bits sent before it, in slot order
+    span_bits, span_delivery = np.zeros(0), np.zeros(0, dtype=np.int64)
+    released = injected = delivered = 0.0
     hist = np.zeros(1)
     integrity_ok = True
     if integer:
         rng = source_rng if source_rng is not None else np.random.default_rng(0)
         replay = type(rng.bit_generator)()
-        replay.state = rng.bit_generator.state  # at the first unreleased window
-        # sizes and fingerprints of the windows from the first unreleased one
-        tail, sizes, prints = 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+        replay.state = rng.bit_generator.state  # at the gap's window
+        span_prints = np.zeros(0, dtype=np.uint64)
     if record_slots:
         flags = np.empty(n, dtype=bool)
         columns = dict(
@@ -503,33 +507,29 @@ def _run_kernel(
         chunk = slice(a, a + size)
         decoded = snrs[chunk] >= gamma_r
         m = len(decoded)
-        fed = ~np.concatenate((last_decoded, decoded))[:m]
-        eff = np.concatenate((last_reports, reports[chunk]))[:m]
+        fed = ~np.concatenate((last_renewal == np.arange(a - p, a), decoded))[:m]
+        eff = np.concatenate((reports[a - p : a] if a else np.zeros(p), reports[chunk]))[:m]
         parity = np.where(fed, parity_bits(link, capacity(eff)), 0.0)
         new_bits = link.bits_per_slot - parity
 
-        # Local delivery slot: the next decodable slot of the process, else
-        # m.  Process j's first renewal, at due[j], also delivers its open
-        # chain; renewal r of a chain of L slots delivers r - (L-1)P, ..., r.
-        rows = -(-m // p)
-        due = np.full(rows * p, m)
-        local = np.flatnonzero(decoded)
-        due[local] = local
-        due = np.minimum.accumulate(due.reshape(rows, p)[::-1], axis=0)[::-1].ravel()
-        renewed, process = due[:p] < m, open_slots % p
-        lengths = np.bincount(due[:m], minlength=m + 1)[local]
-        waiting = np.bincount(process, minlength=p)[renewed]
-        lengths[np.searchsorted(local, due[:p][renewed])] += waiting
-        renewals, ends = local + a, np.cumsum(lengths)
+        # Renewal r of a chain of L slots delivers r - (L-1)P, ..., r, where
+        # r - LP is its process's renewal before it: the running maximum
+        # down each column of the chunk's (rows, P) grid of renewal slots.
+        rows, local = -(-m // p), np.flatnonzero(decoded)
+        renewals, grid = local + a, np.full((rows + 1) * p, -p)
+        grid[:p], grid[local + p] = last_renewal, renewals
+        grid = np.maximum.accumulate(grid.reshape(rows + 1, p), axis=0).ravel()
+        lengths, last_renewal = (renewals - grid[local]) // p, grid[-p:]
+        ends = np.cumsum(lengths)
         # chains laid back to back: entry i of the chain ending at e is r - P(e - i)
         order = p * np.arange(ends[-1] if ends.size else 0)
         order += np.repeat(renewals - p * (ends - 1), lengths)
-        # new bits by slot from the first open one; only open and chunk slots are read
-        first = int(open_slots[0]) if open_slots.size else a
-        by_slot = np.empty(a + m - first)
-        by_slot[open_slots - first], by_slot[a - first :] = open_bits, new_bits
-        chain_bits = by_slot[order - first]
         delivery = np.repeat(renewals, lengths)
+        gap = a - len(span_bits)
+        span_bits = np.concatenate((span_bits, new_bits))
+        span_delivery = np.concatenate((span_delivery, np.full(m, -1)))
+        span_delivery[order - gap] = delivery
+        chain_bits = span_bits[order - gap]
         if integer:
             _check_parity(link, snrs, reports, order, chain_bits, delivery, p)
         renewal_slots[count : count + len(renewals)] = renewals
@@ -545,32 +545,27 @@ def _run_kernel(
         if delays.size and delays.max() >= hist.size:
             hist = np.concatenate((hist, np.zeros(delays.max() + 1)))
         np.add.at(hist, delays, bits)  # in delivery order, as the receiver adds
-        prefix = np.cumsum(np.concatenate(([sent], new_bits)))
-        sent = float(prefix[-1])
-        # with no warm-up the injected bits are the sent bits, summed alike
-        injected = _running_sum(injected, new_bits[max(warmup - a, 0) :]) if warmup else sent
-        still, keep = np.flatnonzero(due[:m] == m), ~renewed[process]
-        open_slots = np.concatenate((open_slots[keep], still + a))
-        open_bits = np.concatenate((open_bits[keep], new_bits[still]))
-        open_prefix = np.concatenate((open_prefix[keep], prefix[still]))
 
-        # In-order release stops at the first open window, the gap: a chain
-        # opens with an acked slot, so every open chain's first window has bits.
-        gap = int(open_slots[0]) if open_slots.size else a + m
+        # The gap moves to the first slot still open: a chain opens with an
+        # acked slot, so its window has bits.  The slots before it are released.
+        still = np.flatnonzero(span_delivery < 0)
+        k = int(still[0]) if still.size else len(span_delivery)
         if integer:
-            sizes = np.concatenate((sizes, new_bits.astype(np.int64)))
-            prints = np.concatenate((prints, rng.bit_generator.random_raw(m)))
-            got = np.concatenate((held_slots, order)) - tail
-            offsets, released = np.cumsum(sizes) - sizes, sizes[: gap - tail]
+            span_prints = np.concatenate((span_prints, rng.bit_generator.random_raw(m)))
+            sizes = span_bits.astype(np.int64)
+            got, offsets = np.flatnonzero(span_delivery >= 0), np.cumsum(sizes) - sizes
             integrity_ok &= verify_windows(
-                offsets[got], sizes[got], prints[got], int(released.sum()), released,
-                replay.random_raw(gap - tail),
+                offsets[got], sizes[got], span_prints[got], int(sizes[:k].sum()), sizes[:k],
+                replay.random_raw(k),
             )
-            tail, sizes, prints = gap, sizes[gap - tail :], prints[gap - tail :]
-        later, fresh = held_slots > gap, order > gap
-        held_slots = np.concatenate((held_slots[later], order[fresh]))
-        held_bits = np.concatenate((held_bits[later], chain_bits[fresh]))
-        last_decoded, last_reports = decoded[-p:], reports[chunk][-p:]
+            span_prints = span_prints[k:]
+        released = _running_sum(released, span_bits[:k])
+        # with no warm-up the injected bits are all the bits sent, summed alike
+        injected = (
+            _running_sum(injected, new_bits[max(warmup - a, 0) :]) if warmup
+            else _running_sum(released, span_bits[k:])
+        )
+        span_bits, span_delivery = span_bits[k:], span_delivery[k:]
 
         if record_slots:
             columns["eff_snr"][chunk] = np.where(fed, eff, np.nan)
@@ -581,6 +576,9 @@ def _run_kernel(
             np.add.at(columns["reward_bits"], delivery, chain_bits)  # left to right
 
     keys = np.flatnonzero(hist)
+    # the receiver holds the span's delivered windows in delivery order
+    held = np.flatnonzero(span_delivery >= 0)
+    held = held[np.argsort(span_delivery[held], kind="stable")]
     return SessionLog(
         horizon=n,
         slot_uses=link.slot_uses,
@@ -591,8 +589,8 @@ def _run_kernel(
         delivered_bits=delivered,
         delay_hist=dict(zip(keys.tolist(), hist[keys].tolist())),
         integrity_ok=integrity_ok,
-        released_bits=float(open_prefix[0]) if open_prefix.size else sent,
-        held_window_bits=_running_sum(0.0, held_bits),
+        released_bits=released,
+        held_window_bits=_running_sum(0.0, span_bits[held]),
         slot_columns=columns if record_slots else None,
     )
 

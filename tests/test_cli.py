@@ -193,6 +193,22 @@ class TestParser:
         assert main(["fig4", *flags, "--output", str(last)]) == cli.EXIT_OK
         assert first.read_bytes() == last.read_bytes()
 
+    def test_built_once_and_each_call_sees_only_its_flags(self, monkeypatch, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        load = cli.load_config
+        monkeypatch.setattr(cli, "load_config", lambda args: seen.append(load(args)) or seen[-1])
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["analytic", "--mean-snr-db=3", "--rate-factor", "2", "--include-warmup",
+                     "--format", "json", "--output", str(first)]) == cli.EXIT_OK
+        assert main(["analytic", "--rate", "1.5", "--output", str(second)]) == cli.EXIT_OK
+        defaults = ExperimentConfig()
+        assert seen == [
+            dataclasses.replace(defaults, mean_snr_db=3.0, rate_factor=2.0,
+                                include_warmup=True, out_format="json", output=str(first)),
+            dataclasses.replace(defaults, rate=1.5, output=str(second)),
+        ]
+
 
 class TestRateFactor:
     """R = log2(1 + k * mean_snr) for every rate factor k >= 0."""

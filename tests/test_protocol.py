@@ -767,9 +767,10 @@ _FACTOR = st.sampled_from(_FACTORS)
 
 class TestChunkInvariance:
     """The kernel walks the horizon in chunks of `_SESSION_CHUNK` slots,
-    rounded up to a multiple of P, and carries only the open chains across
-    them: at every chunk size it equals the state machine, which has no
-    chunks, in every output and error message."""
+    rounded up to a multiple of P, and carries only the span across them,
+    every slot from the first undelivered one to the chunk: at every chunk
+    size it equals the state machine, which has no chunks, in every output
+    and error message."""
 
     @settings(deadline=None, max_examples=100)
     @given(st.lists(_TRACE_SNR, min_size=1, max_size=80), _ACCOUNTING, _FACTOR)
@@ -888,17 +889,65 @@ class TestChunkInvariance:
         assert sum(replayed) == 24 and max(replayed) >= 21
 
 
+class TestLedger:
+    """With no warm-up every sent bit is injected and lands in one place:
+    released in order, held behind the gap, or still in an open chain (the
+    slots after their process's last renewal).  So released + held =
+    delivered, and injected = delivered + undelivered, where undelivered
+    are the open chains' bits.  Exact in integer accounting; in fluid
+    accounting the sums run in different orders, so within the bound of
+    `TestDeliveredBitsIdentity`."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=5),
+           st.data())
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    @pytest.mark.parametrize("scheme", ["full", "pair", "quantized"])
+    @pytest.mark.parametrize("factor", _FACTORS)
+    def test_every_bit_lands_once(self, factor, scheme, accounting, length, rounds, data):
+        horizon, processes = 2 * length * rounds, {"full": 1, "pair": 2}.get(scheme, 2 * length)
+        snrs = np.array(data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon)))
+        link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
+                         accounting=accounting, block_length=length)
+        reports = snrs
+        if scheme == "quantized":
+            quantizer = planned_config(4.0, length, link.gamma_r)
+            reports = cells(snrs, quantizer) * quantizer.cell_width
+        with chunk_of(factor, processes):
+            log = protocol._run_kernel(link, snrs, processes, reports, None, 0, True)
+        slots, decoded = np.arange(horizon), log.slot_columns["decoded"]
+        last = np.full(processes, -1)
+        np.maximum.at(last, slots[decoded] % processes, slots[decoded])
+        still_open = slots > last[slots % processes]
+        open_bits = math.fsum(log.slot_columns["new_bits"][still_open].tolist())
+        pairs = [
+            (log.released_bits + log.held_window_bits, log.delivered_bits),
+            (log.undelivered_bits, open_bits),
+            (log.injected_bits, log.delivered_bits + log.undelivered_bits),
+        ]
+        if accounting == "integer":
+            assert all(got == want for got, want in pairs), pairs
+        else:
+            bound = 4 * horizon * np.spacing(horizon * link.slot_uses * link.rate)
+            assert all(abs(got - want) <= bound for got, want in pairs), pairs
+
+
 class TestKernelMemory:
     @staticmethod
-    def peak(horizon, accounting):
-        """The tracemalloc peak, in bytes, of one full-CSIT kernel session
-        of `horizon` slots (mean SNR 10, gamma_R about 20), less the
-        renewal arrays it returns."""
+    def peak(horizon, accounting, length=None):
+        """The tracemalloc peak, in bytes, of one kernel session of
+        `horizon` slots (mean SNR 10, gamma_R about 20), less the renewal
+        arrays it returns: full CSIT, or with `length` L the 2L processes
+        of a quantized session sized from the lower edges of F = 2 cells."""
         link = make_link(rate=INT_RATE, accounting=accounting)
         snrs = Rayleigh(10.0).sample(np.random.default_rng(1), horizon)
+        processes, reports = 1, snrs
+        if length is not None:
+            quantizer = planned_config(2.0, length, link.gamma_r)
+            processes, reports = 2 * length, cells(snrs, quantizer) * quantizer.cell_width
         tracemalloc.start()
         try:
-            log = protocol._run_kernel(link, snrs, 1, snrs, None, 0, False)
+            log = protocol._run_kernel(link, snrs, processes, reports, None, 0, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -908,6 +957,13 @@ class TestKernelMemory:
     def test_session_peak_does_not_grow_with_the_horizon(self, accounting):
         small = self.peak(2**14, accounting)
         large = self.peak(2**18, accounting)
+        assert large < 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    def test_quantized_session_peak_does_not_grow_with_the_horizon(self, accounting):
+        # P = 128: the span holds a chunk plus about P times the longest open chain
+        small = self.peak(2**16, accounting, 64)
+        large = self.peak(2**18, accounting, 64)
         assert large < 1.25 * small, (small, large)
 
 
