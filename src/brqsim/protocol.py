@@ -13,8 +13,8 @@ SNR sequence, and one array kernel (`_run_kernel`) runs every session, in
 fluid and in integer accounting.  The kernel walks the horizon in chunks
 and carries one span between them: every slot from the gap, the first slot
 not yet delivered, where in-order release stops, to the chunk.  Integer
-sessions check their payload by one fingerprint word per window
-(`verify_windows`) instead of per-bit payloads.  The per-slot TX/RX state
+sessions check one fingerprint word per released window, in slot order,
+against a replay, instead of per-bit payloads.  The per-slot TX/RX state
 machines are the kernel's executable specification, held equal to it bit
 for bit by a differential test: both take C = log2(1 + snr) from
 `channel.capacity`, the kernel once per chunk of slots over an array, the
@@ -371,20 +371,20 @@ def _running_sum(total: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([total], values)))[-1])
 
 
-def _check_parity(link, snrs, reports, order, new_bits, due, processes) -> None:
+def _check_parity(link, snrs, reports, order, due, processes) -> None:
     """Raise ChainBrokenError as `BrqReceiver.step` does, at the first
     renewal whose chain holds a slot with less parity than the true SNR of
     its predecessor needs; within a chain the receiver walks newest first.
 
-    One chunk's deliveries: slots `order`, their new bits (whole bits, so
-    the parity is the bits per slot less them) and renewal slots `due`.
-    Only a report that differs from the SNR it stands for can fall short.
+    One chunk's deliveries: slots `order` and their renewal slots `due`.
+    Only a report above the SNR it stands for can fall short: C is
+    monotone, and integer parity only rounds up.
     """
     before = order - processes
     prev, eff = snrs[before.clip(0)], reports[before.clip(0)]
-    suspect = np.flatnonzero((before >= 0) & (prev < link.gamma_r) & (eff != prev))
+    suspect = np.flatnonzero((before >= 0) & (prev < link.gamma_r) & (eff > prev))
     required = parity_needed(link, capacity(prev[suspect]))
-    parity = link.bits_per_slot - new_bits[suspect]
+    parity = parity_bits(link, capacity(eff[suspect]))
     short = np.flatnonzero(parity + _PARITY_TOL < required)
     if short.size:
         i = short[due[suspect[short]] == due[suspect[short[0]]]][-1]
@@ -408,40 +408,6 @@ def _codec_feedback(
         encoded = encode_feedback_block(snrs[start : start + length], quantizer)
         feedback += decode_feedback_block(encoded.bits, quantizer)
     return feedback
-
-
-def verify_windows(
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    fingerprints: np.ndarray,
-    unresolved: int,
-    sent_lengths: np.ndarray,
-    sent_fingerprints: np.ndarray,
-) -> bool:
-    """Whether the payload windows released in order match a replay of the source.
-
-    `offsets`, `lengths` and `fingerprints` describe the delivered windows,
-    in any order; `unresolved` is the offset of the first window the
-    receiver still buffers (the end of the stream if none).  The released
-    windows are the delivered ones below it, ordered by offset, skipping
-    windows of length zero as `ReassemblyStream.push` does.  The replay
-    gives sent window i, in sequence (and so offset) order, the
-    fingerprint `sent_fingerprints[i]` and places it at the sum of
-    `sent_lengths` before it.  The released windows must be exactly the
-    replay's nonempty windows below `unresolved`, in offset, length and
-    fingerprint: a window lost, swapped, resized or corrupted fails.
-    """
-    want_offsets = np.cumsum(sent_lengths) - sent_lengths
-    want = (sent_lengths > 0) & (want_offsets < unresolved)
-    got = np.flatnonzero((lengths > 0) & (offsets < unresolved))
-    # offsets repeat only for a window delivered twice, which the count fails
-    got = got[np.argsort(offsets[got])]
-    return (
-        got.size == np.count_nonzero(want)
-        and np.array_equal(offsets[got], want_offsets[want])
-        and np.array_equal(lengths[got], sent_lengths[want])
-        and np.array_equal(fingerprints[got], sent_fingerprints[want])
-    )
 
 
 # Slots per kernel chunk, rounded up to a multiple of P: 4096 ran slower,
@@ -468,17 +434,20 @@ def _run_kernel(
     its new bits and its delivery slot), each process's last renewal and
     running totals, so the memory used is bounded by one chunk plus about
     P times the longest open chain, not by the horizon.  Sums run in the
-    state machine's order, by delivery slot and then by slot.  In integer
-    accounting the parity is rounded up, the receiver's parity check runs,
-    and the payload source (`source_rng`, else seed 0) gives each slot's
-    window one fingerprint word; `verify_windows` checks the windows each
-    chunk releases.
+    state machine's order, by delivery slot and then by slot.  The
+    receiver's parity check runs only if some report is above its slot's
+    SNR, as no other report can size short parity.  In integer accounting
+    the parity is rounded up, and the payload source (`source_rng`, else
+    seed 0) gives each slot's window one fingerprint word; the words of the
+    slots each chunk releases, those before the new gap, must equal a
+    replay of the source.
     """
     n, p = len(snrs), processes
     size = -(-_SESSION_CHUNK // p) * p
     integer, gamma_r = link.accounting == "integer", link.gamma_r
     starts = range(0, n, size)
     count = sum(int(np.count_nonzero(snrs[a : a + size] >= gamma_r)) for a in starts)
+    overstated = any(np.any(reports[a : a + size] > snrs[a : a + size]) for a in starts)
     renewal_slots = np.empty(count, dtype=np.int64)
     chain_lengths, count = np.empty_like(renewal_slots), 0
     # each process's last renewal (slot j - P before slot 0 counts as one)
@@ -530,8 +499,8 @@ def _run_kernel(
         span_delivery = np.concatenate((span_delivery, np.full(m, -1)))
         span_delivery[order - gap] = delivery
         chain_bits = span_bits[order - gap]
-        if integer:
-            _check_parity(link, snrs, reports, order, chain_bits, delivery, p)
+        if overstated:
+            _check_parity(link, snrs, reports, order, delivery, p)
         renewal_slots[count : count + len(renewals)] = renewals
         chain_lengths[count : count + len(renewals)] = lengths
         count += len(renewals)
@@ -552,12 +521,7 @@ def _run_kernel(
         k = int(still[0]) if still.size else len(span_delivery)
         if integer:
             span_prints = np.concatenate((span_prints, rng.bit_generator.random_raw(m)))
-            sizes = span_bits.astype(np.int64)
-            got, offsets = np.flatnonzero(span_delivery >= 0), np.cumsum(sizes) - sizes
-            integrity_ok &= verify_windows(
-                offsets[got], sizes[got], span_prints[got], int(sizes[:k].sum()), sizes[:k],
-                replay.random_raw(k),
-            )
+            integrity_ok &= np.array_equal(span_prints[:k], replay.random_raw(k))
             span_prints = span_prints[k:]
         released = _running_sum(released, span_bits[:k])
         # with no warm-up the injected bits are all the bits sent, summed alike

@@ -164,7 +164,7 @@ def test_criterion_05_payload_integrity_quantized():
     report(
         5,
         f"{horizon} quantized slots, released windows match the payload replay "
-        f"in offset, length and fingerprint, "
+        f"fingerprint for fingerprint, in slot order, "
         f"{log.renewal_count} renewals, zero chain breaks",
     )
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from brqsim.channel import (
@@ -51,6 +53,20 @@ def test_capacity_monotone():
     grid = np.linspace(0.0, 100.0, 500)
     caps = [capacity(g) for g in grid]
     assert all(b >= a for a, b in zip(caps, caps[1:]))
+
+
+# The kernel's parity check passes over every report at or below its slot's
+# SNR: such a report sizes no less parity only if C never falls as the SNR
+# rises, which must hold between neighbouring doubles too.
+@given(st.floats(min_value=1e-300, max_value=1e300))
+def test_capacity_monotone_at_the_next_double(snr):
+    low, high = capacity(np.array([snr, np.nextafter(snr, math.inf)]))
+    assert high >= low
+
+
+def test_capacity_monotone_at_the_next_double_on_a_million_snrs():
+    snrs = 10.0 ** np.random.default_rng(0).uniform(-300.0, 300.0, 10**6)
+    assert np.all(capacity(np.nextafter(snrs, math.inf)) >= capacity(snrs))
 
 
 def test_capacity_is_a_float_per_scalar_and_elementwise_on_an_array():

@@ -282,14 +282,15 @@ _LIFTED_TRACE = st.lists(
 )
 
 
-def reports_above_the_snr(processes, slots):
-    """Integer accounting on reports raised above the true SNR by a lift:
-    the receiver's parity check fires at the first renewal whose chain
-    holds a short slot, in the kernel as in the state machine, with the
-    same message."""
+def reports_above_the_snr(processes, slots, accounting):
+    """Reports raised above the true SNR by a lift: the receiver's parity
+    check fires at the first renewal whose chain holds a short slot, in the
+    kernel as in the state machine, with the same message.  Integer
+    accounting runs at INT_RATE, fluid at RATE."""
     snrs = np.array([snr for snr, _ in slots])
     reports = snrs + np.array([lift for _, lift in slots])
-    link = make_link(rate=INT_RATE, accounting="integer")
+    link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
+                     accounting=accounting)
     feedback = [
         ACK if snr >= link.gamma_r else report
         for snr, report in zip(snrs.tolist(), reports.tolist())
@@ -359,9 +360,9 @@ class TestKernelMatchesStateMachine:
         kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
 
     @settings(deadline=None)
-    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE)
-    def test_reports_above_the_snr(self, processes, slots):
-        reports_above_the_snr(processes, slots)
+    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE, _ACCOUNTING)
+    def test_reports_above_the_snr(self, processes, slots, accounting):
+        reports_above_the_snr(processes, slots, accounting)
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_report_above_the_snr_breaks_the_chain(self, processes):
@@ -378,6 +379,25 @@ class TestKernelMatchesStateMachine:
         assert str(caught.value) == (
             f"slot {slot} carries {float(math.ceil(100 * (INT_RATE - capacity(6.0))))} "
             f"parity bits, slot {slot - processes} needs {required}"
+        )
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_fluid_report_above_the_snr_breaks_the_chain(self, processes):
+        # the fluid parity the transmitter sent, to the bit, in the message
+        link = make_link(rate=RATE)
+        snrs = np.array([3.0] * processes + [25.0] * processes)
+        reports = snrs.copy()
+        reports[processes - 1] = 6.0
+        feedback = [ACK if snr >= link.gamma_r else report
+                    for snr, report in zip(snrs.tolist(), reports.tolist())]
+        with pytest.raises(ChainBrokenError) as caught:
+            protocol._run_kernel(link, snrs, processes, reports, None, 0, False)
+        with pytest.raises(ChainBrokenError) as want:
+            protocol._run_processes(link, snrs.tolist(), processes, feedback, None, 0, False)
+        slot = 2 * processes - 1
+        assert str(caught.value) == str(want.value) == (
+            f"slot {slot} carries {100 * (RATE - capacity(6.0))} "
+            f"parity bits, slot {slot - processes} needs {100 * (RATE - capacity(3.0))}"
         )
 
 
@@ -760,6 +780,32 @@ def chunk_of(factor, processes):
     return mock.patch.object(protocol, "_SESSION_CHUNK", size)
 
 
+def tampered_source(seed, tamper=None):
+    """A payload source whose PCG64 words at the indices of `tamper` (word
+    index to word) are replaced, and the list of its bit generator class's
+    instances: the source's, then the kernel's replay, a fresh instance,
+    which draws the true words.  Each instance logs its draw sizes in
+    `draws`."""
+    made = []
+
+    class Tampered(np.random.PCG64):
+        def __init__(self, seed=None, tamper=None):
+            super().__init__(seed)
+            self.tamper, self.draws = tamper or {}, []
+            made.append(self)
+
+        def random_raw(self, size=None, output=True):
+            start = sum(self.draws)
+            words = super().random_raw(size, output)
+            self.draws.append(size)
+            for i, word in self.tamper.items():
+                if start <= i < start + size:
+                    words[i - start] = word
+            return words
+
+    return np.random.Generator(Tampered(seed, tamper)), made
+
+
 # chunks of P, 2P, 3P and 7P slots, and the default
 _FACTORS = [1, 2, 3, 7, None]
 _FACTOR = st.sampled_from(_FACTORS)
@@ -809,10 +855,10 @@ class TestChunkInvariance:
             kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
 
     @settings(deadline=None)
-    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE, _FACTOR)
-    def test_reports_above_the_snr(self, processes, slots, factor):
+    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE, _ACCOUNTING, _FACTOR)
+    def test_reports_above_the_snr(self, processes, slots, accounting, factor):
         with chunk_of(factor, processes):
-            reports_above_the_snr(processes, slots)
+            reports_above_the_snr(processes, slots, accounting)
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
     @pytest.mark.parametrize("factor", _FACTORS)
@@ -864,28 +910,26 @@ class TestChunkInvariance:
         link = make_link(rate=INT_RATE, accounting="integer")
         feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs.tolist()]
 
-        def session(horizon):
+        def session(horizon, source=None):
             return same_outcome(
                 lambda: protocol._run_kernel(
-                    link, snrs[:horizon], 2, snrs[:horizon], None, 0, True
+                    link, snrs[:horizon], 2, snrs[:horizon], source, 0, True
                 ),
                 lambda: protocol._run_processes(
                     link, snrs[:horizon].tolist(), 2, feedback[:horizon], None, 0, True
                 ),
             )[0]
 
+        source, made = tampered_source(0)
         with chunk_of(factor, 2):
             held = session(20)
-            with mock.patch.object(
-                protocol, "verify_windows", wraps=protocol.verify_windows
-            ) as verify:
-                released = session(24)
+            released = session(24, source)
         assert (held.released_bits, held.held_window_bits) == (0.0, 10 * 439.0)
         assert held.integrity_ok and released.integrity_ok
         assert released.held_window_bits == 0.0
         assert released.released_bits == released.injected_bits
-        # the calls replay each window once; one releases windows 0 to 20
-        replayed = [len(call.args[4]) for call in verify.call_args_list]
+        # the replay draws each window once; one draw releases windows 0 to 20
+        replayed = made[1].draws
         assert sum(replayed) == 24 and max(replayed) >= 21
 
 
@@ -1341,64 +1385,55 @@ class TestRunQuantized:
 
 
 class TestVerifyWindows:
-    """The integer payload check: released windows against a replay."""
+    """The integer payload check: the fingerprint words of the windows the
+    kernel releases, in slot order, against a replay of the source.  The
+    source's words are tampered with, at P = 1 and P = 4, across chunks."""
 
-    SIZES = np.array([40, 0, 25, 31, 0, 7, 12, 50])
-    DELIVERY = [2, 0, 7, 3, 1, 6, 5, 4]  # not offset order
+    HORIZON = 96
 
-    def windows(self):
-        """The delivered windows and, in sequence order, the sent fingerprints."""
-        rng = np.random.default_rng(5)
-        sent = rng.bit_generator.random_raw(len(self.SIZES))
-        offsets = np.cumsum(self.SIZES) - self.SIZES
-        order = self.DELIVERY
-        return offsets[order], self.SIZES[order], sent[order], sent
+    def session(self, processes, tamper=None, held=False):
+        """An integer session whose last slots all decode, so every window
+        is released; or, if `held`, whose process 0 ends in outage, so the
+        last P - 1 windows are held behind it and the last slot is open."""
+        snrs = np.random.default_rng(1).exponential(15.0, self.HORIZON)
+        n = self.HORIZON
+        snrs[n - processes :] = 25.0
+        if held:
+            snrs[n - processes] = 3.0
+        link = make_link(rate=INT_RATE, accounting="integer")
+        source, _ = tampered_source(5, tamper)
+        with chunk_of(2, processes):
+            return protocol._run_kernel(link, snrs, processes, snrs, source, 0, False)
 
-    def verify(self, offsets, sizes, fingerprints, sent, unresolved=None):
-        if unresolved is None:
-            unresolved = int(self.SIZES.sum())
-        return protocol.verify_windows(
-            offsets, sizes, fingerprints, unresolved, self.SIZES, sent
-        )
+    def true_words(self):
+        return np.random.PCG64(5).random_raw(self.HORIZON)
 
     def test_passes_in_any_delivery_order(self):
-        assert self.verify(*self.windows()) is True
+        # at P = 4 the processes deliver their windows out of slot order
+        for processes in (1, 4):
+            log = self.session(processes)
+            assert log.integrity_ok
+            assert log.released_bits == log.injected_bits
 
     def test_windows_past_the_first_unresolved_one_are_held(self):
-        # window 5 (7 bits at offset 96) is still buffered: windows 6 and 7
-        # are held, whatever they hold
-        offsets, sizes, fingerprints, sent = self.windows()
-        keep = [self.DELIVERY.index(i) for i in (2, 0, 7, 3, 1, 6, 4)]
-        fingerprints[self.DELIVERY.index(7)] ^= 1
-        assert self.verify(
-            offsets[keep], sizes[keep], fingerprints[keep], sent, unresolved=96
-        )
-
-    def test_fails_on_a_dropped_window(self):
-        offsets, sizes, fingerprints, sent = self.windows()
-        keep = [i for i in range(8) if self.DELIVERY[i] != 3]
-        assert not self.verify(offsets[keep], sizes[keep], fingerprints[keep], sent)
-
-    def test_fails_on_a_window_delivered_twice(self):
-        offsets, sizes, fingerprints, sent = self.windows()
-        again = self.DELIVERY.index(3)
-        assert not self.verify(
-            np.append(offsets, offsets[again]),
-            np.append(sizes, sizes[again]),
-            np.append(fingerprints, fingerprints[again]),
-            sent,
-        )
+        # the last window is open (P = 1) or held (P = 4): whatever it holds
+        # is not released, so it is not checked
+        for processes in (1, 4):
+            last = self.HORIZON - 1
+            log = self.session(processes, {last: self.true_words()[last] ^ 1}, held=True)
+            assert log.integrity_ok
+            assert log.released_bits < log.injected_bits
 
     def test_fails_on_two_windows_swapped(self):
-        offsets, sizes, fingerprints, sent = self.windows()
-        a, b = self.DELIVERY.index(2), self.DELIVERY.index(3)
-        fingerprints[[a, b]] = fingerprints[[b, a]]
-        assert not self.verify(offsets, sizes, fingerprints, sent)
+        words = self.true_words()
+        for processes in (1, 4):
+            log = self.session(processes, {49: words[50], 50: words[49]})
+            assert not log.integrity_ok
 
-    def test_fails_on_a_window_one_bit_short(self):
-        offsets, sizes, fingerprints, sent = self.windows()
-        sizes[self.DELIVERY.index(7)] -= 1
-        assert not self.verify(offsets, sizes, fingerprints, sent)
+    def test_fails_on_a_flipped_fingerprint(self):
+        words = self.true_words()
+        for processes in (1, 4):
+            assert not self.session(processes, {7: words[7] ^ (1 << 40)}).integrity_ok
 
     @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
     def test_fingerprints_drawn_in_pieces_equal_one_draw(self, bit_generator):
@@ -1409,8 +1444,3 @@ class TestVerifyWindows:
         pieces = make(7)
         got = [pieces.random_raw(end - start) for start, end in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(got), make(7).random_raw(10_000))
-
-    def test_fails_on_a_flipped_fingerprint(self):
-        offsets, sizes, fingerprints, sent = self.windows()
-        fingerprints[self.DELIVERY.index(3)] ^= 1 << 40
-        assert not self.verify(offsets, sizes, fingerprints, sent)
