@@ -30,8 +30,10 @@ class FeedbackDecodeError(BrqError):
 class ChainBrokenError(BrqError):
     """A backtrack chain could not be decoded.
 
-    With full CSIT or a safe quantizer this indicates a protocol bug or
-    unsafe feedback, never a legitimate channel outcome.
+    Only the receiver state machine raises it, on parity short of what its
+    predecessor's true SNR needs (feedback above that SNR) or on a chain
+    that does not match its buffer.  The session kernel sizes parity from
+    the SNR or its cell's lower edge, so no CLI session raises it.
     """
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import csv_reference
 import numpy as np
+import output_digest
 import pytest
 
 from brqsim import cli, engine
@@ -728,3 +729,25 @@ class TestSlotLogMemory:
         small = self.peak(tmp_path / "small.csv", 4096)
         large = self.peak(tmp_path / "large.csv", 65_536)
         assert large < 1.5 * small, (small, large)
+
+
+class TestOutputDigest:
+    """`output_digest.py` hashes the outputs of a command matrix; the same
+    commands give the same lines on every run."""
+
+    def test_two_commands_digest_alike_twice(self):
+        commands = [
+            (["simulate", "--scheme", "quantized", "--accounting", "integer",
+              "--include-warmup", "--feedback-bits", "4", "--block-length", "16",
+              "--rate", "3.5", "--slots", "256", "--seed", "1", "--csv-log", "q.csv",
+              "--output", "q.json"], ["q.json", "q.csv"]),
+            (["analytic", "--mean-snr-db=7", "--format", "json", "--output", "a.json"],
+             ["a.json"]),
+        ]
+        first = output_digest.digest(commands)
+        assert [line.split("  ")[1] for line in first] == ["q.json", "q.csv", "a.json"]
+        assert output_digest.digest(commands) == first
+
+    def test_matrix_names_every_output_once(self):
+        names = [name for _, outputs in output_digest.matrix() for name in outputs]
+        assert len(names) == len(set(names)) == 59

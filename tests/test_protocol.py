@@ -274,37 +274,6 @@ def kernel_and_oracle(
 _ACCOUNTING = st.sampled_from(["fluid", "integer"])
 
 
-# (SNR, lift) per slot: a report lifted above the true SNR by up to 3
-_LIFTED_TRACE = st.lists(
-    st.tuples(_TRACE_SNR, st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
-    min_size=4,
-    max_size=40,
-)
-
-
-def reports_above_the_snr(processes, slots, accounting):
-    """Reports raised above the true SNR by a lift: the receiver's parity
-    check fires at the first renewal whose chain holds a short slot, in the
-    kernel as in the state machine, with the same message.  Integer
-    accounting runs at INT_RATE, fluid at RATE."""
-    snrs = np.array([snr for snr, _ in slots])
-    reports = snrs + np.array([lift for _, lift in slots])
-    link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
-                     accounting=accounting)
-    feedback = [
-        ACK if snr >= link.gamma_r else report
-        for snr, report in zip(snrs.tolist(), reports.tolist())
-    ]
-    same_outcome(
-        lambda: protocol._run_kernel(
-            link, snrs, processes, reports, None, 0, True
-        ),
-        lambda: protocol._run_processes(
-            link, snrs.tolist(), processes, feedback, None, 0, True
-        ),
-    )
-
-
 class TestKernelMatchesStateMachine:
     """The array kernel equals the per-slot state machine bit for bit."""
 
@@ -358,47 +327,6 @@ class TestKernelMatchesStateMachine:
         snrs = np.random.default_rng(seed).exponential(10.0, 2048).tolist()
         fbits, length = scheme
         kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
-
-    @settings(deadline=None)
-    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE, _ACCOUNTING)
-    def test_reports_above_the_snr(self, processes, slots, accounting):
-        reports_above_the_snr(processes, slots, accounting)
-
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_report_above_the_snr_breaks_the_chain(self, processes):
-        link = make_link(rate=INT_RATE, accounting="integer")
-        snrs = np.array([3.0] * processes + [25.0] * processes)
-        reports = snrs.copy()
-        reports[processes - 1] = 6.0  # the last process's outage, overstated
-        with pytest.raises(ChainBrokenError) as caught:
-            protocol._run_kernel(
-                link, snrs, processes, reports, None, 0, False
-            )
-        slot = 2 * processes - 1
-        required = 100 * (INT_RATE - capacity(3.0))
-        assert str(caught.value) == (
-            f"slot {slot} carries {float(math.ceil(100 * (INT_RATE - capacity(6.0))))} "
-            f"parity bits, slot {slot - processes} needs {required}"
-        )
-
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_fluid_report_above_the_snr_breaks_the_chain(self, processes):
-        # the fluid parity the transmitter sent, to the bit, in the message
-        link = make_link(rate=RATE)
-        snrs = np.array([3.0] * processes + [25.0] * processes)
-        reports = snrs.copy()
-        reports[processes - 1] = 6.0
-        feedback = [ACK if snr >= link.gamma_r else report
-                    for snr, report in zip(snrs.tolist(), reports.tolist())]
-        with pytest.raises(ChainBrokenError) as caught:
-            protocol._run_kernel(link, snrs, processes, reports, None, 0, False)
-        with pytest.raises(ChainBrokenError) as want:
-            protocol._run_processes(link, snrs.tolist(), processes, feedback, None, 0, False)
-        slot = 2 * processes - 1
-        assert str(caught.value) == str(want.value) == (
-            f"slot {slot} carries {100 * (RATE - capacity(6.0))} "
-            f"parity bits, slot {slot - processes} needs {100 * (RATE - capacity(3.0))}"
-        )
 
 
 class TestSlotLogBytes:
@@ -504,7 +432,7 @@ class TestDeliveryOrder:
         snrs = np.array(snrs)
         n = len(snrs)
         log = protocol._run_kernel(
-            link, snrs, processes, snrs, None, warmup, True
+            link, snrs, processes, None, None, warmup, True
         )
         decoded = snrs >= link.gamma_r
         due = np.full(n, n)
@@ -854,12 +782,6 @@ class TestChunkInvariance:
         with chunk_of(factor, 1 if fbits is None else 2 * length):
             kernel_and_oracle(snrs, fbits, length, include_warmup, accounting)
 
-    @settings(deadline=None)
-    @given(st.sampled_from([1, 2, 4]), _LIFTED_TRACE, _ACCOUNTING, _FACTOR)
-    def test_reports_above_the_snr(self, processes, slots, accounting, factor):
-        with chunk_of(factor, processes):
-            reports_above_the_snr(processes, slots, accounting)
-
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
     @pytest.mark.parametrize("factor", _FACTORS)
     def test_chains_spanning_many_chunks(self, factor, accounting):
@@ -884,7 +806,7 @@ class TestChunkInvariance:
         feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs.tolist()]
         with chunk_of(factor, 4):
             log, _ = same_outcome(
-                lambda: protocol._run_kernel(link, snrs, 4, snrs, None, 30, True),
+                lambda: protocol._run_kernel(link, snrs, 4, None, None, 30, True),
                 lambda: protocol._run_processes(link, snrs.tolist(), 4, feedback, None, 30, True),
             )
         assert 0.0 < log.injected_bits < log.slot_columns["new_bits"].sum()
@@ -913,7 +835,7 @@ class TestChunkInvariance:
         def session(horizon, source=None):
             return same_outcome(
                 lambda: protocol._run_kernel(
-                    link, snrs[:horizon], 2, snrs[:horizon], source, 0, True
+                    link, snrs[:horizon], 2, None, source, 0, True
                 ),
                 lambda: protocol._run_processes(
                     link, snrs[:horizon].tolist(), 2, feedback[:horizon], None, 0, True
@@ -953,12 +875,11 @@ class TestLedger:
         snrs = np.array(data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon)))
         link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
                          accounting=accounting, block_length=length)
-        reports = snrs
+        quantizer = None
         if scheme == "quantized":
             quantizer = planned_config(4.0, length, link.gamma_r)
-            reports = cells(snrs, quantizer) * quantizer.cell_width
         with chunk_of(factor, processes):
-            log = protocol._run_kernel(link, snrs, processes, reports, None, 0, True)
+            log = protocol._run_kernel(link, snrs, processes, quantizer, None, 0, True)
         slots, decoded = np.arange(horizon), log.slot_columns["decoded"]
         last = np.full(processes, -1)
         np.maximum.at(last, slots[decoded] % processes, slots[decoded])
@@ -977,25 +898,34 @@ class TestLedger:
 
 
 class TestKernelMemory:
+    """Session peaks at two horizons, less what grows with the horizon by
+    design: the SNR draw and the renewal table the log returns."""
+
     @staticmethod
-    def peak(horizon, accounting, length=None):
-        """The tracemalloc peak, in bytes, of one kernel session of
-        `horizon` slots (mean SNR 10, gamma_R about 20), less the renewal
-        arrays it returns: full CSIT, or with `length` L the 2L processes
-        of a quantized session sized from the lower edges of F = 2 cells."""
-        link = make_link(rate=INT_RATE, accounting=accounting)
-        snrs = Rayleigh(10.0).sample(np.random.default_rng(1), horizon)
-        processes, reports = 1, snrs
-        if length is not None:
-            quantizer = planned_config(2.0, length, link.gamma_r)
-            processes, reports = 2 * length, cells(snrs, quantizer) * quantizer.cell_width
+    def traced_peak(run):
+        """The tracemalloc peak of `run()`, in bytes, less the renewal
+        arrays of the log it returns."""
         tracemalloc.start()
         try:
-            log = protocol._run_kernel(link, snrs, processes, reports, None, 0, False)
+            log = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return peak - log.renewal_slots.nbytes - log.chain_lengths.nbytes
+
+    @classmethod
+    def peak(cls, horizon, accounting, length=None):
+        """The peak of one kernel session of `horizon` slots (mean SNR 10,
+        gamma_R about 20) on SNRs drawn before it: full CSIT, or with
+        `length` L the 2L processes of a quantized session at F = 2."""
+        link = make_link(rate=INT_RATE, accounting=accounting)
+        snrs = Rayleigh(10.0).sample(np.random.default_rng(1), horizon)
+        processes, quantizer = 1, None
+        if length is not None:
+            processes, quantizer = 2 * length, planned_config(2.0, length, link.gamma_r)
+        return cls.traced_peak(
+            lambda: protocol._run_kernel(link, snrs, processes, quantizer, None, 0, False)
+        )
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
     def test_session_peak_does_not_grow_with_the_horizon(self, accounting):
@@ -1008,6 +938,21 @@ class TestKernelMemory:
         # P = 128: the span holds a chunk plus about P times the longest open chain
         small = self.peak(2**16, accounting, 64)
         large = self.peak(2**18, accounting, 64)
+        assert large < 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    def test_run_quantized_peak_does_not_grow_with_the_horizon(self, accounting):
+        # the runner draws the SNRs, 8 B/slot, and makes no report array
+        link = make_link(rate=INT_RATE, accounting=accounting, feedback_bits=2.0,
+                         block_length=64)
+
+        def peak(horizon):
+            rng = np.random.default_rng(1)
+            return self.traced_peak(
+                lambda: run_quantized(link, Rayleigh(10.0), horizon, rng)
+            ) - 8 * horizon
+
+        small, large = peak(2**16), peak(2**18)
         assert large < 1.25 * small, (small, large)
 
 
@@ -1057,6 +1002,26 @@ class TestRxStep:
         lying = tx.step(1, 2.0)  # claims C = 1.58, truth needs 100 parity bits
         with pytest.raises(ChainBrokenError):
             rx.step(1, 30.0, lying)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    def test_report_above_the_snr_breaks_the_chain(self, accounting, processes):
+        # the last process's outage reported as 6 where its SNR is 3: the
+        # message has the parity the transmitter sent and the true need
+        integer = accounting == "integer"
+        rate = INT_RATE if integer else RATE
+        link = make_link(rate=rate, accounting=accounting)
+        snrs = [3.0] * processes + [25.0] * processes
+        feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs]
+        feedback[processes - 1] = 6.0
+        with pytest.raises(ChainBrokenError) as caught:
+            protocol._run_processes(link, snrs, processes, feedback, None, 0, False)
+        sent = 100 * (rate - capacity(6.0))
+        slot = 2 * processes - 1
+        assert str(caught.value) == (
+            f"slot {slot} carries {float(math.ceil(sent)) if integer else sent} "
+            f"parity bits, slot {slot - processes} needs {100 * (rate - capacity(3.0))}"
+        )
 
 
 class TestRunFullCsit:
@@ -1403,7 +1368,7 @@ class TestVerifyWindows:
         link = make_link(rate=INT_RATE, accounting="integer")
         source, _ = tampered_source(5, tamper)
         with chunk_of(2, processes):
-            return protocol._run_kernel(link, snrs, processes, snrs, source, 0, False)
+            return protocol._run_kernel(link, snrs, processes, None, source, 0, False)
 
     def true_words(self):
         return np.random.PCG64(5).random_raw(self.HORIZON)
