@@ -108,6 +108,12 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return (special.entr(p) + special.entr(1.0 - p)) / _LN2  # entr(p) = -p ln p
 
 
+def _distortion(m, h, feedback_bits) -> np.ndarray:
+    """The SNR distortion m * 2**-(F - H) that F feedback bits per slot
+    leave after a success mask costing H bits, elementwise; 0 at F = inf."""
+    return m * np.exp2(np.minimum(h - feedback_bits, 0.0))
+
+
 def rayleigh_rate(m, rate, gamma_r, p_r, feedback_bits=math.inf) -> np.ndarray:
     """avg_rate_quantized at one budget F, or avg_rate_full_csit at F = inf,
     over arrays of mean SNRs m, rates R, gamma_R = 2**R - 1 and p_R =
@@ -116,7 +122,7 @@ def rayleigh_rate(m, rate, gamma_r, p_r, feedback_bits=math.inf) -> np.ndarray:
     exactly 0 (G(1/m) less itself)."""
     _check_budget(feedback_bits)
     h = _entropy(p_r)
-    d = m * np.exp2(np.minimum(h - feedback_bits, 0.0))  # 0 at F = inf
+    d = _distortion(m, h, feedback_bits)
     low = np.exp(-d / m) * _capacity_below(m, np.maximum(gamma_r - d, 0.0))
     return np.where(feedback_bits > h, low + rate * p_r, np.nan)
 
@@ -317,7 +323,7 @@ def distortion_bound(feedback_bits: float, p_r: float, mean_snr: float) -> float
         raise InsufficientFeedbackError(
             f"feedback budget {feedback_bits} does not exceed mask cost {h:.4f}"
         )
-    return mean_snr * 2.0 ** -(feedback_bits - h)
+    return _one(_distortion, mean_snr, h, feedback_bits)
 
 
 def _check_budget(feedback_bits) -> None:

@@ -22,11 +22,12 @@ specification, held equal to it bit for bit by a differential test: both
 take C = log2(1 + snr) from `channel.capacity`, the kernel once per chunk
 of slots over an array, the state machine once per slot.
 
-Every decodable slot renews its process's chain, so a session's renewals
-are two int64 arrays in `SessionLog`: the renewal slots and the chain
-lengths.  With P interleaved processes, a chain of length L renewed at
-slot r delivers the slots r - (L-1)P, ..., r - P, r; what each slot
-carried is in the slot log (`SessionLog.slot_columns`).
+Every decodable slot renews its process's chain, and a session keeps
+only how many chains of each length it renewed (`SessionLog.chain_hist`).
+With P interleaved processes, a chain of length L renewed at slot r
+delivers the slots r - (L-1)P, ..., r - P, r; the slot log
+(`SessionLog.slot_columns`) has where each chain ended, in its `renewal`
+and `chain_length` columns, and what each slot carried.
 """
 
 from __future__ import annotations
@@ -231,9 +232,8 @@ class BrqReceiver:
 
 
 class Renewal(NamedTuple):
-    """One renewal: its slot and the length of the chain it decoded."""
+    """One renewal: the length of the chain it decoded."""
 
-    slot: int
     chain_length: int
 
 
@@ -245,8 +245,7 @@ class SessionLog:
     horizon: int
     slot_uses: int
     warmup_slots: int
-    renewal_slots: np.ndarray  # int64, one per renewal, in renewal order
-    chain_lengths: np.ndarray  # int64, the chain each renewal decoded
+    chain_hist: dict[int, int]  # chain length -> renewals, kept sorted
     injected_bits: float
     delivered_bits: float
     delay_hist: dict[int, float]  # delay in slots -> delivered new bits, kept sorted
@@ -259,6 +258,7 @@ class SessionLog:
 
     def __post_init__(self) -> None:
         self.delay_hist = dict(sorted(self.delay_hist.items()))
+        self.chain_hist = dict(sorted(self.chain_hist.items()))
         self.undelivered_bits = self.injected_bits - self.delivered_bits
         counted = self.horizon - self.warmup_slots
         self.delivered_rate = (
@@ -267,17 +267,17 @@ class SessionLog:
 
     @property
     def renewal_count(self) -> int:
-        return len(self.chain_lengths)
+        return sum(self.chain_hist.values())
 
     @property
     def renewals(self) -> list[Renewal]:
-        """The renewal table as `Renewal`s of plain ints.
+        """One `Renewal` per renewal, in chain-length order, of plain ints.
 
-        It exists for the benchmark tracer: `_on_protocol_session` in
+        It exists only for the benchmark tracer: `_on_protocol_session` in
         `bench/tracing.py` takes `len()` of it, reads `.chain_length` and
         writes the sums with `json.dumps`, which a numpy integer would break.
         """
-        return list(map(Renewal, self.renewal_slots.tolist(), self.chain_lengths.tolist()))
+        return [Renewal(length) for length, n in self.chain_hist.items() for _ in range(n)]
 
     @property
     def mean_delay(self) -> float:
@@ -319,8 +319,7 @@ def _run_processes(
     rxs = [BrqReceiver(link, stream) for _ in range(processes)]
     injected = delivered = 0.0
     delay_hist: dict[int, float] = {}
-    renewal_slots: list[int] = []
-    chain_lengths: list[int] = []
+    chain_hist: dict[int, int] = {}
     rows: list[tuple] = []  # one per slot, in SLOT_FIELDS order
     gamma_r = link.gamma_r
 
@@ -333,8 +332,7 @@ def _run_processes(
         chain = rxs[instance].step(t, snr, packet)
         reward = 0.0
         if chain is not None:
-            renewal_slots.append(t)
-            chain_lengths.append(len(chain))
+            chain_hist[len(chain)] = chain_hist.get(len(chain), 0) + 1
             for pkt in chain:
                 bits = pkt.new_bits
                 reward += bits
@@ -355,8 +353,7 @@ def _run_processes(
         horizon=len(snrs),
         slot_uses=link.slot_uses,
         warmup_slots=warmup,
-        renewal_slots=np.array(renewal_slots, dtype=np.int64),
-        chain_lengths=np.array(chain_lengths, dtype=np.int64),
+        chain_hist=chain_hist,
         injected_bits=injected,
         delivered_bits=delivered,
         delay_hist=delay_hist,
@@ -412,28 +409,24 @@ def _run_kernel(
     first undelivered slot, the gap.  The horizon is walked in chunks of
     `_SESSION_CHUNK` slots that carry over only the span (every slot from
     the gap to the chunk, with its new bits and its delivery slot), each
-    process's last renewal and running totals, so the memory used is
-    bounded by one chunk plus about P times the longest open chain, not by
-    the horizon.  Sums run in the state machine's order, by delivery slot
-    and then by slot.  In integer accounting the parity is rounded up, and
-    the payload source (`source_rng`, else seed 0) gives each slot's window
-    one fingerprint word; the words of the slots each chunk releases, those
-    before the new gap, must equal a replay of the source.
+    process's last renewal, running totals and histograms, so the memory
+    used is bounded by one chunk plus about P times the longest chain, not
+    by the horizon.  Sums run in the state machine's order, by delivery
+    slot and then by slot.  In integer accounting the parity is rounded
+    up, and the payload source (`source_rng`, else seed 0) gives each
+    slot's window one fingerprint word; the words of the slots each chunk
+    releases, those before the new gap, must equal a replay of the source.
     """
     n, p = len(snrs), processes
     size = -(-_SESSION_CHUNK // p) * p
     integer, gamma_r = link.accounting == "integer", link.gamma_r
-    starts = range(0, n, size)
-    count = sum(int(np.count_nonzero(snrs[a : a + size] >= gamma_r)) for a in starts)
-    renewal_slots = np.empty(count, dtype=np.int64)
-    chain_lengths, count = np.empty_like(renewal_slots), 0
     # each process's last renewal (slot j - P before slot 0 counts as one)
     last_renewal = np.arange(p) - p
     # the span's new bits and delivery slots (-1 while open), and the sum
     # of the bits sent before it, in slot order
     span_bits, span_delivery = np.zeros(0), np.zeros(0, dtype=np.int64)
     released = injected = delivered = 0.0
-    hist = np.zeros(1)
+    hist, chains = np.zeros(1), np.zeros(1, dtype=np.int64)
     integrity_ok = True
     if integer:
         rng = source_rng if source_rng is not None else np.random.default_rng(0)
@@ -449,7 +442,7 @@ def _run_kernel(
             chain_length=np.zeros(n, dtype=np.int64), reward_bits=np.zeros(n),
         )
 
-    for a in starts:
+    for a in range(0, n, size):
         chunk = slice(a, a + size)
         decoded = snrs[chunk] >= gamma_r
         m = len(decoded)
@@ -478,9 +471,9 @@ def _run_kernel(
         span_delivery = np.concatenate((span_delivery, np.full(m, -1)))
         span_delivery[order - gap] = delivery
         chain_bits = span_bits[order - gap]
-        renewal_slots[count : count + len(renewals)] = renewals
-        chain_lengths[count : count + len(renewals)] = lengths
-        count += len(renewals)
+        if lengths.size and lengths.max() >= chains.size:
+            chains = np.concatenate((chains, np.zeros(lengths.max() + 1, dtype=np.int64)))
+        chains += np.bincount(lengths, minlength=chains.size)
 
         # a window without bits adds 0.0 to every sum and to no delay key
         bits, delays = chain_bits, delivery - order
@@ -518,7 +511,7 @@ def _run_kernel(
             columns["chain_length"][renewals] = lengths
             np.add.at(columns["reward_bits"], delivery, chain_bits)  # left to right
 
-    keys = np.flatnonzero(hist)
+    keys, lengths = np.flatnonzero(hist), np.flatnonzero(chains)
     # the receiver holds the span's delivered windows in delivery order
     held = np.flatnonzero(span_delivery >= 0)
     held = held[np.argsort(span_delivery[held], kind="stable")]
@@ -526,8 +519,7 @@ def _run_kernel(
         horizon=n,
         slot_uses=link.slot_uses,
         warmup_slots=warmup,
-        renewal_slots=renewal_slots,
-        chain_lengths=chain_lengths,
+        chain_hist=dict(zip(lengths.tolist(), chains[lengths].tolist())),
         injected_bits=injected,
         delivered_bits=delivered,
         delay_hist=dict(zip(keys.tolist(), hist[keys].tolist())),

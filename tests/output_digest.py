@@ -14,7 +14,9 @@ these commands.  The matrix holds:
   `--seed 100 s + i`);
 - one `analytic`, one `fig4` and one `fig5` command;
 - a quantized `--accounting integer --include-warmup --csv-log` run at
-  seeds 0-2.
+  seeds 0-2;
+- a full-CSIT and a quantized (F = 2, L = 64) fluid `--csv-log` run,
+  whose slot logs hold each chain's renewal slot and length.
 
 pytest does not collect this file; `test_cli.py` runs a small matrix of it.
 """
@@ -82,6 +84,15 @@ def matrix() -> list[tuple[list[str], list[str]]]:
             "--rate", "3.5", "--mean-snr-db", "10", "--slots", "4096", "--replications", "2",
             csv_log=True,
         ))
+    commands.append(_simulate(
+        "fluid-full-log", 7, "--scheme", "full", "--accounting", "fluid", "--mean-snr-db",
+        "10", "--rate-factor", "2", "--slots", "8000", "--replications", "2", csv_log=True,
+    ))
+    commands.append(_simulate(
+        "fluid-quant-log", 8, "--scheme", "quantized", "--accounting", "fluid",
+        "--feedback-bits", "2", "--block-length", "64", "--mean-snr-db", "10",
+        "--rate-factor", "2", "--slots", "12800", "--replications", "1", csv_log=True,
+    ))
     return commands
 
 

@@ -310,6 +310,19 @@ class TestDistortionBound:
             analytics.distortion_bound(math.nan, P_R, 10.0)
         assert analytics.distortion_bound(math.inf, P_R, 10.0) == 0.0
 
+    @settings(deadline=None)
+    @example(point=(100.0, 1.0), fbits=1.0)
+    @given(point=rayleigh_points(), fbits=st.floats(1.01, 12.0))
+    def test_is_the_distortion_of_the_quantized_rate(self, point, fbits):
+        # one expression for both: where the bound reaches gamma_R, the
+        # quantized rate has no outage term, to the last bit
+        mean_snr, rate = point
+        m = Rayleigh(mean_snr)
+        gamma_r = analytics.inv_capacity(rate)
+        p_r = m.decode_prob(gamma_r)
+        if analytics.distortion_bound(fbits, p_r, mean_snr) >= gamma_r:
+            assert analytics.avg_rate_quantized(m, rate, fbits) == rate * p_r
+
 
 class TestAvgRateQuantized:
     def test_matches_monte_carlo_oracle(self):

@@ -750,4 +750,4 @@ class TestOutputDigest:
 
     def test_matrix_names_every_output_once(self):
         names = [name for _, outputs in output_digest.matrix() for name in outputs]
-        assert len(names) == len(set(names)) == 59
+        assert len(names) == len(set(names)) == 63

@@ -202,7 +202,7 @@ def assert_same_columns(a, b):
 
 def same_outcome(kernel, oracle):
     """Run both session functions and check they agree exactly: every
-    scalar of the log, `delay_hist` with its key order, the renewal table
+    scalar of the log, `delay_hist` and `chain_hist` with their key order
     and every slot column, or the same error type and message.
 
     Returns both logs, or both errors as (type, message) pairs.
@@ -224,9 +224,8 @@ def same_outcome(kernel, oracle):
         "held_window_bits", "renewal_count",
     ):
         assert_identical(getattr(got, name), getattr(want, name))
-    assert_identical(list(got.delay_hist.items()), list(want.delay_hist.items()))
-    for name in ("renewal_slots", "chain_lengths"):
-        assert_same_array(name, getattr(got, name), getattr(want, name))
+    for name in ("delay_hist", "chain_hist"):
+        assert_identical(list(getattr(got, name).items()), list(getattr(want, name).items()))
     assert_same_columns(got.slot_columns, want.slot_columns)
     return got, want
 
@@ -442,10 +441,11 @@ class TestDeliveryOrder:
                 due[t] = ahead[0]
         sent = np.flatnonzero(due < n)
         want = sent[np.argsort(due[sent], kind="stable")]
+        lengths = log.slot_columns["chain_length"].tolist()
         got = [
             slot - processes * back
-            for slot, length in zip(log.renewal_slots.tolist(), log.chain_lengths.tolist())
-            for back in range(length - 1, -1, -1)
+            for slot in np.flatnonzero(log.slot_columns["renewal"]).tolist()
+            for back in range(lengths[slot] - 1, -1, -1)
         ]
         assert got == want.tolist()
 
@@ -611,7 +611,8 @@ class TestKernelEdgeCases:
         for snr in (self.GOOD, 3.0):
             log, _ = kernel_and_oracle([snr])
             assert log.renewal_count == (snr >= 20.0)
-            assert log.renewals == [protocol.Renewal(0, 1)] * log.renewal_count
+            assert log.chain_hist == ({1: 1} if snr >= 20.0 else {})
+            assert log.renewals == [protocol.Renewal(1)] * log.renewal_count
             reward = 100 * RATE if snr >= 20.0 else 0.0
             assert log.slot_columns["reward_bits"].tolist() == [reward]
 
@@ -626,9 +627,8 @@ class TestKernelEdgeCases:
         snrs = [3.0, 0.5, 19.0, 7.0] * 4
         log, _ = kernel_and_oracle(snrs, fbits, 2)
         assert log.renewal_count == 0
-        assert log.renewals == []
-        for table in (log.renewal_slots, log.chain_lengths):
-            assert table.shape == (0,) and table.dtype == np.int64
+        assert log.chain_hist == {} and log.renewals == []
+        assert not log.slot_columns["renewal"].any()
         assert log.slot_columns["reward_bits"].tolist() == [0.0] * len(snrs)
         assert log.delay_hist == {}
         assert log.delivered_bits == 0.0
@@ -647,9 +647,11 @@ class TestKernelEdgeCases:
         log, oracle = kernel_and_oracle(
             outages[:300] + good + outages[300:700] + good + outages[700:] + good
         )
-        want = oracle.slot_columns["reward_bits"][oracle.renewal_slots].tolist()
-        assert oracle.chain_lengths.tolist() == [301, 401, 4]
-        assert_identical(log.slot_columns["reward_bits"][log.renewal_slots].tolist(), want)
+        renewed = oracle.slot_columns["renewal"]
+        want = oracle.slot_columns["reward_bits"][renewed].tolist()
+        assert oracle.slot_columns["chain_length"][renewed].tolist() == [301, 401, 4]
+        got = log.slot_columns["reward_bits"][log.slot_columns["renewal"]].tolist()
+        assert_identical(got, want)
         new_bits = oracle.slot_columns["new_bits"]
         assert np.add.reduceat(new_bits, [0, 301, 702]).tolist() != want
         assert float(np.sum(new_bits[301:702])) != want[1]
@@ -658,7 +660,7 @@ class TestKernelEdgeCases:
     def test_all_decoding(self, fbits):
         log, _ = kernel_and_oracle([self.GOOD] * 16, fbits, 2, include_warmup=True)
         assert log.renewal_count == 16
-        assert log.chain_lengths.tolist() == [1] * 16
+        assert log.chain_hist == {1: 16}
         assert log.delay_hist == {0: 16 * 100 * RATE}
         assert log.undelivered_bits == 0.0
 
@@ -794,7 +796,9 @@ class TestChunkInvariance:
                 outages[:300] + good + outages[300:700] + good + outages[700:] + good,
                 accounting=accounting,
             )
-        assert log.chain_lengths.tolist() == [301, 401, 4]
+        assert log.chain_hist == {4: 1, 301: 1, 401: 1}
+        columns = log.slot_columns
+        assert columns["chain_length"][columns["renewal"]].tolist() == [301, 401, 4]
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
     @pytest.mark.parametrize("factor", [1, 2, 3, 7])
@@ -898,20 +902,18 @@ class TestLedger:
 
 
 class TestKernelMemory:
-    """Session peaks at two horizons, less what grows with the horizon by
-    design: the SNR draw and the renewal table the log returns."""
+    """Session peaks at two horizons, less the one store that grows with
+    the horizon by design: the SNR draw."""
 
     @staticmethod
     def traced_peak(run):
-        """The tracemalloc peak of `run()`, in bytes, less the renewal
-        arrays of the log it returns."""
+        """The tracemalloc peak of `run()`, in bytes."""
         tracemalloc.start()
         try:
-            log = run()
-            peak = tracemalloc.get_traced_memory()[1]
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - log.renewal_slots.nbytes - log.chain_lengths.nbytes
 
     @classmethod
     def peak(cls, horizon, accounting, length=None):
@@ -931,6 +933,14 @@ class TestKernelMemory:
     def test_session_peak_does_not_grow_with_the_horizon(self, accounting):
         small = self.peak(2**14, accounting)
         large = self.peak(2**18, accounting)
+        assert large < 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    def test_session_peak_is_flat_over_a_million_slots(self, accounting):
+        # about 0.9 MB at both horizons; a store of 16 B per renewal, about
+        # 2.2 B/slot here, would double the peak from 2^18 to 2^20 slots
+        small = self.peak(2**18, accounting)
+        large = self.peak(2**20, accounting)
         assert large < 1.25 * small, (small, large)
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
@@ -1076,7 +1086,9 @@ class TestRunFullCsit:
         assert log.renewal_count > 100
         eff_snr = log.slot_columns["eff_snr"].tolist()
         rewards = log.slot_columns["reward_bits"].tolist()
-        for slot, length in log.renewals:
+        lengths = log.slot_columns["chain_length"].tolist()
+        for slot in np.flatnonzero(log.slot_columns["renewal"]).tolist():
+            length = lengths[slot]
             reports = eff_snr[slot - length + 2 : slot + 1]
             assert len(reports) == length - 1
             recomputed = reward_of_chain(link.rate, link.slot_uses, reports)
@@ -1100,7 +1112,7 @@ class TestRunFullCsit:
         cum = 0.0
         running = 0.0
         idx = 0
-        for slot in log.renewal_slots.tolist():
+        for slot in np.flatnonzero(log.slot_columns["renewal"]).tolist():
             cum += rewards[slot]
             while idx <= slot:
                 running += link.slot_uses * caps[idx]
@@ -1161,7 +1173,7 @@ class TestPatternEnumeration:
             # reference uses min(C, R) = R there and C(outage) elsewhere
             ref_caps = [link.rate if ok else caps[i] for i, ok in enumerate(pattern)]
             rewards, pending = enumerate_chains(pattern, ref_caps, link.rate, 100)
-            got = log.slot_columns["reward_bits"][log.renewal_slots].tolist()
+            got = log.slot_columns["reward_bits"][log.slot_columns["renewal"]].tolist()
             assert len(got) == len(rewards)
             for a, b in zip(got, rewards):
                 assert a == pytest.approx(b, abs=1e-9)
