@@ -13,11 +13,14 @@ SNR sequence, and one array kernel (`_run_kernel`) runs every session, in
 fluid and in integer accounting.  It derives each failed slot's report
 itself, the SNR or its quantizer cell's lower edge, so its parity never
 falls short; the receiver state machine still checks it.  The kernel
-walks the horizon in chunks and carries one span between them: every
-slot from the gap, the first slot not yet delivered, where in-order
-release stops, to the chunk.  Integer sessions check one fingerprint word
-per released window, in slot order, against a replay, instead of per-bit
-payloads.  The per-slot TX/RX state machines are the kernel's executable
+walks the horizon in chunks.  It carries each process's last renewal,
+which gives the gap, the first slot not yet delivered, where in-order
+release stops, and one span, every slot from the gap to the chunk, with
+its new bits and slot-order totals.  With one process (full CSIT)
+delivery is in slot order and a chain is the run of slots since the
+last renewal.  Integer sessions check one fingerprint word per released
+window, in slot order, against a replay, instead of per-bit payloads.
+The per-slot TX/RX state machines are the kernel's executable
 specification, held equal to it bit for bit by a differential test: both
 take C = log2(1 + snr) from `channel.capacity`, the kernel once per chunk
 of slots over an array, the state machine once per slot.
@@ -385,8 +388,9 @@ def _codec_feedback(
     return feedback
 
 
-# Slots per kernel chunk, rounded up to a multiple of P: 4096 ran slower,
-# 16384 no faster.
+# Slots per kernel chunk, rounded up to a multiple of P.  Median kernel CPU
+# times at 4096, 8192 and 16384 (2-core Xeon): 1.22, 1.14 and 1.45 ms for
+# 40 000 slots at P = 1; 2.61, 2.52 and 2.81 ms for 38 400 slots at P = 128.
 _SESSION_CHUNK = 8192
 
 
@@ -406,26 +410,29 @@ def _run_kernel(
     process t mod P.  The report is the SNR of slot t - P, or with a
     `quantizer` its cell's lower edge `cells(snr) * cell_width`: never above
     the SNR, so the kernel checks no parity.  In-order release stops at the
-    first undelivered slot, the gap.  The horizon is walked in chunks of
-    `_SESSION_CHUNK` slots that carry over only the span (every slot from
-    the gap to the chunk, with its new bits and its delivery slot), each
-    process's last renewal, running totals and histograms, so the memory
-    used is bounded by one chunk plus about P times the longest chain, not
-    by the horizon.  Sums run in the state machine's order, by delivery
-    slot and then by slot.  In integer accounting the parity is rounded
-    up, and the payload source (`source_rng`, else seed 0) gives each
-    slot's window one fingerprint word; the words of the slots each chunk
-    releases, those before the new gap, must equal a replay of the source.
+    gap, the first undelivered slot: min_j(last renewal of j + P).  The
+    horizon is walked in chunks of `_SESSION_CHUNK` slots that carry over
+    only each process's last renewal, the span (every slot from the gap to
+    the chunk, with its new bits and the slot-order totals before them),
+    running sums and histograms, so the memory used is bounded by one chunk
+    plus about P times the longest chain, not by the horizon.  Sums run in
+    the state machine's order, by delivery slot and then by slot.  With one
+    process that is slot order: a chain is the run of slots since the last
+    renewal, and without a warm-up the delivered bits are the released
+    ones.  In integer accounting the parity is rounded up, and the payload
+    source (`source_rng`, else seed 0) gives each slot's window one
+    fingerprint word; the words of the slots each chunk releases, those
+    before the new gap, must equal a replay of the source.
     """
     n, p = len(snrs), processes
     size = -(-_SESSION_CHUNK // p) * p
     integer, gamma_r = link.accounting == "integer", link.gamma_r
     # each process's last renewal (slot j - P before slot 0 counts as one)
     last_renewal = np.arange(p) - p
-    # the span's new bits and delivery slots (-1 while open), and the sum
-    # of the bits sent before it, in slot order
-    span_bits, span_delivery = np.zeros(0), np.zeros(0, dtype=np.int64)
-    released = injected = delivered = 0.0
+    # the span's new bits, and the bits sent before each of its slots and
+    # before the chunk, added in slot order
+    span_bits, span_sums = np.zeros(0), np.zeros(1)
+    injected = delivered = 0.0
     hist, chains = np.zeros(1), np.zeros(1, dtype=np.int64)
     integrity_ok = True
     if integer:
@@ -453,55 +460,56 @@ def _run_kernel(
         parity = np.where(fed, parity_bits(link, capacity(eff)), 0.0)
         new_bits = link.bits_per_slot - parity
 
-        # Renewal r of a chain of L slots delivers r - (L-1)P, ..., r, where
-        # r - LP is its process's renewal before it: the running maximum
-        # down each column of the chunk's (rows, P) grid of renewal slots.
-        rows, local = -(-m // p), np.flatnonzero(decoded)
-        renewals, grid = local + a, np.full((rows + 1) * p, -p)
-        grid[:p], grid[local + p] = last_renewal, renewals
-        grid = np.maximum.accumulate(grid.reshape(rows + 1, p), axis=0).ravel()
-        lengths, last_renewal = (renewals - grid[local]) // p, grid[-p:]
-        ends = np.cumsum(lengths)
-        # chains laid back to back: entry i of the chain ending at e is r - P(e - i)
-        order = p * np.arange(ends[-1] if ends.size else 0)
-        order += np.repeat(renewals - p * (ends - 1), lengths)
-        delivery = np.repeat(renewals, lengths)
+        renewals = np.flatnonzero(decoded) + a
         gap = a - len(span_bits)
         span_bits = np.concatenate((span_bits, new_bits))
-        span_delivery = np.concatenate((span_delivery, np.full(m, -1)))
-        span_delivery[order - gap] = delivery
-        chain_bits = span_bits[order - gap]
+        if p == 1:  # a chain is the run of slots since the last renewal
+            lengths = np.diff(renewals, prepend=last_renewal)
+            last_renewal = renewals[-1:] if renewals.size else last_renewal
+            order = np.arange(gap, last_renewal[0] + 1)
+            chain_bits = span_bits[: len(order)]
+        else:
+            # Renewal r of a chain of L slots delivers r - (L-1)P, ..., r, where
+            # r - LP is its process's renewal before it: the running maximum
+            # down each column of the chunk's (rows, P) grid of renewal slots.
+            rows, local = -(-m // p), renewals - a
+            grid = np.full((rows + 1) * p, -p)
+            grid[:p], grid[local + p] = last_renewal, renewals
+            grid = np.maximum.accumulate(grid.reshape(rows + 1, p), axis=0).ravel()
+            lengths, last_renewal = (renewals - grid[local]) // p, grid[-p:]
+            # chains laid back to back: entry i of the chain ending at e is r - P(e - i)
+            ends = np.cumsum(lengths)
+            order = p * np.arange(ends[-1] if ends.size else 0)
+            order += np.repeat(renewals - p * (ends - 1), lengths)
+            chain_bits = span_bits[order - gap]
+        delivery = np.repeat(renewals, lengths)
+        # The gap moves to the first slot still open, the first after its
+        # process's last renewal; the k slots before it are released.  A chain
+        # opens with an acked slot, so the gap's window has bits.
+        k = min(int(last_renewal.min()) + p, a + m) - gap
+        sums = np.cumsum(np.concatenate((span_sums[-1:], new_bits)))
+        span_sums = np.concatenate((span_sums[:-1], sums))
         if lengths.size and lengths.max() >= chains.size:
             chains = np.concatenate((chains, np.zeros(lengths.max() + 1, dtype=np.int64)))
         chains += np.bincount(lengths, minlength=chains.size)
 
         # a window without bits adds 0.0 to every sum and to no delay key
         bits, delays = chain_bits, delivery - order
-        if warmup:
+        if warmup:  # the injected bits are those sent past it
             counted = order >= warmup
             bits, delays = bits[counted], delays[counted]
-        delivered = _running_sum(delivered, bits)
+            injected = _running_sum(injected, new_bits[max(warmup - a, 0) :])
+        if warmup or p > 1:  # else the delivered bits are the released ones
+            delivered = _running_sum(delivered, bits)
         if delays.size and delays.max() >= hist.size:
             hist = np.concatenate((hist, np.zeros(delays.max() + 1)))
         np.add.at(hist, delays, bits)  # in delivery order, as the receiver adds
 
-        # The gap moves to the first slot still open: a chain opens with an
-        # acked slot, so its window has bits.  The slots before it are released.
-        still = np.flatnonzero(span_delivery < 0)
-        k = int(still[0]) if still.size else len(span_delivery)
         if integer:
             span_prints = np.concatenate((span_prints, rng.bit_generator.random_raw(m)))
             integrity_ok &= np.array_equal(span_prints[:k], replay.random_raw(k))
             span_prints = span_prints[k:]
-        released = _running_sum(released, span_bits[:k])
-        # The injected bits are those sent past the warm-up.  With none, that
-        # is `released` summed on over the span, which skips a cumsum over the
-        # chunk: the warm-up form alone made full-CSIT sessions 3-5% slower.
-        injected = (
-            _running_sum(injected, new_bits[max(warmup - a, 0) :]) if warmup
-            else _running_sum(released, span_bits[k:])
-        )
-        span_bits, span_delivery = span_bits[k:], span_delivery[k:]
+        span_bits, span_sums = span_bits[k:], span_sums[k:]
 
         if record_slots:
             columns["eff_snr"][chunk] = np.where(fed, eff, np.nan)
@@ -512,20 +520,27 @@ def _run_kernel(
             np.add.at(columns["reward_bits"], delivery, chain_bits)  # left to right
 
     keys, lengths = np.flatnonzero(hist), np.flatnonzero(chains)
-    # the receiver holds the span's delivered windows in delivery order
-    held = np.flatnonzero(span_delivery >= 0)
-    held = held[np.argsort(span_delivery[held], kind="stable")]
+    # The receiver holds the span's delivered slots, each until its process's
+    # next renewal, in delivery order: a running minimum from the right over
+    # the held slots by process, of the renewals keyed by process first.
+    held = np.arange(n - len(span_bits), n)
+    held = held[held <= last_renewal[held % p]]
+    held = held[np.argsort(held % p, kind="stable")]
+    key = np.where(snrs[held] >= gamma_r, held % p * n + held, p * n)
+    delivery = np.minimum.accumulate(key[::-1])[::-1] % n
+    held = held[np.argsort(delivery, kind="stable")]
+    released, total = float(span_sums[0]), float(span_sums[-1])
     return SessionLog(
         horizon=n,
         slot_uses=link.slot_uses,
         warmup_slots=warmup,
         chain_hist=dict(zip(lengths.tolist(), chains[lengths].tolist())),
-        injected_bits=injected,
-        delivered_bits=delivered,
+        injected_bits=injected if warmup else total,
+        delivered_bits=delivered if warmup or p > 1 else released,
         delay_hist=dict(zip(keys.tolist(), hist[keys].tolist())),
         integrity_ok=integrity_ok,
         released_bits=released,
-        held_window_bits=_running_sum(0.0, span_bits[held]),
+        held_window_bits=_running_sum(0.0, span_bits[held + len(span_bits) - n]),
         slot_columns=columns if record_slots else None,
     )
 

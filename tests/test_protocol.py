@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 import tracemalloc
@@ -801,17 +803,23 @@ class TestChunkInvariance:
         assert columns["chain_length"][columns["renewal"]].tolist() == [301, 401, 4]
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
-    @pytest.mark.parametrize("factor", [1, 2, 3, 7])
-    def test_warmup_longer_than_a_chunk(self, factor, accounting):
-        # 4 processes and a 30-slot warm-up, against chunks of 4 to 28 slots
+    @pytest.mark.parametrize("processes, factor", [
+        *(pytest.param(4, factor, id=f"{factor}") for factor in (1, 2, 3, 7)),
+        *(pytest.param(1, factor, id=f"P1-{factor}") for factor in (1, 2, 3, 7)),
+    ])
+    def test_warmup_longer_than_a_chunk(self, processes, factor, accounting):
+        # a 30-slot warm-up against chunks of 1 to 7 slots (one process, where
+        # the delivered bits are not the released ones) or 4 to 28 slots
         snrs = np.random.default_rng(3).exponential(15.0, 64)
         link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
                          accounting=accounting)
         feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs.tolist()]
-        with chunk_of(factor, 4):
+        with chunk_of(factor, processes):
             log, _ = same_outcome(
-                lambda: protocol._run_kernel(link, snrs, 4, None, None, 30, True),
-                lambda: protocol._run_processes(link, snrs.tolist(), 4, feedback, None, 30, True),
+                lambda: protocol._run_kernel(link, snrs, processes, None, None, 30, True),
+                lambda: protocol._run_processes(
+                    link, snrs.tolist(), processes, feedback, None, 30, True
+                ),
             )
         assert 0.0 < log.injected_bits < log.slot_columns["new_bits"].sum()
 
@@ -899,6 +907,43 @@ class TestLedger:
         else:
             bound = 4 * horizon * np.spacing(horizon * link.slot_uses * link.rate)
             assert all(abs(got - want) <= bound for got, want in pairs), pairs
+
+
+class TestSlotOrderTotals:
+    """The kernel reads the released bits from one slot-order running total
+    at the gap, min_j(last renewal of process j + P) capped at the horizon,
+    and with one process and no warm-up it delivers exactly the released
+    bits and holds none.  Both identities are exact in both accountings."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from(["full", "pair", "quantized"]),
+           st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=5),
+           st.data())
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    @pytest.mark.parametrize("factor", _FACTORS)
+    def test_released_bits_end_at_the_gap(self, factor, accounting, scheme, length, rounds,
+                                          data):
+        horizon, processes = 2 * length * rounds, {"full": 1, "pair": 2}.get(scheme, 2 * length)
+        snrs = np.array(data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon)))
+        warmup = data.draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=horizon)))
+        link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
+                         accounting=accounting, block_length=length)
+        quantizer = None
+        if scheme == "quantized":
+            quantizer = planned_config(4.0, length, link.gamma_r)
+        with chunk_of(factor, processes):
+            log = protocol._run_kernel(link, snrs, processes, quantizer, None, warmup, True)
+        slots, decoded = np.arange(horizon), log.slot_columns["decoded"]
+        last = np.arange(processes) - processes
+        np.maximum.at(last, slots[decoded] % processes, slots[decoded])
+        gap = min(int(last.min()) + processes, horizon)
+        left_to_right = functools.reduce(
+            operator.add, log.slot_columns["new_bits"][:gap].tolist(), 0.0
+        )
+        assert_identical(log.released_bits, left_to_right)
+        if processes == 1 and not warmup:
+            assert_identical(log.delivered_bits, log.released_bits)
+            assert_identical(log.held_window_bits, 0.0)
 
 
 class TestKernelMemory:
