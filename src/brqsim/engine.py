@@ -56,13 +56,6 @@ class StatsSummary:
         return out
 
 
-def _replication_rngs(seed: int, rep: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Independent channel and payload substreams for one replication."""
-    channel = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0)))
-    payload = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, 1)))
-    return channel, payload
-
-
 def _mean_half_width(values: list[float]) -> tuple[float, float]:
     clean = [v for v in values if math.isfinite(v)]
     if not clean:
@@ -90,14 +83,13 @@ def run_replicated(
     record_slots = collect_logs is not None
     logs = []
     for rep in range(run.replications):
-        rng, source_rng = _replication_rngs(run.seed, rep)
+        # the channel substream of replication rep
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=run.seed, spawn_key=(rep, 0)))
         if link.feedback_bits is None:
-            log = run_full_csit(
-                link, model, run.horizon, rng, source_rng, record_slots=record_slots
-            )
+            log = run_full_csit(link, model, run.horizon, rng, record_slots=record_slots)
         else:
             log = run_quantized(
-                link, model, run.horizon, rng, source_rng,
+                link, model, run.horizon, rng,
                 record_slots=record_slots, include_warmup=run.include_warmup,
             )
         logs.append(log)

@@ -18,12 +18,13 @@ which gives the gap, the first slot not yet delivered, where in-order
 release stops, and one span, every slot from the gap to the chunk, with
 its new bits and slot-order totals.  With one process (full CSIT)
 delivery is in slot order and a chain is the run of slots since the
-last renewal.  Integer sessions check one fingerprint word per released
-window, in slot order, against a replay, instead of per-bit payloads.
-The per-slot TX/RX state machines are the kernel's executable
-specification, held equal to it bit for bit by a differential test: both
-take C = log2(1 + snr) from `channel.capacity`, the kernel once per chunk
-of slots over an array, the state machine once per slot.
+last renewal.  Integer sessions check that each chunk's chains carry
+what their failed slots' own reports leave, and that every bit sent is
+in a chain or still open.  The per-slot TX/RX state machines are the
+kernel's executable specification, held equal to it bit for bit by a
+differential test: both take C = log2(1 + snr) from `channel.capacity`,
+the kernel over an array once per chunk (twice in integer accounting),
+the state machine once per slot.
 
 Every decodable slot renews its process's chain, and a session keeps
 only how many chains of each length it renewed (`SessionLog.chain_hist`).
@@ -253,7 +254,7 @@ class SessionLog:
     delivered_bits: float
     delay_hist: dict[int, float]  # delay in slots -> delivered new bits, kept sorted
     integrity_ok: bool
-    released_bits: float  # in-order verified prefix of the payload stream
+    released_bits: float  # in-order prefix of the payload stream
     held_window_bits: float  # decoded but stuck behind an unresolved gap
     slot_columns: dict[str, np.ndarray] | None = None  # one array per SLOT_FIELDS
     undelivered_bits: float = field(init=False)
@@ -290,23 +291,11 @@ class SessionLog:
         return sum(d * b for d, b in self.delay_hist.items()) / total
 
 
-def _source_and_replay(
-    source_rng: np.random.Generator | None, materialize: bool
-) -> tuple[SourceStream, ReassemblyStream]:
-    """Build the TX payload source and an identically seeded RX replay."""
-    rng = source_rng if source_rng is not None else np.random.default_rng(0)
-    replay_rng = np.random.default_rng(0)
-    replay_rng.bit_generator.state = rng.bit_generator.state
-    source = SourceStream(rng, materialize)
-    return source, ReassemblyStream(SourceStream(replay_rng, materialize))
-
-
 def _run_processes(
     link: LinkConfig,
     snrs: list[float],
     processes: int,
     feedback: list[float | None],
-    source_rng: np.random.Generator | None,
     warmup: int,
     record_slots: bool,
 ) -> SessionLog:
@@ -317,7 +306,9 @@ def _run_processes(
     All processes draw payload from one source and deliver into one
     reassembly stream; slots before `warmup` stay out of the statistics.
     """
-    source, stream = _source_and_replay(source_rng, link.accounting == "integer")
+    materialize = link.accounting == "integer"
+    source = SourceStream(np.random.default_rng(0), materialize)
+    stream = ReassemblyStream(SourceStream(np.random.default_rng(0), materialize))
     txs = [BrqTransmitter(link, source) for _ in range(processes)]
     rxs = [BrqReceiver(link, stream) for _ in range(processes)]
     injected = delivered = 0.0
@@ -388,6 +379,24 @@ def _codec_feedback(
     return feedback
 
 
+def _chains_add_up(
+    link: LinkConfig, snrs: np.ndarray, quantizer: QuantizerConfig | None,
+    order: np.ndarray, chain_bits: np.ndarray,
+) -> tuple[bool, float]:
+    """Integer accounting: whether the new bits `chain_bits` of a chunk's
+    delivered slots `order` are B each less the parity asked for by each
+    failed slot's own report (its SNR, or with a `quantizer` its cell's
+    lower edge), as a chain is one fresh slot followed by what each failed
+    slot's report leaves; and their sum."""
+    reports = snrs[order]
+    reports = reports[reports < link.gamma_r]
+    if quantizer is not None:
+        reports = cells(reports, quantizer) * quantizer.cell_width
+    chain_sum = float(chain_bits.sum())
+    parity = float(parity_bits(link, capacity(reports)).sum())
+    return chain_sum == link.bits_per_slot * len(order) - parity, chain_sum
+
+
 # Slots per kernel chunk, rounded up to a multiple of P.  Median kernel CPU
 # times at 4096, 8192 and 16384 (2-core Xeon): 1.22, 1.14 and 1.45 ms for
 # 40 000 slots at P = 1; 2.61, 2.52 and 2.81 ms for 38 400 slots at P = 128.
@@ -399,7 +408,6 @@ def _run_kernel(
     snrs: np.ndarray,
     processes: int,
     quantizer: QuantizerConfig | None,
-    source_rng: np.random.Generator | None,
     warmup: int,
     record_slots: bool,
 ) -> SessionLog:
@@ -419,10 +427,11 @@ def _run_kernel(
     the state machine's order, by delivery slot and then by slot.  With one
     process that is slot order: a chain is the run of slots since the last
     renewal, and without a warm-up the delivered bits are the released
-    ones.  In integer accounting the parity is rounded up, and the payload
-    source (`source_rng`, else seed 0) gives each slot's window one
-    fingerprint word; the words of the slots each chunk releases, those
-    before the new gap, must equal a replay of the source.
+    ones.  In integer accounting the parity is rounded up, and two exact
+    checks give `integrity_ok`: each chunk's delivered slots carry B bits
+    each less the parity asked for by the report on each delivered failed
+    slot (`_chains_add_up`); and the bits of every chain, warm-up included,
+    plus those of the slots still open at the end are every bit sent.
     """
     n, p = len(snrs), processes
     size = -(-_SESSION_CHUNK // p) * p
@@ -434,12 +443,7 @@ def _run_kernel(
     span_bits, span_sums = np.zeros(0), np.zeros(1)
     injected = delivered = 0.0
     hist, chains = np.zeros(1), np.zeros(1, dtype=np.int64)
-    integrity_ok = True
-    if integer:
-        rng = source_rng if source_rng is not None else np.random.default_rng(0)
-        replay = type(rng.bit_generator)()
-        replay.state = rng.bit_generator.state  # at the gap's window
-        span_prints = np.zeros(0, dtype=np.uint64)
+    integrity_ok, chained = True, 0.0  # chained: the bits of every chain so far
     if record_slots:
         flags = np.empty(n, dtype=bool)
         columns = dict(
@@ -506,9 +510,8 @@ def _run_kernel(
         np.add.at(hist, delays, bits)  # in delivery order, as the receiver adds
 
         if integer:
-            span_prints = np.concatenate((span_prints, rng.bit_generator.random_raw(m)))
-            integrity_ok &= np.array_equal(span_prints[:k], replay.random_raw(k))
-            span_prints = span_prints[k:]
+            ok, chain_sum = _chains_add_up(link, snrs, quantizer, order, chain_bits)
+            integrity_ok, chained = integrity_ok and ok, chained + chain_sum
         span_bits, span_sums = span_bits[k:], span_sums[k:]
 
         if record_slots:
@@ -523,13 +526,16 @@ def _run_kernel(
     # The receiver holds the span's delivered slots, each until its process's
     # next renewal, in delivery order: a running minimum from the right over
     # the held slots by process, of the renewals keyed by process first.
-    held = np.arange(n - len(span_bits), n)
-    held = held[held <= last_renewal[held % p]]
+    span = np.arange(n - len(span_bits), n)
+    closed = span <= last_renewal[span % p]
+    held = span[closed]
     held = held[np.argsort(held % p, kind="stable")]
     key = np.where(snrs[held] >= gamma_r, held % p * n + held, p * n)
     delivery = np.minimum.accumulate(key[::-1])[::-1] % n
     held = held[np.argsort(delivery, kind="stable")]
     released, total = float(span_sums[0]), float(span_sums[-1])
+    if integer:  # the ledger: every bit sent is in a chain or still open
+        integrity_ok = integrity_ok and chained + span_bits[~closed].sum() == total
     return SessionLog(
         horizon=n,
         slot_uses=link.slot_uses,
@@ -538,7 +544,7 @@ def _run_kernel(
         injected_bits=injected if warmup else total,
         delivered_bits=delivered if warmup or p > 1 else released,
         delay_hist=dict(zip(keys.tolist(), hist[keys].tolist())),
-        integrity_ok=integrity_ok,
+        integrity_ok=bool(integrity_ok),
         released_bits=released,
         held_window_bits=_running_sum(0.0, span_bits[held + len(span_bits) - n]),
         slot_columns=columns if record_slots else None,
@@ -550,7 +556,6 @@ def run_full_csit(
     model: FadingModel,
     horizon: int,
     rng: np.random.Generator,
-    source_rng: np.random.Generator | None = None,
     *,
     record_slots: bool = False,
 ) -> SessionLog:
@@ -558,7 +563,7 @@ def run_full_csit(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     snrs = model.sample(rng, horizon)
-    return _run_kernel(link, snrs, 1, None, source_rng, 0, record_slots)
+    return _run_kernel(link, snrs, 1, None, 0, record_slots)
 
 
 def run_quantized(
@@ -566,7 +571,6 @@ def run_quantized(
     model: FadingModel,
     horizon: int,
     rng: np.random.Generator,
-    source_rng: np.random.Generator | None = None,
     *,
     record_slots: bool = False,
     include_warmup: bool = False,
@@ -591,6 +595,4 @@ def run_quantized(
     quantizer = planned_config(link.feedback_bits, length, link.gamma_r)
     snrs = model.sample(rng, horizon)
     warmup = 0 if include_warmup else 2 * length
-    return _run_kernel(
-        link, snrs, 2 * length, quantizer, source_rng, warmup, record_slots
-    )
+    return _run_kernel(link, snrs, 2 * length, quantizer, warmup, record_slots)

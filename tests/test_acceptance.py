@@ -156,16 +156,14 @@ def test_criterion_05_payload_integrity_quantized():
         accounting="integer",
     )
     horizon = 128 * 782  # about 1e5 slots, a multiple of 2L
-    log = run_quantized(
-        link, MODEL, horizon, np.random.default_rng(2), np.random.default_rng(77)
-    )
+    log = run_quantized(link, MODEL, horizon, np.random.default_rng(2))
     # a ChainBrokenError inside run_quantized would have failed the test
     assert log.integrity_ok
     assert log.delivered_bits > 0
     report(
         5,
-        f"{horizon} quantized slots, released windows match the payload replay "
-        f"fingerprint for fingerprint, in slot order, "
+        f"{horizon} quantized slots, every chunk's chains carry the bits their "
+        f"failed slots' reports leave, chain and open bits sum to every bit sent, "
         f"{log.renewal_count} renewals, zero chain breaks",
     )
 

@@ -603,6 +603,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"{prefix}injected\n"
 
 
+    def test_a_failed_integrity_verdict_exits_4(self, monkeypatch, capsys, tmp_path):
+        """A session log that fails integrity is written to the summary as
+        "fail", and the run exits 4 with nothing on stderr."""
+        session = engine.run_full_csit
+
+        def failing(*args, **kwargs):
+            log = session(*args, **kwargs)
+            log.integrity_ok = False
+            return log
+
+        monkeypatch.setattr(engine, "run_full_csit", failing)
+        out = tmp_path / "s.json"
+        code = main(["simulate", "--accounting", "integer", "--rate", "4", "--slots", "500",
+                     "--output", str(out)])
+        assert code == cli.EXIT_INTEGRITY
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["integrity"] == "fail"
+
+
 class TestSlotLogColumns:
     """The column formatter agrees with the reference's cell by cell."""
 

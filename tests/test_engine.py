@@ -32,10 +32,7 @@ class TestRunReplicated:
         run = RunConfig(seed=7, replications=1, horizon=4000)
         summary = run_replicated(run, link(), Rayleigh(10.0))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0, 0)))
-        source = np.random.default_rng(
-            np.random.SeedSequence(entropy=7, spawn_key=(0, 1))
-        )
-        log = run_full_csit(link(), Rayleigh(10.0), 4000, rng, source)
+        log = run_full_csit(link(), Rayleigh(10.0), 4000, rng)
         assert summary.rate_mean == log.delivered_rate
         assert summary.rate_half_width == 0.0
         assert summary.renewal_count == log.renewal_count

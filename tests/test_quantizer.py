@@ -337,6 +337,20 @@ class TestPlanCellWidth:
         with pytest.raises(BudgetExceededError):
             QuantizerConfig(feedback_bits, block_length, 21.0, 2 * cfg.cell_count)
 
+    @pytest.mark.parametrize("feedback_bits", [1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0])
+    def test_cell_count_within_the_counting_bound(self, feedback_bits):
+        # A block code that gives each failed slot one of K cells names
+        # (K + 1)^L reports, an ack or a cell per slot, in 2^floor(L F)
+        # codewords: K <= 2^(floor(L F) / L) - 1, e.g. K = 4 against 4.66
+        # at F = 2.5, L = 64.  Where planning fails there is no K.
+        for block_length in range(2, 129):
+            try:
+                count = planned_config(feedback_bits, block_length, 20.0).cell_count
+            except InsufficientFeedbackError:
+                continue
+            budget = math.floor(block_length * feedback_bits)
+            assert (count + 1) ** block_length <= 2**budget, block_length
+
     def test_large_budget_gives_fine_cells(self):
         cfg = planned_config(8.0, 64, 21.0)
         # budget 512; count field 7 bits; the all-failed block is the

@@ -44,6 +44,8 @@ def test_traced_commands_count_and_uninstall_restores(tracing, tmp_path):
         commands = [
             ["simulate", "--rate-factor", "2", "--slots", "2000"],
             ["simulate", "--scheme", "quantized", "--feedback-bits", "2", "--slots", "2048"],
+            ["simulate", "--accounting", "integer", "--rate", "4", "--slots", "2000",
+             "--csv-log", str(tmp_path / "slots.csv")],
             ["fig5", "--ratio-grid", "0.5,1,2", "--feedback-grid", "1"],
         ]
         for i, argv in enumerate(commands):
@@ -54,12 +56,12 @@ def test_traced_commands_count_and_uninstall_restores(tracing, tmp_path):
     json.dumps(counts)  # the benchmark writes the counts as JSON
     for name in ("protocol.renewals", "protocol.chain_slots", "protocol.max_chain_length"):
         assert type(counts[name]) is int, name
-    assert counts["protocol.slots"] == 2000 + 2048
+    assert counts["protocol.slots"] == 2000 + 2048 + 2000
     assert counts["protocol.renewals"] > 0
     assert counts["engine.sweep_points"] == 3
     totals = tracer.layer_totals()
-    assert totals["protocol.session"][2] == 2
-    assert totals["engine.replicate"][2] == 2
+    assert totals["protocol.session"][2] == 3
+    assert totals["engine.replicate"][2] == 3
     assert totals["cli.main"][2] == len(commands)
     changed = [(getattr(owner, "__name__", owner), attr) for owner, attr, original in originals
                if vars(owner)[attr] is not original]
