@@ -329,6 +329,8 @@ def distortion_bound(feedback_bits: float, p_r: float, mean_snr: float) -> float
 def _check_budget(feedback_bits) -> None:
     if np.isnan(feedback_bits).any():
         raise ValueError("feedback budget must not be NaN")
+    if (np.asarray(feedback_bits) < 0).any():
+        raise ValueError(f"feedback budget must be nonnegative, got {np.min(feedback_bits)}")
 
 
 def avg_rate_quantized(model: Rayleigh, rate: float, feedback_bits: float) -> float:

@@ -547,7 +547,16 @@ class TestExitCodes:
          "feedback budget must not be NaN"),
         (["fig5", "--ratio-grid", "1", "--feedback-grid=1,nan"],
          "feedback budget must not be NaN"),
-    ], ids=["simulate-nan", "simulate-inf", "analytic", "fig4", "fig5"])
+        (["simulate", "--scheme", "quantized", "--feedback-bits", "-1", "--slots", "128"],
+         "feedback_bits must be finite and nonnegative, got -1.0"),
+        (["analytic", "--feedback-bits", "-1"], "feedback budget must be nonnegative, got -1.0"),
+        (["analytic", "--feedback-bits=-inf"], "feedback budget must be nonnegative, got -inf"),
+        (["fig4", "--snr-grid-db", "10", "--feedback-grid=-1"],
+         "feedback budget must be nonnegative, got -1.0"),
+        (["fig5", "--ratio-grid", "1", "--feedback-grid=1,-1"],
+         "feedback budget must be nonnegative, got -1.0"),
+    ], ids=["simulate-nan", "simulate-inf", "analytic", "fig4", "fig5", "simulate-negative",
+            "analytic-negative", "analytic-minus-inf", "fig4-negative", "fig5-negative"])
     def test_non_finite_feedback_budget_is_usage_error(self, tmp_path, capsys, argv,
                                                        message):
         out = tmp_path / "out"

@@ -876,8 +876,10 @@ class TestLedger:
 class TestSlotOrderTotals:
     """The kernel reads the released bits from one slot-order running total
     at the gap, min_j(last renewal of process j + P) capped at the horizon,
-    and with one process and no warm-up it delivers exactly the released
-    bits and holds none.  Both identities are exact in both accountings."""
+    and sums the held windows, the slots from the gap at or before their
+    process's last renewal, in slot order, which is payload order.  With one
+    process and no warm-up it delivers exactly the released bits and holds
+    none.  The identities are exact in both accountings."""
 
     @settings(deadline=None, max_examples=25)
     @given(st.sampled_from(["full", "pair", "quantized"]),
@@ -897,17 +899,35 @@ class TestSlotOrderTotals:
             quantizer = planned_config(4.0, length, link.gamma_r)
         with chunk_of(factor, processes):
             log = protocol._run_kernel(link, snrs, processes, quantizer, warmup, True)
-        slots, decoded = np.arange(horizon), log.slot_columns["decoded"]
-        last = np.arange(processes) - processes
-        np.maximum.at(last, slots[decoded] % processes, slots[decoded])
-        gap = min(int(last.min()) + processes, horizon)
-        left_to_right = functools.reduce(
-            operator.add, log.slot_columns["new_bits"][:gap].tolist(), 0.0
-        )
-        assert_identical(log.released_bits, left_to_right)
+        released, held = slot_order_sums(log, processes)
+        assert_identical(log.released_bits, released)
+        assert_identical(log.held_window_bits, held)
         if processes == 1 and not warmup:
             assert_identical(log.delivered_bits, log.released_bits)
             assert_identical(log.held_window_bits, 0.0)
+
+    def test_held_windows_add_in_payload_order(self):
+        # 128 processes over a Rayleigh trace hold windows that their
+        # renewals deliver out of payload order; added in delivery order
+        # they would give 307679.6700122058
+        snrs = np.random.default_rng(0).exponential(10.0, 38400).tolist()
+        log, _ = kernel_and_oracle(snrs, 2.0, 64)
+        assert_identical(log.held_window_bits, slot_order_sums(log, 128)[1])
+        assert_identical(log.held_window_bits, 307679.6700122057)
+
+
+def slot_order_sums(log, processes):
+    """The slot log's new bits added one by one from 0.0, in slot order:
+    over the slots before the gap, and over the held ones, those from the
+    gap at or before their process's last renewal."""
+    slots, decoded = np.arange(log.horizon), log.slot_columns["decoded"]
+    last = np.arange(processes) - processes
+    np.maximum.at(last, slots[decoded] % processes, slots[decoded])
+    gap = min(int(last.min()) + processes, log.horizon)
+    held = slots[gap:][slots[gap:] <= last[slots[gap:] % processes]]
+    new_bits = log.slot_columns["new_bits"]
+    return tuple(functools.reduce(operator.add, new_bits[part].tolist(), 0.0)
+                 for part in (slots[:gap], held))
 
 
 def chain_bits_of(link, snrs, quantizer, order, processes, lag, rounded_down=False):
