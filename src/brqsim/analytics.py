@@ -24,6 +24,7 @@ from .channel import (
     FadingModel,
     Rayleigh,
     capacity,
+    check_feedback_bits,
     check_link_rate,
     inv_capacity,
 )
@@ -120,7 +121,8 @@ def rayleigh_rate(m, rate, gamma_r, p_r, feedback_bits=math.inf) -> np.ndarray:
     e^(-gamma_R/m); NaN where F <= H(p_R), as the budget cannot cover the
     success mask.  Where d >= gamma_R, R = 0 included, the outage term is
     exactly 0 (G(1/m) less itself)."""
-    _check_budget(feedback_bits)
+    if feedback_bits != math.inf:
+        check_feedback_bits(feedback_bits)
     h = _entropy(p_r)
     d = _distortion(m, h, feedback_bits)
     low = np.exp(-d / m) * _capacity_below(m, np.maximum(gamma_r - d, 0.0))
@@ -217,8 +219,6 @@ def avg_rate_full_csit(model: FadingModel, rate: float) -> float:
     E[C(snr); snr < gamma_R] + rate * P(snr >= gamma_R), where
     gamma_R = 2**rate - 1.
     """
-    if rate == 0:
-        return 0.0
     gamma_r = inv_capacity(rate)
     p_r = model.decode_prob(gamma_r)
     if isinstance(model, Rayleigh):
@@ -233,8 +233,6 @@ def avg_rate_r_limited(model: FadingModel, rate: float) -> float:
     expectation, apart from the closed forms, so the equality stays
     checkable.
     """
-    if rate == 0:
-        return 0.0
     gamma_r = inv_capacity(rate)
     low = _expect_outage(model, lambda g: min(capacity(g), rate), gamma_r)
     return low + rate * model.decode_prob(gamma_r)
@@ -317,20 +315,14 @@ def distortion_bound(feedback_bits: float, p_r: float, mean_snr: float) -> float
     """
     if mean_snr <= 0:
         raise ValueError(f"mean SNR must be positive, got {mean_snr}")
-    _check_budget(feedback_bits)
+    if feedback_bits != math.inf:
+        check_feedback_bits(feedback_bits)
     h = binary_entropy(p_r)
     if feedback_bits <= h:
         raise InsufficientFeedbackError(
             f"feedback budget {feedback_bits} does not exceed mask cost {h:.4f}"
         )
     return _one(_distortion, mean_snr, h, feedback_bits)
-
-
-def _check_budget(feedback_bits) -> None:
-    if np.isnan(feedback_bits).any():
-        raise ValueError("feedback budget must not be NaN")
-    if (np.asarray(feedback_bits) < 0).any():
-        raise ValueError(f"feedback budget must be nonnegative, got {np.min(feedback_bits)}")
 
 
 def avg_rate_quantized(model: Rayleigh, rate: float, feedback_bits: float) -> float:

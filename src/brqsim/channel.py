@@ -44,6 +44,13 @@ def check_link_rate(rate: float) -> float:
     return rate
 
 
+def check_feedback_bits(feedback_bits: float) -> float:
+    """A feedback budget F itself if it is finite and nonnegative, else ValueError."""
+    if not 0 <= feedback_bits < math.inf:
+        raise ValueError(f"feedback_bits must be finite and nonnegative, got {feedback_bits}")
+    return feedback_bits
+
+
 def inv_capacity(rate: float) -> float:
     """Minimal linear SNR that supports `rate`: 2**rate - 1.
 
@@ -150,9 +157,10 @@ class LinkConfig:
     `rate` is the fixed codebook rate R in bits per channel use and
     `slot_uses` the channel uses N per slot, so one packet carries
     rate * slot_uses bits.  `feedback_bits` is the per-slot feedback
-    budget F; None means full (unquantized) CSIT.  In "integer"
-    accounting, parity and new bits are whole bit counts and the bits
-    per slot must be a whole number; "fluid" keeps real-valued counts.
+    budget F, pooled over `block_length` L slots; None means full CSIT,
+    which has no L to check.  In "integer" accounting, parity and new
+    bits are whole bit counts and the bits per slot must be a whole
+    number; "fluid" keeps real-valued counts.
     """
 
     rate: float
@@ -165,12 +173,10 @@ class LinkConfig:
         check_link_rate(self.rate)
         if self.slot_uses < 1:
             raise ValueError(f"slot_uses must be >= 1, got {self.slot_uses}")
-        if self.feedback_bits is not None and not 0 <= self.feedback_bits < math.inf:
-            raise ValueError(
-                f"feedback_bits must be finite and nonnegative, got {self.feedback_bits}"
-            )
-        if self.block_length < 2:
-            raise ValueError(f"block_length must be >= 2, got {self.block_length}")
+        if self.feedback_bits is not None:
+            check_feedback_bits(self.feedback_bits)
+            if self.block_length < 2:
+                raise ValueError(f"block_length must be >= 2, got {self.block_length}")
         if self.accounting not in ACCOUNTING_MODES:
             raise ValueError(f"accounting must be one of {ACCOUNTING_MODES}")
         if self.accounting == "integer":

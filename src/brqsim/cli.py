@@ -38,6 +38,7 @@ from .errors import (
     ChainBrokenError,
     FeedbackDecodeError,
     InfiniteDelayError,
+    InsufficientFeedbackError,
     NumericError,
 )
 from .protocol import SLOT_FIELDS
@@ -50,7 +51,7 @@ EXIT_INTEGRITY = 4
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment description; round-trips through key=value text.
+    """Flat experiment description, read from key=value text.
 
     Each field is one setting of the config file and one command-line
     flag: `--<name>` with underscores as dashes, unless its metadata names
@@ -81,19 +82,6 @@ class ExperimentConfig:
     rate_factors: str = "2,3"
     feedback_grid: str | None = None
     ratio_grid: str = "0.25:8:0.25"
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                text = "none"
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            else:
-                text = str(value)
-            lines.append(f"{f.name}={text}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -259,9 +247,12 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
         "wf_rate": analytics.waterfilling_rate(model),
     }
     if cfg.feedback_bits is not None:
-        quant = engine.quantized_rate(model, rate, cfg.feedback_bits)
+        try:
+            quant, note = analytics.avg_rate_quantized(model, rate, cfg.feedback_bits), ""
+        except InsufficientFeedbackError:
+            quant, note = math.nan, "insufficient_feedback"
         row[engine.quant_rate_column(cfg.feedback_bits)] = quant
-        row["note"] = "insufficient_feedback" if math.isnan(quant) else ""
+        row["note"] = note
     if cfg.out_format == "json":
         _write_json(cfg.output, row)
     else:

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import analytics
 from .channel import FadingModel, LinkConfig, Rayleigh, db_to_linear, inv_capacity
-from .errors import InsufficientFeedbackError
 from .protocol import SessionLog, run_full_csit, run_quantized
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -126,14 +125,6 @@ def rate_for_factor(k: float, mean_snr: float) -> float:
     if k < 0:
         raise ValueError(f"rate factor must be nonnegative, got {k}")
     return math.log2(1.0 + k * mean_snr)
-
-
-def quantized_rate(model: Rayleigh, rate: float, fbits: float) -> float:
-    """Analytic quantized rate, NaN where the budget cannot cover the mask."""
-    try:
-        return analytics.avg_rate_quantized(model, rate, fbits)
-    except InsufficientFeedbackError:
-        return math.nan
 
 
 def _rate_columns(models: list[Rayleigh], rates: list[float], feedback_bits) -> dict:

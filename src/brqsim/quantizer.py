@@ -12,11 +12,13 @@ success-count, pattern-index, cell-indices ascending by slot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_feedback_bits
 from .errors import (
     BudgetExceededError,
     FeedbackDecodeError,
@@ -35,11 +37,13 @@ def _bits_for(count: int) -> int:
 
 
 def _bit_budget(feedback_bits: float, block_length: int) -> int:
-    if not 0 <= feedback_bits < math.inf:
-        raise ValueError(
-            f"feedback_bits must be finite and nonnegative, got {feedback_bits}"
-        )
-    return math.floor(block_length * feedback_bits + 1e-9)
+    return math.floor(block_length * check_feedback_bits(feedback_bits) + 1e-9)
+
+
+@functools.cache
+def _pattern_bits(block_length: int) -> tuple[int, ...]:
+    """ceil(log2 C(L, k)) for k = 0..L, cached: planning tries many cell counts."""
+    return tuple(_bits_for(math.comb(block_length, k)) for k in range(block_length + 1))
 
 
 def block_bits(block_length: int, cell_count: int) -> list[int]:
@@ -50,11 +54,8 @@ def block_bits(block_length: int, cell_count: int) -> list[int]:
     + (L-k) * ceil(log2 K) bits.
     """
     count, cell = _bits_for(block_length + 1), _bits_for(cell_count)
-    table, masks = [], 1  # C(L, k), by C(L, k+1) = C(L, k) * (L-k) / (k+1)
-    for k in range(block_length + 1):
-        table.append(count + _bits_for(masks) + (block_length - k) * cell)
-        masks = masks * (block_length - k) // (k + 1)
-    return table
+    return [count + pattern + (block_length - k) * cell
+            for k, pattern in enumerate(_pattern_bits(block_length))]
 
 
 @dataclass(frozen=True)

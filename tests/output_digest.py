@@ -18,7 +18,13 @@ these commands.  The matrix holds:
 - a full-CSIT and a quantized (F = 2, L = 64) fluid `--csv-log` run,
   whose slot logs hold each chain's renewal slot and length.
 
-pytest does not collect this file; `test_cli.py` runs a small matrix of it.
+pytest does not collect this file; `test_cli.py` runs a small matrix of it
+and checks that the full matrix prints the lines of `output_digest.txt`.
+A change that means to alter an output rewrites that file with
+
+    PYTHONPATH=src python tests/output_digest.py > tests/output_digest.txt
+
+and says why.
 """
 
 from __future__ import annotations

@@ -98,6 +98,24 @@ class TestAvgRateRLimited:
         assert abs(analytics.avg_rate_r_limited(model(), RATE) - mean) < band
 
 
+class TestZeroRate:
+    """At R = 0 the general formulas give +0.0 on every model: the
+    Rayleigh closed form (through the E1 series at -30 dB), the outage
+    quadrature and the plain sums."""
+
+    @pytest.mark.parametrize("rate_of", [analytics.avg_rate_full_csit,
+                                         analytics.avg_rate_r_limited])
+    @pytest.mark.parametrize("model", [
+        Rayleigh(1e-3), Rayleigh(10.0), Rayleigh(1e6), Deterministic(0.0),
+        Deterministic(3.0), EmpiricalTrace((0.0, 0.5, 7.0)),
+    ], ids=["rayleigh-30dB", "rayleigh10dB", "rayleigh60dB", "deterministic0",
+            "deterministic3", "trace"])
+    def test_is_positive_zero(self, rate_of, model):
+        got = rate_of(model, 0.0)
+        assert type(got) is float
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 class TestPriorFixedPower:
     def test_deterministic(self):
         assert analytics.avg_rate_prior_fixed_power(Deterministic(3.0)) == pytest.approx(
@@ -306,7 +324,7 @@ class TestDistortionBound:
             analytics.distortion_bound(analytics.binary_entropy(0.3), 0.3, 10.0)
 
     def test_nan_budget_rejected_and_infinite_budget_exact(self):
-        with pytest.raises(ValueError, match="must not be NaN"):
+        with pytest.raises(ValueError, match="^feedback_bits must be finite and nonnegative, got nan$"):
             analytics.distortion_bound(math.nan, P_R, 10.0)
         assert analytics.distortion_bound(math.inf, P_R, 10.0) == 0.0
 

@@ -184,11 +184,13 @@ class TestLinkConfig:
             LinkConfig(rate=1.0, slot_uses=0)
         with pytest.raises(ValueError):
             LinkConfig(rate=1.0, accounting="other")
-        with pytest.raises(ValueError):
-            LinkConfig(rate=1.0, block_length=1)
+        # L pools the feedback budget, so it is checked only with a budget
+        with pytest.raises(ValueError, match="^block_length must be >= 2, got 1$"):
+            LinkConfig(rate=1.0, feedback_bits=2.0, block_length=1)
+        assert LinkConfig(rate=1.0, block_length=1).block_length == 1
         for rate in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="rate must be finite and positive"):
                 LinkConfig(rate=rate)
         for fbits in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="feedback_bits must be finite and nonneg"):
+            with pytest.raises(ValueError, match="^feedback_bits must be finite and nonneg"):
                 LinkConfig(rate=1.0, feedback_bits=fbits)

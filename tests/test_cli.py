@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import pathlib
 import tracemalloc
 
 import csv_reference
@@ -29,23 +30,74 @@ def read_csv(path):
         return list(csv.DictReader(handle))
 
 
-class TestExperimentConfig:
-    def test_round_trip_is_lossless(self):
-        cfg = ExperimentConfig(
-            mean_snr_db=12.5,
-            rate=None,
-            rate_factor=3.0,
-            feedback_bits=2.0,
-            seed=99,
-            slots=4096,
-            include_warmup=True,
-            output="out.json",
-        )
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+# Every setting of a config file, each away from its default.
+EVERY_SETTING_TEXT = """\
+mean_snr_db=-3.5
+rate=2.25
+rate_factor=4
+slot_uses=50
+feedback_bits=3
+block_length=8
+accounting=integer
+scheme=quantized
+seed=11
+slots=2048
+replications=3
+include_warmup=true
+output=o.json
+csv_log=l.csv
+out_format=json
+snr_grid_db=0:9:3
+rate_factors=1,5
+feedback_grid=2,4
+ratio_grid=1:2:0.5
+"""
+EVERY_SETTING = ExperimentConfig(
+    mean_snr_db=-3.5, rate=2.25, rate_factor=4.0,
+    slot_uses=50, feedback_bits=3.0, block_length=8, accounting="integer",
+    scheme="quantized", seed=11, slots=2048, replications=3,
+    include_warmup=True, output="o.json", csv_log="l.csv", out_format="json",
+    snr_grid_db="0:9:3", rate_factors="1,5", feedback_grid="2,4",
+    ratio_grid="1:2:0.5",
+)
+# Every setting at its default, spelt out.
+DEFAULTS_TEXT = """\
+mean_snr_db=10
+rate=none
+rate_factor=none
+slot_uses=100
+feedback_bits=none
+block_length=64
+accounting=fluid
+scheme=full
+seed=1
+slots=100000
+replications=1
+include_warmup=false
+output=none
+csv_log=none
+out_format=csv
+snr_grid_db=0:30:2
+rate_factors=2,3
+feedback_grid=none
+ratio_grid=0.25:8:0.25
+"""
 
-    def test_default_round_trip(self):
-        cfg = ExperimentConfig()
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+def keys(text):
+    return [line.split("=")[0] for line in text.splitlines()]
+
+
+class TestExperimentConfig:
+    def test_file_sets_every_setting(self):
+        assert keys(EVERY_SETTING_TEXT) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert ExperimentConfig.from_text(EVERY_SETTING_TEXT) == EVERY_SETTING
+
+    def test_file_of_defaults_gives_the_defaults(self):
+        assert keys(DEFAULTS_TEXT) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert ExperimentConfig.from_text(DEFAULTS_TEXT) == ExperimentConfig()
+        # a later line overrides an earlier one, so these read none and false
+        assert ExperimentConfig.from_text(EVERY_SETTING_TEXT + DEFAULTS_TEXT) == ExperimentConfig()
 
     def test_comments_and_blank_lines(self):
         cfg = ExperimentConfig.from_text("# comment\n\nseed=5\nrate=2.5\n")
@@ -68,14 +120,7 @@ class TestExperimentConfig:
         assert cfg.mean_snr_db == 20.0  # file survives where no flag given
 
     def test_flags_and_file_read_every_setting_alike(self):
-        cfg = ExperimentConfig(
-            mean_snr_db=-3.5, rate=2.25, rate_factor=4.0,
-            slot_uses=50, feedback_bits=3.0, block_length=8, accounting="integer",
-            scheme="quantized", seed=11, slots=2048, replications=3,
-            include_warmup=True, output="o.json", csv_log="l.csv", out_format="json",
-            snr_grid_db="0:9:3", rate_factors="1,5", feedback_grid="2,4",
-            ratio_grid="1:2:0.5",
-        )
+        cfg = EVERY_SETTING
         defaults = ExperimentConfig()
         assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                    for f in dataclasses.fields(cfg))
@@ -89,12 +134,12 @@ class TestExperimentConfig:
             value = getattr(cfg, name)
             argv += [flags[name]] if value is True else [f"{flags[name]}={value}"]
         from_flags = cli.load_config(cli.build_parser().parse_args(argv))
-        assert from_flags == ExperimentConfig.from_text(cfg.to_text()) == cfg
+        assert from_flags == ExperimentConfig.from_text(EVERY_SETTING_TEXT) == cfg
 
     def test_command_is_not_a_setting(self, tmp_path, capsys):
         # the command is the positional argument only; a file that names
         # one is refused, not silently overridden
-        assert "command" not in ExperimentConfig().to_text()
+        assert "command" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
         path, out = tmp_path / "exp.cfg", tmp_path / "out"
         path.write_text("mean_snr_db=3\ncommand=fig4\n")
         assert main(["analytic", "--config", str(path), "--output", str(out)]) == cli.EXIT_USAGE
@@ -332,6 +377,25 @@ class TestSimulateCommand:
              "--slots", "256"]
         ) == cli.EXIT_USAGE
 
+    def test_full_scheme_ignores_the_block_length(self, tmp_path):
+        # full CSIT pools no feedback, so it never reads L
+        argv = ["simulate", "--scheme", "full", "--rate-factor", "2", "--slots", "3000",
+                "--replications", "2", "--seed", "4"]
+        outputs = []
+        for extra in ([], ["--block-length", "1"]):
+            out, log = tmp_path / f"s{len(extra)}.json", tmp_path / f"s{len(extra)}.csv"
+            assert main([*argv, *extra, "--output", str(out), "--csv-log", str(log)]) == 0
+            outputs.append((out.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_quantized_scheme_needs_two_slot_blocks(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--scheme", "quantized", "--feedback-bits", "2",
+                     "--block-length", "1", "--slots", "256", "--output", str(out)]
+                    ) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: block_length must be >= 2, got 1\n"
+        assert not out.exists()
+
     def test_slot_log_schema(self, tmp_path):
         log_path = tmp_path / "slots.csv"
         assert main(
@@ -537,31 +601,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--scheme", "quantized", "--feedback-bits=nan", "--slots", "128"],
-         "feedback_bits must be finite and nonnegative, got nan"),
-        (["simulate", "--scheme", "quantized", "--feedback-bits=inf", "--slots", "128"],
-         "feedback_bits must be finite and nonnegative, got inf"),
-        (["analytic", "--feedback-bits=nan"], "feedback budget must not be NaN"),
-        (["fig4", "--snr-grid-db", "10", "--feedback-grid=nan"],
-         "feedback budget must not be NaN"),
-        (["fig5", "--ratio-grid", "1", "--feedback-grid=1,nan"],
-         "feedback budget must not be NaN"),
+    @pytest.mark.parametrize("argv, got", [
+        (["simulate", "--scheme", "quantized", "--feedback-bits=nan", "--slots", "128"], "nan"),
+        (["simulate", "--scheme", "quantized", "--feedback-bits=inf", "--slots", "128"], "inf"),
+        (["analytic", "--feedback-bits=nan"], "nan"),
+        (["fig4", "--snr-grid-db", "10", "--feedback-grid=nan"], "nan"),
+        (["fig5", "--ratio-grid", "1", "--feedback-grid=1,nan"], "nan"),
         (["simulate", "--scheme", "quantized", "--feedback-bits", "-1", "--slots", "128"],
-         "feedback_bits must be finite and nonnegative, got -1.0"),
-        (["analytic", "--feedback-bits", "-1"], "feedback budget must be nonnegative, got -1.0"),
-        (["analytic", "--feedback-bits=-inf"], "feedback budget must be nonnegative, got -inf"),
-        (["fig4", "--snr-grid-db", "10", "--feedback-grid=-1"],
-         "feedback budget must be nonnegative, got -1.0"),
-        (["fig5", "--ratio-grid", "1", "--feedback-grid=1,-1"],
-         "feedback budget must be nonnegative, got -1.0"),
+         "-1.0"),
+        (["analytic", "--feedback-bits", "-1"], "-1.0"),
+        (["analytic", "--feedback-bits=-inf"], "-inf"),
+        (["fig4", "--snr-grid-db", "10", "--feedback-grid=-1"], "-1.0"),
+        (["fig5", "--ratio-grid", "1", "--feedback-grid=1,-1"], "-1.0"),
     ], ids=["simulate-nan", "simulate-inf", "analytic", "fig4", "fig5", "simulate-negative",
             "analytic-negative", "analytic-minus-inf", "fig4-negative", "fig5-negative"])
-    def test_non_finite_feedback_budget_is_usage_error(self, tmp_path, capsys, argv,
-                                                       message):
+    def test_non_finite_feedback_budget_is_usage_error(self, tmp_path, capsys, argv, got):
+        # one message for every command; only analytics takes F = inf
         out = tmp_path / "out"
         assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: feedback_bits must be finite and nonnegative, got {got}\n"
+        )
         assert not out.exists()
 
     def test_infinite_budget_gives_the_full_csit_rate(self, tmp_path):
@@ -779,3 +839,9 @@ class TestOutputDigest:
     def test_matrix_names_every_output_once(self):
         names = [name for _, outputs in output_digest.matrix() for name in outputs]
         assert len(names) == len(set(names)) == 63
+
+    def test_matrix_writes_the_pinned_bytes(self):
+        # a change that means to alter an output updates output_digest.txt
+        # and says why
+        pinned = pathlib.Path(output_digest.__file__).with_suffix(".txt").read_text()
+        assert output_digest.digest(output_digest.matrix()) == pinned.splitlines()

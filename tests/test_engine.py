@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from brqsim import analytics, engine
 from brqsim.channel import Deterministic, LinkConfig, Rayleigh
 from brqsim.engine import RunConfig, run_replicated
+from brqsim.errors import InsufficientFeedbackError
 from brqsim.protocol import run_full_csit
 
 RATE = math.log2(21.0)
@@ -192,7 +193,11 @@ def point_cells(model, rate, budgets, suffix=""):
         "brq_full_rate": analytics.avg_rate_full_csit(model, rate),
     }
     for f in budgets:
-        cells[engine.quant_rate_column(f)] = engine.quantized_rate(model, rate, f)
+        try:
+            quant = analytics.avg_rate_quantized(model, rate, f)
+        except InsufficientFeedbackError:
+            quant = math.nan
+        cells[engine.quant_rate_column(f)] = quant
     return {name + suffix: value for name, value in cells.items()}
 
 

@@ -273,8 +273,8 @@ def worst_block_bits(block_length, cells):
 
 
 class TestBlockBits:
-    """`block_bits` builds C(L, k) by the recurrence C(L, k+1) =
-    C(L, k) (L-k) / (k+1); its table equals the one from `math.comb`."""
+    """`block_bits` equals its docstring's field widths, written out here
+    from `math.comb`, up to L = 1024 and K = 2**52."""
 
     @staticmethod
     def from_comb(block_length, cells):
