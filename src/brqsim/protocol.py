@@ -10,21 +10,23 @@ Decodability is threshold-based (snr >= gamma_r): slots are long enough
 that coding succeeds whenever the rate is below capacity, and binning is
 represented by its bit budget.  A session is then a pure function of the
 SNR sequence, and one array kernel (`_run_kernel`) runs every session,
-in fluid and in integer accounting.  It derives each failed slot's
-report itself, the SNR or its quantizer cell's lower edge, so its parity
-never falls short; the receiver state machine still checks it.  The
-kernel walks the horizon in chunks.  It carries each process's last
-renewal, which gives the gap, the first slot not yet delivered, where
-in-order release stops; one span, every slot from the gap to the chunk,
-with only its bits; and the released bits, one running slot-order total.
-With one process (full CSIT) delivery is in slot order and a chain is
-the run of slots since the last renewal.  Integer sessions check that
-each chunk's chains carry what their failed slots' own reports leave,
-and that every bit sent is in a chain or still open.  The per-slot TX/RX
-state machines are the kernel's executable specification, held equal to
-it bit for bit by a differential test: both take C = log2(1 + snr) from
-`channel.capacity`, the kernel over an array once per chunk (twice in
-integer accounting), the state machine once per slot.
+in fluid and in integer accounting, chunk by chunk.  Its producer
+`_deliver` turns each chunk into a `_Chunk` record: every slot's report,
+parity and new bits, and the chains the chunk's renewals deliver.  It
+alone lays chains out: with one process (full CSIT) a chain is the run of
+slots since the last renewal, and with P a column of a grid.  Consumers
+read the record: `_add_sums` (the released, injected and delivered
+bits), `_add_histograms`, `_check_chains` (integer accounting: each
+delivered slot's parity against the whole-bit rule, restated apart from
+`parity_bits`) and `_record_columns` (the slot log).  A `_Carry` holds all
+that crosses chunks: each process's last renewal, which gives the gap,
+the first slot not yet delivered, where in-order release stops; the span,
+every slot from the gap on, with only its bits; sums, histograms and the
+verdict.  The per-slot TX/RX state machines, run slot by slot by
+`_run_processes`, are the kernel's executable specification, held equal
+to it bit for bit by a differential test: both take C = log2(1 + snr)
+from `channel.capacity`, the kernel over an array once per chunk (twice
+in integer accounting), the state machine once per slot.
 
 Every decodable slot renews its process's chain, and a session keeps
 only how many chains of each length it renewed (`SessionLog.chain_hist`).
@@ -380,27 +382,167 @@ def _codec_feedback(
     return feedback
 
 
-def _chains_add_up(
-    link: LinkConfig, snrs: np.ndarray, quantizer: QuantizerConfig | None,
-    order: np.ndarray, chain_bits: np.ndarray,
-) -> tuple[bool, float]:
-    """Integer accounting: whether the new bits `chain_bits` of a chunk's
-    delivered slots `order` are B each less the parity asked for by each
-    failed slot's own report (its SNR, or with a `quantizer` its cell's
-    lower edge), as a chain is one fresh slot followed by what each failed
-    slot's report leaves; and their sum."""
-    reports = snrs[order]
-    reports = reports[reports < link.gamma_r]
+def _grow_add(hist: np.ndarray, keys: np.ndarray, values) -> np.ndarray:
+    """`hist`, grown to index every key, plus `values` at `keys` left to right."""
+    if keys.size and keys.max() >= hist.size:
+        hist = np.concatenate((hist, np.zeros(keys.max() + 1, hist.dtype)))
+    np.add.at(hist, keys, values)
+    return hist
+
+
+@dataclass(slots=True)
+class _Carry:
+    """All that the kernel carries from one chunk to the next."""
+
+    last_renewal: np.ndarray  # of each process j; slot j - P stands in before slot 0
+    span_bits: np.ndarray  # the new bits of every slot from the gap on
+    released: float = 0.0  # one running slot-order total
+    injected: float = 0.0
+    delivered: float = 0.0
+    delay_hist: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    chain_hist: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    integrity_ok: bool = True
+    chained: float = 0.0  # the bits of every chain so far
+
+
+class _Chunk(NamedTuple):
+    """What the chunk of slots from `start` sends and delivers."""
+
+    start: int
+    gap: int  # the span's first slot: no earlier slot is delivered
+    decoded: np.ndarray  # per slot: decodable, so it renews its chain
+    fed: np.ndarray  # per slot: sized from a report, as slot t - P failed
+    eff: np.ndarray  # per slot: the report on slot t - P
+    parity: np.ndarray
+    new_bits: np.ndarray
+    renewals: np.ndarray  # the decodable slots
+    lengths: np.ndarray  # the length of the chain each renews
+    order: np.ndarray  # the delivered slots, chain after chain, oldest first
+    chain_bits: np.ndarray  # their new bits
+    delivery: np.ndarray  # the renewal that delivers each
+
+
+def _deliver(link: LinkConfig, snrs: np.ndarray, quantizer: QuantizerConfig | None,
+             carry: _Carry, a: int, size: int) -> _Chunk:
+    """The record of the `size` slots from slot `a`: it moves the carry's
+    last renewals on and appends the chunk's new bits to the span.
+
+    Slot t is sized from the report on slot t - P unless slot t - P
+    decoded (or t < P): its SNR, or with a `quantizer` its cell's lower edge
+    `cells(snr) * cell_width`, never above the SNR, so no parity falls
+    short.  It is delivered at the next decodable slot of its process.
+    """
+    p = carry.last_renewal.size
+    chunk = slice(a, a + size)
+    decoded = snrs[chunk] >= link.gamma_r
+    m = len(decoded)
+    fed = ~np.concatenate((carry.last_renewal == np.arange(a - p, a), decoded))[:m]
+    eff = np.concatenate((snrs[a - p : a] if a else np.zeros(p), snrs[chunk]))[:m]
+    if quantizer is not None:
+        eff = cells(eff, quantizer) * quantizer.cell_width
+    parity = np.where(fed, parity_bits(link, capacity(eff)), 0.0)
+    new_bits = link.bits_per_slot - parity
+
+    renewals = np.flatnonzero(decoded) + a
+    gap, last_renewal = a - len(carry.span_bits), carry.last_renewal
+    span_bits = carry.span_bits = np.concatenate((carry.span_bits, new_bits))
+    if p == 1:  # delivery is in slot order: a chain is the run since the last renewal
+        lengths = np.diff(renewals, prepend=last_renewal)
+        last_renewal = renewals[-1:] if renewals.size else last_renewal
+        order = np.arange(gap, last_renewal[0] + 1)
+        chain_bits = span_bits[: len(order)]
+    else:
+        # Renewal r of a chain of L slots delivers r - (L-1)P, ..., r, where
+        # r - LP is its process's renewal before it: the running maximum
+        # down each column of the chunk's (rows, P) grid of renewal slots.
+        rows, local = -(-m // p), renewals - a
+        grid = np.full((rows + 1) * p, -p)
+        grid[:p], grid[local + p] = last_renewal, renewals
+        grid = np.maximum.accumulate(grid.reshape(rows + 1, p), axis=0).ravel()
+        lengths, last_renewal = (renewals - grid[local]) // p, grid[-p:]
+        # chains laid back to back: entry i of the chain ending at e is r - P(e - i)
+        ends = np.cumsum(lengths)
+        order = p * np.arange(ends[-1] if ends.size else 0)
+        order += np.repeat(renewals - p * (ends - 1), lengths)
+        chain_bits = span_bits[order - gap]
+    carry.last_renewal = last_renewal
+    return _Chunk(a, gap, decoded, fed, eff, parity, new_bits, renewals, lengths, order,
+                  chain_bits, np.repeat(renewals, lengths))
+
+
+def _add_sums(carry: _Carry, chunk: _Chunk, warmup: int) -> None:
+    """Release the span up to the gap, and add the bits sent and delivered
+    past the warm-up.  The gap moves to the first slot still open, the first
+    after its process's last renewal; a chain opens with an acked slot, so
+    the gap's window has bits.  Without a warm-up the end reads the bits
+    sent from the span, and with one process the delivered ones too."""
+    p, end = carry.last_renewal.size, chunk.start + len(chunk.decoded)
+    k = min(int(carry.last_renewal.min()) + p, end) - chunk.gap
+    carry.released = _running_sum(carry.released, carry.span_bits[:k])
+    carry.span_bits = carry.span_bits[k:]
+    if warmup:
+        carry.injected = _running_sum(
+            carry.injected, chunk.new_bits[max(warmup - chunk.start, 0) :])
+    if warmup or p > 1:
+        bits = chunk.chain_bits
+        if warmup > chunk.gap:
+            bits = bits[chunk.order >= warmup]
+        carry.delivered = _running_sum(carry.delivered, bits)
+
+
+def _add_histograms(carry: _Carry, chunk: _Chunk, warmup: int) -> None:
+    """Count renewals by chain length, and add the bits delivered past the
+    warm-up by delay, in delivery order as the receiver adds.  A window
+    without bits adds 0.0 to every sum and to no delay key."""
+    bits, delays = chunk.chain_bits, chunk.delivery - chunk.order
+    if warmup > chunk.gap:
+        counted = chunk.order >= warmup
+        bits, delays = bits[counted], delays[counted]
+    carry.chain_hist = _grow_add(carry.chain_hist, chunk.lengths, 1)
+    carry.delay_hist = _grow_add(carry.delay_hist, delays, bits)
+
+
+def _check_chains(carry: _Carry, chunk: _Chunk, link: LinkConfig, snrs: np.ndarray,
+                  quantizer: QuantizerConfig | None) -> None:
+    """Integer accounting: hold the parity p, B less the new bits, of each
+    delivered slot to the receiver's rule, restated here apart from
+    `parity_bits`, and add the chains' bits to the carry for the ledger.
+
+    The chains lie back to back, each ending at its decodable slot, so each
+    entry of `order` follows its chain's failed predecessor, or else heads
+    a chain.  With raw = `parity_needed` at the failed predecessor's report
+    (its SNR, or with a `quantizer` its cell's lower edge), or 0 at a head,
+    p must be whole with raw - 1e-9 <= p and p - 1 < raw - 1e-9 (p < raw -
+    1e-9 + 1 could round up to p).
+    """
+    parity = link.bits_per_slot - chunk.chain_bits
+    reports = snrs[chunk.order[:-1]]  # the entry before each but the first
+    failed = reports < link.gamma_r
     if quantizer is not None:
         reports = cells(reports, quantizer) * quantizer.cell_width
-    chain_sum = float(chain_bits.sum())
-    parity = float(parity_bits(link, capacity(reports)).sum())
-    return chain_sum == link.bits_per_slot * len(order) - parity, chain_sum
+    low = np.where(failed, parity_needed(link, capacity(reports)), 0.0) - _PARITY_TOL
+    rest = parity[1:]  # the first entry heads a chain
+    ok = (rest == np.floor(rest)) & (low <= rest) & (rest - 1 < low)
+    carry.integrity_ok = carry.integrity_ok and not parity[:1].any() and bool(ok.all())
+    carry.chained += float(chunk.chain_bits.sum())
+
+
+def _record_columns(columns: dict[str, np.ndarray], chunk: _Chunk) -> None:
+    """Write the chunk's slots, and its renewals' chain lengths and delivered
+    bits, into the slot log."""
+    rows = slice(chunk.start, chunk.start + len(chunk.decoded))
+    columns["eff_snr"][rows] = np.where(chunk.fed, chunk.eff, np.nan)
+    columns["parity_bits"][rows] = chunk.parity
+    columns["new_bits"][rows] = chunk.new_bits
+    columns["decoded"][rows] = chunk.decoded
+    columns["chain_length"][chunk.renewals] = chunk.lengths
+    np.add.at(columns["reward_bits"], chunk.delivery, chunk.chain_bits)  # left to right
 
 
 # Slots per kernel chunk, rounded up to a multiple of P.  Median kernel CPU
-# times at 4096, 8192 and 16384 (2-core Xeon): 1.22, 0.98 and 0.95 ms for
-# 40 000 slots at P = 1; 2.65, 2.36 and 2.64 ms for 38 400 slots at P = 128.
+# times at 4096, 8192 and 16384 (2-core Xeon, fluid, 10 dB, R = log2 21):
+# 1.23, 1.20 and 1.51 ms for 40 000 slots at P = 1; 2.92, 2.63 and 3.05 ms
+# for 38 400 slots at P = 128 (F = 2, L = 64).
 _SESSION_CHUNK = 8192
 
 
@@ -414,37 +556,20 @@ def _run_kernel(
 ) -> SessionLog:
     """One session as array operations, equal to `_run_processes` bit for bit.
 
-    Slot t is sized from the report on slot t - P unless slot t - P
-    decoded (or t < P), and is delivered at the next decodable slot of its
-    process t mod P.  The report is the SNR of slot t - P, or with a
-    `quantizer` its cell's lower edge `cells(snr) * cell_width`: never above
-    the SNR, so the kernel checks no parity.  In-order release stops at the
-    gap, the first undelivered slot: min_j(last renewal of j + P).  The
-    horizon is walked in chunks of `_SESSION_CHUNK` slots that carry over
-    only each process's last renewal, the span (every slot from the gap to
-    the chunk, with its new bits only), the released bits (one running
-    slot-order total), other sums and histograms, so the memory used is
-    bounded by one chunk plus about P times the longest chain, not by the
+    The producer `_deliver` turns each chunk of `_SESSION_CHUNK` slots into
+    a `_Chunk`, and the consumers read it: `_add_sums`, `_add_histograms`,
+    in integer accounting `_check_chains`, and with `record_slots`
+    `_record_columns`.  Only the `_Carry` crosses chunks, so the memory used
+    is bounded by one chunk plus about P times the longest chain, not by the
     horizon.  Sums run in the state machine's order: delivered bits by
     delivery slot and then by slot, released and held bits by slot (payload
-    order).  With one process delivery is in slot order: a chain is the run
-    of slots since the last renewal, and without a warm-up the delivered
-    bits are the released ones.  In integer accounting the parity is
-    rounded up, and two exact checks give `integrity_ok`: each chunk's
-    delivered slots carry B bits each less the parity asked for by the
-    report on each delivered failed slot (`_chains_add_up`); and the bits
-    of every chain, warm-up included, plus those of the slots still open at
-    the end are every bit sent.
+    order).  The end reads the carry: the held bits are the span's slots at
+    or before their process's last renewal, and in integer accounting the
+    ledger holds every bit sent to a chain, warm-up included, or an open slot.
     """
     n, p = len(snrs), processes
     size = -(-_SESSION_CHUNK // p) * p
-    integer, gamma_r = link.accounting == "integer", link.gamma_r
-    # each process's last renewal (slot j - P before slot 0 counts as one)
-    last_renewal = np.arange(p) - p
-    span_bits = np.zeros(0)  # the new bits of every slot from the gap on
-    released = injected = delivered = 0.0
-    hist, chains = np.zeros(1), np.zeros(1, dtype=np.int64)
-    integrity_ok, chained = True, 0.0  # chained: the bits of every chain so far
+    carry = _Carry(np.arange(p) - p, np.zeros(0))
     if record_slots:
         flags = np.empty(n, dtype=bool)
         columns = dict(
@@ -453,91 +578,32 @@ def _run_kernel(
             renewal=flags,  # every decodable slot renews its chain
             chain_length=np.zeros(n, dtype=np.int64), reward_bits=np.zeros(n),
         )
-
     for a in range(0, n, size):
-        chunk = slice(a, a + size)
-        decoded = snrs[chunk] >= gamma_r
-        m = len(decoded)
-        fed = ~np.concatenate((last_renewal == np.arange(a - p, a), decoded))[:m]
-        eff = np.concatenate((snrs[a - p : a] if a else np.zeros(p), snrs[chunk]))[:m]
-        if quantizer is not None:
-            eff = cells(eff, quantizer) * quantizer.cell_width
-        parity = np.where(fed, parity_bits(link, capacity(eff)), 0.0)
-        new_bits = link.bits_per_slot - parity
-
-        renewals = np.flatnonzero(decoded) + a
-        gap = a - len(span_bits)
-        span_bits = np.concatenate((span_bits, new_bits))
-        if p == 1:  # a chain is the run of slots since the last renewal
-            lengths = np.diff(renewals, prepend=last_renewal)
-            last_renewal = renewals[-1:] if renewals.size else last_renewal
-            order = np.arange(gap, last_renewal[0] + 1)
-            chain_bits = span_bits[: len(order)]
-        else:
-            # Renewal r of a chain of L slots delivers r - (L-1)P, ..., r, where
-            # r - LP is its process's renewal before it: the running maximum
-            # down each column of the chunk's (rows, P) grid of renewal slots.
-            rows, local = -(-m // p), renewals - a
-            grid = np.full((rows + 1) * p, -p)
-            grid[:p], grid[local + p] = last_renewal, renewals
-            grid = np.maximum.accumulate(grid.reshape(rows + 1, p), axis=0).ravel()
-            lengths, last_renewal = (renewals - grid[local]) // p, grid[-p:]
-            # chains laid back to back: entry i of the chain ending at e is r - P(e - i)
-            ends = np.cumsum(lengths)
-            order = p * np.arange(ends[-1] if ends.size else 0)
-            order += np.repeat(renewals - p * (ends - 1), lengths)
-            chain_bits = span_bits[order - gap]
-        delivery = np.repeat(renewals, lengths)
-        # The gap moves to the first slot still open, the first after its
-        # process's last renewal; the k slots before it are released.  A chain
-        # opens with an acked slot, so the gap's window has bits.
-        k = min(int(last_renewal.min()) + p, a + m) - gap
-        released = _running_sum(released, span_bits[:k])
-        if lengths.size and lengths.max() >= chains.size:
-            chains = np.concatenate((chains, np.zeros(lengths.max() + 1, dtype=np.int64)))
-        chains += np.bincount(lengths, minlength=chains.size)
-
-        # a window without bits adds 0.0 to every sum and to no delay key
-        bits, delays = chain_bits, delivery - order
-        if warmup:  # the injected bits are those sent past it
-            counted = order >= warmup
-            bits, delays = bits[counted], delays[counted]
-            injected = _running_sum(injected, new_bits[max(warmup - a, 0) :])
-        if warmup or p > 1:  # else the delivered bits are the released ones
-            delivered = _running_sum(delivered, bits)
-        if delays.size and delays.max() >= hist.size:
-            hist = np.concatenate((hist, np.zeros(delays.max() + 1)))
-        np.add.at(hist, delays, bits)  # in delivery order, as the receiver adds
-
-        if integer:
-            ok, chain_sum = _chains_add_up(link, snrs, quantizer, order, chain_bits)
-            integrity_ok, chained = integrity_ok and ok, chained + chain_sum
-        span_bits = span_bits[k:]
-
+        chunk = _deliver(link, snrs, quantizer, carry, a, size)
+        _add_sums(carry, chunk, warmup)
+        _add_histograms(carry, chunk, warmup)
+        if link.accounting == "integer":
+            _check_chains(carry, chunk, link, snrs, quantizer)
         if record_slots:
-            columns["eff_snr"][chunk] = np.where(fed, eff, np.nan)
-            columns["parity_bits"][chunk] = parity
-            columns["new_bits"][chunk] = new_bits
-            flags[chunk] = decoded
-            columns["chain_length"][renewals] = lengths
-            np.add.at(columns["reward_bits"], delivery, chain_bits)  # left to right
+            _record_columns(columns, chunk)
 
-    keys, lengths = np.flatnonzero(hist), np.flatnonzero(chains)
+    keys, lengths = np.flatnonzero(carry.delay_hist), np.flatnonzero(carry.chain_hist)
+    span_bits, last_renewal = carry.span_bits, carry.last_renewal
     span = np.arange(n - len(span_bits), n)
     closed = span <= last_renewal[span % p]  # delivered, held behind the gap
-    total = _running_sum(released, span_bits)
-    if integer:  # the ledger: every bit sent is in a chain or still open
-        integrity_ok = integrity_ok and chained + span_bits[~closed].sum() == total
+    total = _running_sum(carry.released, span_bits)
+    if link.accounting == "integer":
+        carry.integrity_ok &= carry.chained + span_bits[~closed].sum() == total
     return SessionLog(
         horizon=n,
         slot_uses=link.slot_uses,
         warmup_slots=warmup,
-        chain_hist=dict(zip(lengths.tolist(), chains[lengths].tolist())),
-        injected_bits=injected if warmup else total,
-        delivered_bits=delivered if warmup or p > 1 else released,
-        delay_hist=dict(zip(keys.tolist(), hist[keys].tolist())),
-        integrity_ok=bool(integrity_ok),
-        released_bits=released,
+        chain_hist=dict(zip(lengths.tolist(), carry.chain_hist[lengths].tolist())),
+        injected_bits=carry.injected if warmup else total,
+        delivered_bits=carry.delivered if warmup or p > 1 else carry.released,
+        delay_hist=dict(zip(keys.tolist(), carry.delay_hist[keys].tolist())),
+        integrity_ok=bool(carry.integrity_ok),
+        released_bits=carry.released,
         held_window_bits=_running_sum(0.0, span_bits[closed]),
         slot_columns=columns if record_slots else None,
     )

@@ -42,8 +42,17 @@ def _bit_budget(feedback_bits: float, block_length: int) -> int:
 
 @functools.cache
 def _pattern_bits(block_length: int) -> tuple[int, ...]:
-    """ceil(log2 C(L, k)) for k = 0..L, cached: planning tries many cell counts."""
-    return tuple(_bits_for(math.comb(block_length, k)) for k in range(block_length + 1))
+    """ceil(log2 C(L, k)) for k = 0..L, cached: planning tries many cell counts.
+
+    The row is built in one pass by the exact recurrence C(L, k+1) =
+    C(L, k) (L - k) / (k + 1); the codec takes single values from
+    `math.comb`.  Both give C(L, k).
+    """
+    row, comb = [], 1
+    for k in range(block_length + 1):
+        row.append(_bits_for(comb))
+        comb = comb * (block_length - k) // (k + 1)
+    return tuple(row)
 
 
 def block_bits(block_length: int, cell_count: int) -> list[int]:

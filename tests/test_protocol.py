@@ -944,36 +944,40 @@ def chain_bits_of(link, snrs, quantizer, order, processes, lag, rounded_down=Fal
 
 
 def faulty_check(fault, processes):
-    """`_chains_add_up` handed the delivered slots and bits of a kernel with
+    """`_check_chains` handed the delivered slots and bits of a kernel with
     `fault`; "bits recomputed" is the healthy kernel's bits, remade by
     `chain_bits_of`."""
-    check = protocol._chains_add_up
+    check = protocol._check_chains
 
-    def faulty(link, snrs, quantizer, order, chain_bits):
+    def faulty(carry, chunk, link, snrs, quantizer):
         if fault == "none":
-            return check(link, snrs, quantizer, order, chain_bits)
+            return check(carry, chunk, link, snrs, quantizer)
+        order, bits = chunk.order, chunk.chain_bits
         if fault == "chain dropped":
             # the record's first chain ends at its first decodable slot
             first = int(np.argmax(snrs[order] >= link.gamma_r)) + 1 if order.size else 0
-            return check(link, snrs, quantizer, order[first:], chain_bits[first:])
+            return check(carry, chunk._replace(order=order[first:], chain_bits=bits[first:]),
+                         link, snrs, quantizer)
         lag = processes - 1 if fault == "report one slot late" else processes
         wrong = chain_bits_of(link, snrs, quantizer, order, processes, lag,
                               fault == "parity rounded down")
         # a kernel with this fault also sends these bits, so its ledger holds:
-        # only the identity can see it
-        ok, _ = check(link, snrs, quantizer, order, wrong)
-        return ok, float(chain_bits.sum())
+        # only the per-slot check can see it
+        chained = carry.chained
+        check(carry, chunk._replace(chain_bits=wrong), link, snrs, quantizer)
+        carry.chained = chained + float(bits.sum())
 
     return faulty
 
 
 class TestIntegrity:
-    """Integer accounting: `integrity_ok` holds each chunk's chains to the
-    bits their failed slots' own reports leave (`_chains_add_up`), and
-    every bit sent to a chain or an open slot (the ledger).  A kernel fault
-    is injected as the delivered slots and bits it would hand the check:
-    parity sized from the report one slot late, parity rounded down, or a
-    chain left out."""
+    """Integer accounting: `integrity_ok` holds the parity of each delivered
+    slot to the whole bits its predecessor's own report asks for
+    (`_check_chains`), and every bit sent to a chain or an open slot (the
+    ledger).  A kernel fault is injected as the delivered slots and bits it
+    would hand the check: parity sized from the report one slot late, parity
+    rounded down, or a chain left out.  The check restates the whole-bit
+    rule, so `parity_bits` itself rounding down fails it too."""
 
     FAULTS = ["none", "bits recomputed", "report one slot late", "parity rounded down",
               "chain dropped"]
@@ -983,7 +987,7 @@ class TestIntegrity:
         link = make_link(rate=INT_RATE, accounting="integer", block_length=length)
         quantizer = None if fbits is None else planned_config(fbits, length, link.gamma_r)
         check = faulty_check(fault, processes)
-        with chunk_of(factor, processes), mock.patch.object(protocol, "_chains_add_up", check):
+        with chunk_of(factor, processes), mock.patch.object(protocol, "_check_chains", check):
             return protocol._run_kernel(link, snrs, processes, quantizer, warmup, False)
 
     @pytest.mark.parametrize("fault", FAULTS)
@@ -997,6 +1001,44 @@ class TestIntegrity:
         snrs = Rayleigh(10.0).sample(np.random.default_rng(5), 2048)
         log = self.session(snrs, processes, fbits, length, warmup, factor, fault)
         assert log.integrity_ok == (fault in ("none", "bits recomputed"))
+
+    @pytest.mark.parametrize("head, shift, ok", [
+        (0.0, 0.0, True), (1.0, 0.0, False), (0.0, 1.0, False), (0.0, -1.0, False),
+        (0.0, None, False),
+    ])
+    def test_each_slot_carries_the_whole_parity_its_predecessor_asks(self, head, shift, ok):
+        # one chain of a failed slot (SNR 3) and a decodable one: the head
+        # carries `head` parity bits, the second the whole number raw rounds
+        # up to, moved by `shift` bits, or (None) raw itself, within both
+        # bounds but not whole
+        link = make_link(rate=INT_RATE, accounting="integer")
+        raw = float(protocol.parity_needed(link, capacity(3.0)))
+        parity = raw if shift is None else math.ceil(raw) + shift
+        chunk = protocol._Chunk(*[None] * len(protocol._Chunk._fields))._replace(
+            order=np.array([0, 1]),
+            chain_bits=link.bits_per_slot - np.array([head, parity]),
+        )
+        carry = protocol._Carry(np.array([-1]), np.zeros(0))
+        protocol._check_chains(carry, chunk, link, np.array([3.0, 25.0]), None)
+        assert carry.integrity_ok == ok
+
+    @pytest.mark.parametrize("rule", [np.floor, lambda raw: raw],
+                             ids=["rounded down", "not rounded"])
+    @pytest.mark.parametrize("processes, fbits, length, warmup", [
+        (1, None, 2, 0), (2, None, 2, 0), (16, 4.0, 8, 16),
+    ])
+    def test_faulty_parity_bits_fails_integrity(self, processes, fbits, length, warmup,
+                                                rule):
+        # The kernel and the check share nothing of the whole-bit rule, only
+        # `parity_needed`.  So with `parity_bits` itself rounding the parity
+        # down, or not to whole bits, the verdict fails at P = 1, 2 and 2L.
+        def faulty(link, caps):
+            return rule(protocol.parity_needed(link, caps))
+
+        snrs = Rayleigh(10.0).sample(np.random.default_rng(5), 2048)
+        with mock.patch.object(protocol, "parity_bits", faulty):
+            assert not self.session(snrs, processes, fbits, length, warmup).integrity_ok
+        assert self.session(snrs, processes, fbits, length, warmup).integrity_ok
 
     @settings(deadline=None, max_examples=25)
     @given(st.sampled_from(["full", "pair", "quantized"]),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -291,6 +292,15 @@ class TestBlockBits:
     def test_equals_the_binomial_form(self, cells):
         for block_length in [*range(1, 301), 1024]:
             assert block_bits(block_length, cells) == self.from_comb(block_length, cells)
+
+    def test_plans_a_large_block_in_linear_time(self):
+        # one math.comb call per k took about 0.9 s at L = 4096; the one-pass
+        # recurrence builds the row in a few ms
+        quantizer._pattern_bits.cache_clear()
+        start = time.perf_counter()
+        config = planned_config(2.0, 4096, 20.0)
+        assert time.perf_counter() - start < 0.5
+        assert max(block_bits(4096, config.cell_count)) <= config.bit_budget
 
 
 def brute_force_best_cells(block_length, budget):
