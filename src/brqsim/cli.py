@@ -41,7 +41,7 @@ from .errors import (
     InsufficientFeedbackError,
     NumericError,
 )
-from .protocol import SLOT_FIELDS
+from .protocol import SLOT_FIELDS, SlotRows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -281,9 +281,7 @@ def _format_columns(*arrays: np.ndarray) -> list[list[str]]:
         texts, index = np.array(["0", "1"], dtype=object), pooled.view(np.uint8)
     elif pooled.dtype.kind == "f":
         patterns, index = np.unique(pooled.view(np.int64), return_inverse=True)
-        values = patterns.view(np.float64)
-        texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
-        texts[np.isnan(values)] = ""
+        texts = np.array(_float_cells(patterns.view(np.float64)), dtype=object)
     else:
         keys, index = np.unique(pooled, return_inverse=True)
         texts = np.array(list(map(str, keys.tolist())), dtype=object)
@@ -291,25 +289,146 @@ def _format_columns(*arrays: np.ndarray) -> list[list[str]]:
     return [part.tolist() for part in np.split(texts[index], bounds)]
 
 
-def _write_slot_log(path: str, logs) -> None:
-    """Write the slot columns of every replication's log, `_SLOT_LOG_CHUNK`
-    rows at a time.
+def _float_cells(values: np.ndarray) -> list[str]:
+    """The cell of each float: its repr, or '' for NaN."""
+    cells = list(map(repr, values.tolist()))
+    if np.isnan(values).any():
+        cells = ["" if cell == "nan" else cell for cell in cells]
+    return cells
 
-    `snr` and `eff_snr` share one formatting pool, since the reports are
-    earlier slots' SNRs; every other column is formatted on its own.
+
+# Distinct values a `_CellPool` keeps before it starts over: an integer
+# session's parity, new bits, chain lengths and rewards recur, a fluid
+# one's parity, new bits and rewards do not.
+_POOL_LIMIT = 4096
+
+
+class _CellPool:
+    """The cells of values seen before, sorted by bit pattern, so that a
+    value that recurs across the slot log's blocks is formatted once and
+    a block of known values is looked up, not sorted."""
+
+    def __init__(self) -> None:
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.texts = np.zeros(0, dtype=object)
+
+    def index(self, values: np.ndarray) -> np.ndarray:
+        """Where each of the floats or ints is in `keys` and `texts`, once
+        the values not yet there are formatted and added."""
+        keys = values.view(np.int64)
+        at = np.searchsorted(self.keys, keys)
+        seen = at < len(self.keys)
+        seen[seen] = self.keys[at[seen]] == keys[seen]
+        if seen.all():
+            return at
+        fresh = np.unique(keys[~seen])
+        if len(self.keys) + len(fresh) > _POOL_LIMIT:
+            self.keys, self.texts = self.keys[:0], self.texts[:0]
+            fresh = np.unique(keys)
+        if values.dtype.kind == "f":
+            texts = _float_cells(fresh.view(np.float64))
+        else:
+            texts = list(map(str, fresh.tolist()))
+        where = np.searchsorted(self.keys, fresh)
+        self.keys = np.insert(self.keys, where, fresh)
+        self.texts = np.insert(self.texts, where, np.array(texts, dtype=object))
+        return np.searchsorted(self.keys, keys)
+
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        """The cell of each float or int, as an object array."""
+        at = self.index(values)  # before `texts`, which it may replace
+        return self.texts[at]
+
+
+def _filled(n: int, text: str) -> np.ndarray:
+    """An object array of `n` references to `text` (np.full would make `n`
+    copies of it)."""
+    cells = np.empty(n, dtype=object)
+    cells.fill(text)
+    return cells
+
+
+class _SlotLog:
+    """The `--csv-log` writer: a slot sink, `sink(rep, rows)`, that formats
+    and writes each chunk of a session's slot log as it comes.
+
+    The file is opened at the first chunk, so a run that fails before its
+    first slot leaves none.  A block of `_SLOT_LOG_CHUNK` rows is formatted
+    column by column, each cell once where it can be: `slot` and
+    `instance` from their ranges; one repr per SNR, which a report of the
+    SNR P rows up reuses; `parity_bits` with the `new_bits` it leaves as
+    one cell; and `decoded`, `renewal`, `chain_length` and `reward_bits`
+    as one cell, the same for every slot that renews no chain.  Reports,
+    parity, new bits, chain lengths and rewards recur, so their cells are
+    kept across blocks in `_CellPool`s.
     """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_join_rows([_SLOT_LOG_HEADER]))
-        for rep, log in enumerate(logs):
-            columns = log.slot_columns
-            for start in range(0, len(columns["slot"]), _SLOT_LOG_CHUNK):
-                part = {name: col[start:start + _SLOT_LOG_CHUNK]
-                        for name, col in columns.items()}
-                cells = {name: _format_columns(col)[0] for name, col in part.items()
-                         if name not in ("snr", "eff_snr")}
-                cells["snr"], cells["eff_snr"] = _format_columns(part["snr"], part["eff_snr"])
-                reps = [str(rep)] * len(part["slot"])
-                handle.write(_join_rows(zip(reps, *map(cells.get, SLOT_FIELDS))))
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+        self._handle = None
+        self._pools = {name: _CellPool()
+                       for name in ("eff", "parity", "new", "length", "reward")}
+
+    def __enter__(self) -> "_SlotLog":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._handle is not None:
+            self._handle.close()
+
+    def __call__(self, rep: int, rows: SlotRows) -> None:
+        if self._handle is None:
+            self._handle = open(self._path, "w", encoding="utf-8", newline="")
+            self._handle.write(_join_rows([_SLOT_LOG_HEADER]))
+        n, p = len(rows.decoded), rows.processes
+        renewals = np.flatnonzero(rows.decoded)
+        instances = list(map(str, range(p))) * -(-n // p)  # as rows.start is a multiple of P
+        for lo in range(0, n, _SLOT_LOG_CHUNK):
+            hi = min(lo + _SLOT_LOG_CHUNK, n)
+            self._handle.write(self._block(rep, rows, lo, hi, renewals, instances[lo:hi]))
+
+    def _block(self, rep, rows, lo, hi, renewals, instances) -> str:
+        """The CSV lines of rows `lo` to `hi` of the chunk, each led by the
+        replication."""
+        m, start, p = hi - lo, rows.start + lo, rows.processes
+        snr = rows.snr[lo:hi]
+        snr_cells = np.array(_float_cells(snr), dtype=object)
+        eff, fed = rows.eff_snr[lo:hi], rows.fed[lo:hi].copy()
+        echo = np.zeros(m, dtype=bool)  # reports of the SNR P rows up
+        echo[p:] = fed[p:] & (eff[p:].view(np.int64) == snr[:-p].view(np.int64))
+        fed &= ~echo
+        eff_cells = _filled(m, "")
+        eff_cells[echo] = snr_cells[np.flatnonzero(echo) - p]
+        eff_cells[fed] = self._pools["eff"].cells(eff[fed])
+        a, b = np.searchsorted(renewals, (lo, hi))
+        tails = _filled(m, "0,0,0,0.0")  # decoded, renewal, chain_length, reward_bits
+        tails[renewals[a:b] - lo] = [
+            f"1,1,{length},{reward}" for length, reward in zip(
+                self._pools["length"].cells(rows.chain_length[a:b]).tolist(),
+                self._pools["reward"].cells(rows.reward_bits[a:b]).tolist())
+        ]
+        bits = self._bits_cells(rows.parity_bits[lo:hi], rows.new_bits[lo:hi])
+        lead = f"{rep},"
+        return lead + ("\n" + lead).join(map(",".join, zip(
+            map(repr, range(start, start + m)),  # an int's repr is its str, and faster
+            instances, snr_cells.tolist(), eff_cells.tolist(), bits, tails.tolist(),
+        ))) + "\n"
+
+    def _bits_cells(self, parity: np.ndarray, new_bits: np.ndarray) -> list[str]:
+        """The `parity_bits,new_bits` cells of each row.  A slot's new bits
+        are B less its parity, so each parity is formatted with its new bits
+        once; a block where the parity does not fix them is formatted
+        column by column."""
+        pool, new_pool = self._pools["parity"], self._pools["new"]
+        at, new_keys = pool.index(parity), new_bits.view(np.int64)
+        news = np.zeros(len(pool.keys), dtype=np.int64)
+        news[at] = new_keys
+        if not np.array_equal(news[at], new_keys):
+            return (pool.texts[at] + "," + new_pool.cells(new_bits)).tolist()
+        used = np.flatnonzero(np.bincount(at, minlength=len(pool.keys)))
+        pairs = np.empty(len(pool.keys), dtype=object)
+        pairs[used] = pool.texts[used] + "," + new_pool.cells(news[used].view(np.float64))
+        return pairs[at].tolist()
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -332,10 +451,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         horizon=cfg.slots,
         include_warmup=cfg.include_warmup,
     )
-    logs = [] if cfg.csv_log else None
-    summary = engine.run_replicated(run, link, model, collect_logs=logs)
     if cfg.csv_log:
-        _write_slot_log(cfg.csv_log, logs)
+        with _SlotLog(cfg.csv_log) as slot_log:
+            summary = engine.run_replicated(run, link, model, slot_sink=slot_log)
+    else:
+        summary = engine.run_replicated(run, link, model)
     payload = summary.to_json_dict()
     payload["mean_snr_db"] = cfg.mean_snr_db
     payload["rate_R"] = rate

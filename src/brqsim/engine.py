@@ -2,16 +2,46 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from . import analytics
 from .channel import FadingModel, LinkConfig, Rayleigh, db_to_linear, inv_capacity
-from .protocol import SessionLog, run_full_csit, run_quantized
+from .protocol import SlotRows, run_full_csit, run_quantized
 
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# The two-sided 95% Student-t quantile t_0.975 at 1, 2, ..., 30 degrees of
+# freedom (scipy.stats.t.ppf(0.975, d)).
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
+_Z975 = 1.959963984540054  # its normal limit
+
+
+def _t975(dof: int) -> float:
+    """t_0.975 at `dof` degrees of freedom: from the table, and past it
+    from the expansion in 1/dof about the normal quantile (Abramowitz and
+    Stegun 26.7.5), within 2e-8 relative there."""
+    if dof <= len(_T975):
+        return _T975[dof - 1]
+    z = _Z975
+    terms = (
+        (z**3 + z) / 4,
+        (5 * z**5 + 16 * z**3 + 3 * z) / 96,
+        (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384,
+        (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160,
+    )
+    return z + sum(g / dof**k for k, g in enumerate(terms, 1))
 
 
 @dataclass(frozen=True)
@@ -34,7 +64,8 @@ class RunConfig:
 
 @dataclass
 class StatsSummary:
-    """Aggregated replication statistics with 95% confidence half-widths."""
+    """Aggregated replication statistics with 95% confidence half-widths
+    (NaN, null in JSON, below two replications)."""
 
     rate_mean: float
     rate_half_width: float
@@ -56,14 +87,15 @@ class StatsSummary:
 
 
 def _mean_half_width(values: list[float]) -> tuple[float, float]:
+    """The mean of the finite values and the half-width t s / sqrt(n) of its
+    95% interval, at the Student-t quantile on n - 1 degrees of freedom; NaN
+    (null in JSON) when fewer than two values give no interval."""
     clean = [v for v in values if math.isfinite(v)]
-    if not clean:
-        return math.nan, 0.0
-    mean = sum(clean) / len(clean)
+    mean = sum(clean) / len(clean) if clean else math.nan
     if len(clean) < 2:
-        return mean, 0.0
+        return mean, math.nan
     var = sum((v - mean) ** 2 for v in clean) / (len(clean) - 1)
-    return mean, _Z95 * math.sqrt(var / len(clean))
+    return mean, _t975(len(clean) - 1) * math.sqrt(var / len(clean))
 
 
 def run_replicated(
@@ -71,29 +103,28 @@ def run_replicated(
     link: LinkConfig,
     model: FadingModel,
     *,
-    collect_logs: list[SessionLog] | None = None,
+    slot_sink: Callable[[int, SlotRows], None] | None = None,
 ) -> StatsSummary:
     """Run independent replications and aggregate; the result is a pure
     function of (run, link, model).
 
-    A finite feedback budget selects the quantized scheme.  Logs go to
-    `collect_logs`, if given, with their slot columns.
+    A finite feedback budget selects the quantized scheme.  A `slot_sink`
+    gets the slot log as `slot_sink(rep, rows)`, chunk by chunk, in
+    replication order.
     """
-    record_slots = collect_logs is not None
     logs = []
     for rep in range(run.replications):
         # the channel substream of replication rep
         rng = np.random.default_rng(np.random.SeedSequence(entropy=run.seed, spawn_key=(rep, 0)))
+        sink = None if slot_sink is None else functools.partial(slot_sink, rep)
         if link.feedback_bits is None:
-            log = run_full_csit(link, model, run.horizon, rng, record_slots=record_slots)
+            log = run_full_csit(link, model, run.horizon, rng, slot_sink=sink)
         else:
             log = run_quantized(
                 link, model, run.horizon, rng,
-                record_slots=record_slots, include_warmup=run.include_warmup,
+                slot_sink=sink, include_warmup=run.include_warmup,
             )
         logs.append(log)
-    if record_slots:
-        collect_logs.extend(logs)
 
     rate_mean, rate_hw = _mean_half_width([log.delivered_rate for log in logs])
     delay_mean, delay_hw = _mean_half_width([log.mean_delay for log in logs])

@@ -18,7 +18,7 @@ slots since the last renewal, and with P a column of a grid.  Consumers
 read the record: `_add_sums` (the released, injected and delivered
 bits), `_add_histograms`, `_check_chains` (integer accounting: each
 delivered slot's parity against the whole-bit rule, restated apart from
-`parity_bits`) and `_record_columns` (the slot log).  A `_Carry` holds all
+`parity_bits`) and `_slot_rows` (the slot log).  A `_Carry` holds all
 that crosses chunks: each process's last renewal, which gives the gap,
 the first slot not yet delivered, where in-order release stops; the span,
 every slot from the gap on, with only its bits; sums, histograms and the
@@ -31,16 +31,17 @@ in integer accounting), the state machine once per slot.
 Every decodable slot renews its process's chain, and a session keeps
 only how many chains of each length it renewed (`SessionLog.chain_hist`).
 With P interleaved processes, a chain of length L renewed at slot r
-delivers the slots r - (L-1)P, ..., r - P, r; the slot log
-(`SessionLog.slot_columns`) has where each chain ended, in its `renewal`
-and `chain_length` columns, and what each slot carried.
+delivers the slots r - (L-1)P, ..., r - P, r.  The slot log is streamed:
+a session hands a slot sink one `SlotRows` per chunk, final when the
+chunk ends, with what each slot carried and, for each renewal, the length
+and the new bits of the chain it ended.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,7 @@ ACK = None
 
 _PARITY_TOL = 1e-9
 
-# Columns of the per-slot log, in CSV order.  In `eff_snr`, NaN stands for
-# no report (an ack).
+# Columns of the per-slot log, in CSV order.
 SLOT_FIELDS = (
     "slot", "instance", "snr", "eff_snr", "parity_bits", "new_bits",
     "decoded", "renewal", "chain_length", "reward_bits",
@@ -244,6 +244,34 @@ class Renewal(NamedTuple):
     chain_length: int
 
 
+class SlotRows(NamedTuple):
+    """The slot log of the slots from `start` on, one chunk of a session.
+
+    Slot t is instance t mod `processes`, and `start` is a multiple of it.
+    A slot sized from a report (`fed`) logs it as `eff_snr`: the SNR of
+    slot t - P, or with a quantizer its cell's lower edge.  Any other slot
+    was sent on an ack and logs no report.  Every decodable slot is a
+    renewal, and `chain_length` and `reward_bits` hold the length and the
+    new bits (added in payload order) of the chain each ends, in slot
+    order; every other slot logs 0 and 0.0.
+    """
+
+    start: int
+    processes: int
+    snr: np.ndarray
+    fed: np.ndarray
+    eff_snr: np.ndarray
+    parity_bits: np.ndarray
+    new_bits: np.ndarray
+    decoded: np.ndarray
+    chain_length: np.ndarray  # one per decodable slot
+    reward_bits: np.ndarray  # one per decodable slot
+
+
+# Receives a session's `SlotRows`, chunk after chunk.
+SlotSink = Callable[[SlotRows], None]
+
+
 @dataclass
 class SessionLog:
     """Outcome of one simulated session; slots before `warmup_slots` stay
@@ -259,7 +287,6 @@ class SessionLog:
     integrity_ok: bool
     released_bits: float  # in-order prefix of the payload stream
     held_window_bits: float  # decoded but stuck behind an unresolved gap
-    slot_columns: dict[str, np.ndarray] | None = None  # one array per SLOT_FIELDS
     undelivered_bits: float = field(init=False)
     delivered_rate: float = field(init=False)
 
@@ -300,7 +327,7 @@ def _run_processes(
     processes: int,
     feedback: list[float | None],
     warmup: int,
-    record_slots: bool,
+    slot_sink: SlotSink | None,
 ) -> SessionLog:
     """Run `processes` interleaved backtrack processes over one SNR sequence.
 
@@ -308,6 +335,8 @@ def _run_processes(
     the report on that process's previous slot (an ack while t < P).
     All processes draw payload from one source and deliver into one
     reassembly stream; slots before `warmup` stay out of the statistics.
+    A `slot_sink` gets the slot log one `SlotRows` per P slots, as the
+    last process's slot ends.
     """
     materialize = link.accounting == "integer"
     source = SourceStream(np.random.default_rng(0), materialize)
@@ -317,7 +346,8 @@ def _run_processes(
     injected = delivered = 0.0
     delay_hist: dict[int, float] = {}
     chain_hist: dict[int, int] = {}
-    rows: list[tuple] = []  # one per slot, in SLOT_FIELDS order
+    rows: list[tuple] = []  # per slot: SNR, fed, report, parity, new bits, decoded
+    chains: list[tuple[int, float]] = []  # per renewal: chain length, new bits
     gamma_r = link.gamma_r
 
     for t, snr in enumerate(snrs):
@@ -337,15 +367,18 @@ def _run_processes(
                     delay = t - pkt.slot
                     delivered += bits
                     delay_hist[delay] = delay_hist.get(delay, 0.0) + bits
-        if record_slots:
-            rows.append((
-                t, instance, snr, math.nan if packet.eff_snr is ACK else packet.eff_snr,
-                packet.parity_bits, packet.new_bits, snr >= gamma_r, chain is not None,
-                len(chain) if chain else 0, reward,
-            ))
-    columns = None
-    if record_slots:
-        columns = {name: np.array(col) for name, col in zip(SLOT_FIELDS, zip(*rows))}
+        if slot_sink is not None:
+            fed = packet.eff_snr is not ACK
+            rows.append((snr, fed, packet.eff_snr if fed else math.nan, packet.parity_bits,
+                         packet.new_bits, snr >= gamma_r))
+            if chain is not None:
+                chains.append((len(chain), reward))
+            if instance == processes - 1 or t == len(snrs) - 1:
+                lengths, rewards = zip(*chains) if chains else ((), ())
+                slot_sink(SlotRows(t + 1 - len(rows), processes, *map(np.array, zip(*rows)),
+                                   np.array(lengths, dtype=np.int64),
+                                   np.array(rewards, dtype=float)))
+                rows, chains = [], []
     return SessionLog(
         horizon=len(snrs),
         slot_uses=link.slot_uses,
@@ -357,7 +390,6 @@ def _run_processes(
         integrity_ok=stream.ok,
         released_bits=stream.released_bits,
         held_window_bits=stream.pending_bits,
-        slot_columns=columns,
     )
 
 
@@ -527,16 +559,15 @@ def _check_chains(carry: _Carry, chunk: _Chunk, link: LinkConfig, snrs: np.ndarr
     carry.chained += float(chunk.chain_bits.sum())
 
 
-def _record_columns(columns: dict[str, np.ndarray], chunk: _Chunk) -> None:
-    """Write the chunk's slots, and its renewals' chain lengths and delivered
-    bits, into the slot log."""
-    rows = slice(chunk.start, chunk.start + len(chunk.decoded))
-    columns["eff_snr"][rows] = np.where(chunk.fed, chunk.eff, np.nan)
-    columns["parity_bits"][rows] = chunk.parity
-    columns["new_bits"][rows] = chunk.new_bits
-    columns["decoded"][rows] = chunk.decoded
-    columns["chain_length"][chunk.renewals] = chunk.lengths
-    np.add.at(columns["reward_bits"], chunk.delivery, chunk.chain_bits)  # left to right
+def _slot_rows(chunk: _Chunk, snrs: np.ndarray, processes: int) -> SlotRows:
+    """The chunk's slot log: its own slots, and the chain length and the
+    new bits, added left to right, of each of its renewals."""
+    rewards = np.zeros(len(chunk.renewals))
+    np.add.at(rewards, np.repeat(np.arange(len(chunk.lengths)), chunk.lengths),
+              chunk.chain_bits)
+    end = chunk.start + len(chunk.decoded)
+    return SlotRows(chunk.start, processes, snrs[chunk.start:end], chunk.fed, chunk.eff,
+                    chunk.parity, chunk.new_bits, chunk.decoded, chunk.lengths, rewards)
 
 
 # Slots per kernel chunk, rounded up to a multiple of P.  Median kernel CPU
@@ -552,40 +583,34 @@ def _run_kernel(
     processes: int,
     quantizer: QuantizerConfig | None,
     warmup: int,
-    record_slots: bool,
+    slot_sink: SlotSink | None,
 ) -> SessionLog:
     """One session as array operations, equal to `_run_processes` bit for bit.
 
     The producer `_deliver` turns each chunk of `_SESSION_CHUNK` slots into
     a `_Chunk`, and the consumers read it: `_add_sums`, `_add_histograms`,
-    in integer accounting `_check_chains`, and with `record_slots`
-    `_record_columns`.  Only the `_Carry` crosses chunks, so the memory used
-    is bounded by one chunk plus about P times the longest chain, not by the
-    horizon.  Sums run in the state machine's order: delivered bits by
-    delivery slot and then by slot, released and held bits by slot (payload
-    order).  The end reads the carry: the held bits are the span's slots at
-    or before their process's last renewal, and in integer accounting the
-    ledger holds every bit sent to a chain, warm-up included, or an open slot.
+    in integer accounting `_check_chains`, and for a `slot_sink` `_slot_rows`,
+    whose chunk of the slot log goes to the sink before the next chunk
+    starts.  Only the `_Carry` crosses chunks, so the memory used, a slot
+    log included, is bounded by one chunk plus about P times the longest
+    chain, not by the horizon.  Sums run in the state machine's order:
+    delivered bits by delivery slot and then by slot, released and held
+    bits by slot (payload order).  The end reads the carry: the held bits
+    are the span's slots at or before their process's last renewal, and in
+    integer accounting the ledger holds every bit sent to a chain, warm-up
+    included, or an open slot.
     """
     n, p = len(snrs), processes
     size = -(-_SESSION_CHUNK // p) * p
     carry = _Carry(np.arange(p) - p, np.zeros(0))
-    if record_slots:
-        flags = np.empty(n, dtype=bool)
-        columns = dict(
-            slot=np.arange(n), instance=np.arange(n) % p, snr=snrs, eff_snr=np.empty(n),
-            parity_bits=np.empty(n), new_bits=np.empty(n), decoded=flags,
-            renewal=flags,  # every decodable slot renews its chain
-            chain_length=np.zeros(n, dtype=np.int64), reward_bits=np.zeros(n),
-        )
     for a in range(0, n, size):
         chunk = _deliver(link, snrs, quantizer, carry, a, size)
         _add_sums(carry, chunk, warmup)
         _add_histograms(carry, chunk, warmup)
         if link.accounting == "integer":
             _check_chains(carry, chunk, link, snrs, quantizer)
-        if record_slots:
-            _record_columns(columns, chunk)
+        if slot_sink is not None:
+            slot_sink(_slot_rows(chunk, snrs, p))
 
     keys, lengths = np.flatnonzero(carry.delay_hist), np.flatnonzero(carry.chain_hist)
     span_bits, last_renewal = carry.span_bits, carry.last_renewal
@@ -605,7 +630,6 @@ def _run_kernel(
         integrity_ok=bool(carry.integrity_ok),
         released_bits=carry.released,
         held_window_bits=_running_sum(0.0, span_bits[closed]),
-        slot_columns=columns if record_slots else None,
     )
 
 
@@ -615,13 +639,14 @@ def run_full_csit(
     horizon: int,
     rng: np.random.Generator,
     *,
-    record_slots: bool = False,
+    slot_sink: SlotSink | None = None,
 ) -> SessionLog:
-    """Simulate `horizon` slots with the true SNR fed back after each slot."""
+    """Simulate `horizon` slots with the true SNR fed back after each slot;
+    a `slot_sink` gets the slot log chunk by chunk."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     snrs = model.sample(rng, horizon)
-    return _run_kernel(link, snrs, 1, None, 0, record_slots)
+    return _run_kernel(link, snrs, 1, None, 0, slot_sink)
 
 
 def run_quantized(
@@ -630,7 +655,7 @@ def run_quantized(
     horizon: int,
     rng: np.random.Generator,
     *,
-    record_slots: bool = False,
+    slot_sink: SlotSink | None = None,
     include_warmup: bool = False,
 ) -> SessionLog:
     """Simulate block-interleaved operation with quantized block feedback.
@@ -641,7 +666,8 @@ def run_quantized(
     time for the next same-parity block, so slot t is sized from the
     report on slot t - 2L.  The first block of each parity is sent
     without feedback; by default those 2L warm-up slots are excluded from
-    the statistics.
+    the statistics.  A `slot_sink` gets the slot log chunk by chunk, once
+    the plan is made: nothing reaches it on a usage error.
     """
     if link.feedback_bits is None:
         raise ValueError("quantized mode needs a finite feedback budget")
@@ -653,4 +679,4 @@ def run_quantized(
     quantizer = planned_config(link.feedback_bits, length, link.gamma_r)
     snrs = model.sample(rng, horizon)
     warmup = 0 if include_warmup else 2 * length
-    return _run_kernel(link, snrs, 2 * length, quantizer, warmup, record_slots)
+    return _run_kernel(link, snrs, 2 * length, quantizer, warmup, slot_sink)

@@ -24,6 +24,7 @@ from brqsim.channel import (
 )
 from brqsim.cli import main as cli_main
 from brqsim.protocol import run_full_csit, run_quantized
+from slot_columns import logged
 
 GAMMA = 10.0
 RATE_K2 = math.log2(1.0 + 2.0 * GAMMA)  # decode threshold 20, p_R = e^-2
@@ -59,14 +60,14 @@ def test_criterion_02_trace_coupled_equivalence():
     worst = 0.0
     for _ in range(100):
         snrs = tuple(rng.exponential(GAMMA, 10_000))
-        log = run_full_csit(
-            link, EmpiricalTrace(snrs), 10_000, np.random.default_rng(0), record_slots=True
+        log, columns = logged(
+            run_full_csit, link, EmpiricalTrace(snrs), 10_000, np.random.default_rng(0)
         )
         reference = np.cumsum(np.minimum(np.log2(1.0 + np.asarray(snrs)), RATE_K2))
-        rewards = log.slot_columns["reward_bits"].tolist()
+        rewards = columns["reward_bits"].tolist()
         cumulative = 0.0
         assert log.renewal_count > 0
-        for slot in np.flatnonzero(log.slot_columns["renewal"]).tolist():
+        for slot in np.flatnonzero(columns["renewal"]).tolist():
             cumulative += rewards[slot]
             delta = abs(cumulative - 100.0 * reference[slot])
             per_slot = delta / (slot + 1)
@@ -82,8 +83,8 @@ def test_criterion_03_lemma1_conservation_enumeration():
     checked = 0
     for pattern in itertools.product((False, True), repeat=10):
         snrs = tuple(good if ok else outage[i] for i, ok in enumerate(pattern))
-        log = run_full_csit(
-            link, EmpiricalTrace(snrs), 10, np.random.default_rng(0), record_slots=True
+        log, columns = logged(
+            run_full_csit, link, EmpiricalTrace(snrs), 10, np.random.default_rng(0)
         )
 
         # reference chain rewards straight from the reward formula
@@ -98,7 +99,7 @@ def test_criterion_03_lemma1_conservation_enumeration():
                 expected.append(reward_of_chain(RATE_K2, 100, chain_snrs))
                 chain_snrs = []
                 fresh = True
-        got = log.slot_columns["reward_bits"][log.slot_columns["renewal"]].tolist()
+        got = columns["reward_bits"][columns["renewal"]].tolist()
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert abs(a - b) < 1e-9 * max(1.0, b)

@@ -2,13 +2,19 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import csv_reference
 import numpy as np
 import output_digest
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brqsim import cli, engine
 from brqsim.channel import LinkConfig, Rayleigh, db_to_linear
@@ -23,6 +29,7 @@ from brqsim.errors import (
     NumericError,
     TraceExhaustedError,
 )
+from brqsim.protocol import SlotRows
 
 
 def read_csv(path):
@@ -542,6 +549,18 @@ class TestExitCodes:
         assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["--block-length", "4", "--slots", "12"],
+        ["--feedback-bits", "1", "--block-length", "64", "--slots", "12800"],
+    ], ids=["horizon-not-a-multiple-of-2L", "insufficient-budget"])
+    def test_usage_error_before_the_first_slot_leaves_no_slot_log(self, tmp_path, argv):
+        log = tmp_path / "slots.csv"
+        argv = ["simulate", "--scheme", "quantized", "--feedback-bits", "2", *argv,
+                "--csv-log", str(log), "--output", str(tmp_path / "summary.json")]
+        assert main(argv) == cli.EXIT_USAGE
+        assert not log.exists()
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--mean-snr-db", "4000", "--rate", "2", "--slots", "100"],
         ["analytic", "--mean-snr-db", "4000", "--rate", "2"],
         ["fig4", "--snr-grid-db", "4000"],
@@ -748,6 +767,87 @@ class TestSlotLogColumns:
         assert cli._format_columns(np.array([]), np.array([math.nan])) == [[], [""]]
 
 
+# Floats that repeat, with NaN payloads, signed zeros and infinities.
+_CELL_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, 439.0, 2.0**-1074, math.inf, -math.inf, math.nan,
+                     -math.nan]),
+    st.floats(allow_nan=True),
+)
+
+
+@st.composite
+def slot_log_chunks(draw):
+    """One session's `SlotRows`, chunk by chunk: each chunk starts at a
+    multiple of P, and its reports repeat the SNR P rows up, or not."""
+    p = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=40))
+    floats = st.lists(_CELL_FLOAT, min_size=n, max_size=n)
+    snr, eff, parity = (np.array(draw(floats)) for _ in range(3))
+    fed, decoded = (np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                    for _ in range(2))
+    echo = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    echo[:p] = False
+    eff[echo] = snr[np.flatnonzero(echo) - p]
+    new_bits = 439.0 - parity
+    if draw(st.booleans()):
+        new_bits = np.array(draw(floats))  # not fixed by the parity
+    k = int(decoded.sum())
+    lengths = np.array(draw(st.lists(st.integers(1, 2**62), min_size=k, max_size=k)),
+                       dtype=np.int64)
+    rewards = np.array(draw(st.lists(_CELL_FLOAT, min_size=k, max_size=k)))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+    chunks, a = [], 0
+    for size in [*sizes, n]:
+        b = min(a + size * p, n)
+        r, s = int(decoded[:a].sum()), int(decoded[:b].sum())
+        chunks.append(SlotRows(a, p, snr[a:b], fed[a:b], eff[a:b], parity[a:b],
+                               new_bits[a:b], decoded[a:b], lengths[r:s], rewards[r:s]))
+        if b == n:
+            return chunks
+        a = b
+
+
+class TestSlotLogWriter:
+    """`_SlotLog` on hand-made chunks: the bytes of the reference's cells,
+    whatever the block size and however often its pools start over."""
+
+    @staticmethod
+    def reference_rows(rep, chunks):
+        rows = []
+        for c in chunks:
+            lengths, rewards = iter(c.chain_length.tolist()), iter(c.reward_bits.tolist())
+            for i, t in enumerate(range(c.start, c.start + len(c.decoded))):
+                renewal = bool(c.decoded[i])
+                rows.append([
+                    rep, t, t % c.processes, float(c.snr[i]),
+                    float(c.eff_snr[i]) if c.fed[i] else None, float(c.parity_bits[i]),
+                    float(c.new_bits[i]), renewal, renewal,
+                    next(lengths) if renewal else 0, next(rewards) if renewal else 0.0,
+                ])
+        return rows
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(slot_log_chunks(), min_size=1, max_size=3),
+           st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=8))
+    def test_hand_made_chunks(self, tmp_path_factory, sessions, block, limit):
+        tmp = tmp_path_factory.mktemp("log")
+        got, want = tmp / "got.csv", tmp / "want.csv"
+        with mock.patch.object(cli, "_SLOT_LOG_CHUNK", block), \
+                mock.patch.object(cli, "_POOL_LIMIT", limit), cli._SlotLog(str(got)) as log:
+            for rep, chunks in enumerate(sessions):
+                for rows in chunks:
+                    log(rep, rows)
+        rows = [row for rep, chunks in enumerate(sessions)
+                for row in self.reference_rows(rep, chunks)]
+        csv_reference.write_csv(str(want), cli._SLOT_LOG_HEADER, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_no_chunk_opens_no_file(self, tmp_path):
+        with cli._SlotLog(str(tmp_path / "slots.csv")):
+            pass
+        assert not (tmp_path / "slots.csv").exists()
+
+
 class TestTableBytes:
     """Tables formatted column by column have the bytes that csv.writer
     and the reference's cells give, row by row."""
@@ -801,14 +901,16 @@ class TestSlotLogMemory:
     @staticmethod
     def peak(path, horizon):
         """The tracemalloc peak, in bytes, of writing one full-CSIT
-        session's slot log of `horizon` rows."""
+        session's slot log of `horizon` rows from its kernel chunks."""
         link = LinkConfig(rate=4.0, slot_uses=100, accounting="integer")
-        logs = []
+        chunks = []
         engine.run_replicated(engine.RunConfig(seed=1, replications=1, horizon=horizon),
-                              link, Rayleigh(10.0), collect_logs=logs)
+                              link, Rayleigh(10.0), slot_sink=lambda *args: chunks.append(args))
         tracemalloc.start()
         try:
-            cli._write_slot_log(str(path), logs)
+            with cli._SlotLog(str(path)) as slot_log:
+                for rep, rows in chunks:
+                    slot_log(rep, rows)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -817,6 +919,33 @@ class TestSlotLogMemory:
         small = self.peak(tmp_path / "small.csv", 4096)
         large = self.peak(tmp_path / "large.csv", 65_536)
         assert large < 1.5 * small, (small, large)
+
+    @staticmethod
+    def peak_rss_kb(tmp_path, slots, csv_log):
+        """The peak RSS, in kB, of a fresh interpreter that runs one integer
+        full-CSIT `simulate` of `slots` slots, with a slot log or without."""
+        argv = ["simulate", "--accounting", "integer", "--rate", "4", "--slots", str(slots),
+                "--output", str(tmp_path / "summary.json")]
+        if csv_log:
+            argv += ["--csv-log", str(tmp_path / "slots.csv")]
+        code = ("import resource, sys\n"
+                "from brqsim import cli\n"
+                "assert cli.main(sys.argv[1:]) == cli.EXIT_OK\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return int(done.stdout)
+
+    def test_simulate_log_peak_does_not_grow_with_slots(self, tmp_path):
+        # kernel and writer alike: whole-horizon slot columns, about 60 B/slot,
+        # would add about 26 MB from 2^16 to 2^19 slots
+        small, large = (
+            self.peak_rss_kb(tmp_path, slots, True) - self.peak_rss_kb(tmp_path, slots, False)
+            for slots in (2**16, 2**19)
+        )
+        assert large < small + 4096, (small, large)
 
 
 class TestOutputDigest:

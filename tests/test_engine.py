@@ -35,7 +35,7 @@ class TestRunReplicated:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0, 0)))
         log = run_full_csit(link(), Rayleigh(10.0), 4000, rng)
         assert summary.rate_mean == log.delivered_rate
-        assert summary.rate_half_width == 0.0
+        assert math.isnan(summary.rate_half_width)  # one replication gives no interval
         assert summary.renewal_count == log.renewal_count
         assert summary.delay_hist == log.delay_hist
 
@@ -90,6 +90,28 @@ class TestCiCalibration:
             if abs(summary.rate_mean - target) <= summary.rate_half_width:
                 covered += 1
         assert covered >= 90
+
+    def test_coverage_at_two_replications_over_400_seeds(self):
+        # the normal quantile 1.96 in place of t_0.975 at one degree of
+        # freedom, 12.7, covers in about 70% of the seeds
+        model = Rayleigh(10.0)
+        rate = math.log2(11.0)
+        cfg = LinkConfig(rate=rate, slot_uses=100)
+        target = analytics.avg_rate_full_csit(model, rate)
+        covered = 0
+        for seed in range(400):
+            run = RunConfig(seed=seed, replications=2, horizon=6000)
+            summary = run_replicated(run, cfg, model)
+            covered += abs(summary.rate_mean - target) <= summary.rate_half_width
+        assert covered >= 0.91 * 400
+
+    def test_t_quantiles_match_scipy(self):
+        from scipy import stats
+
+        # the table to the last digits, and the expansion past it
+        for dof in range(1, 200):
+            rel = 1e-14 if dof <= len(engine._T975) else 2e-8
+            assert engine._t975(dof) == pytest.approx(stats.t.ppf(0.975, dof), rel=rel), dof
 
 
 class TestSweeps:

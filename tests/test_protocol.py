@@ -6,6 +6,7 @@ import operator
 import os
 import tempfile
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import csv_reference
@@ -31,6 +32,7 @@ from brqsim.protocol import (
     run_quantized,
 )
 from brqsim.quantizer import cells, planned_config
+from slot_columns import SlotColumns, fan_out, logged
 
 RATE = math.log2(21.0)  # threshold 20
 INT_RATE = 4.39  # 439 whole bits per slot of 100 uses, threshold 19.966...
@@ -123,11 +125,10 @@ _TRACE_SNR = st.one_of(
 )
 
 
-def check_feedback_delay_law(log, snrs, processes, gamma_r, cell_width):
+def check_feedback_delay_law(columns, snrs, processes, gamma_r, cell_width):
     """Slot t belongs to process t mod P and is sized from the report on
     slot t - P: an ack while t < P or when that slot decoded, else its SNR
     (exact for full CSIT, within one cell below it when quantized)."""
-    columns = log.slot_columns
     assert columns["slot"].tolist() == list(range(len(snrs)))
     for t, instance, eff_snr in zip(
         *(columns[name].tolist() for name in ("slot", "instance", "eff_snr"))
@@ -147,11 +148,10 @@ class TestFeedbackDelayLaw:
     @given(st.lists(_TRACE_SNR, min_size=1, max_size=60))
     def test_full_csit(self, snrs):
         link = make_link(rate=RATE)
-        log = run_full_csit(
-            link, EmpiricalTrace(snrs), len(snrs), np.random.default_rng(0),
-            record_slots=True,
+        _, columns = logged(
+            run_full_csit, link, EmpiricalTrace(snrs), len(snrs), np.random.default_rng(0)
         )
-        check_feedback_delay_law(log, snrs, 1, link.gamma_r, 0.0)
+        check_feedback_delay_law(columns, snrs, 1, link.gamma_r, 0.0)
 
     @settings(deadline=None)
     @given(
@@ -165,12 +165,10 @@ class TestFeedbackDelayLaw:
         snrs = data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
         link = make_link(rate=RATE, feedback_bits=fbits, block_length=length)
         trace = EmpiricalTrace(snrs)
-        log = run_quantized(
-            link, trace, horizon, np.random.default_rng(0), record_slots=True
-        )
+        _, columns = logged(run_quantized, link, trace, horizon, np.random.default_rng(0))
         gamma_r = link.gamma_r
         d = planned_config(fbits, length, gamma_r).cell_width
-        check_feedback_delay_law(log, snrs, 2 * length, gamma_r, d)
+        check_feedback_delay_law(columns, snrs, 2 * length, gamma_r, d)
 
 
 def assert_identical(a, b):
@@ -202,24 +200,34 @@ def assert_same_columns(a, b):
         assert_same_array(name, a[name], b[name])
 
 
-def same_outcome(kernel, oracle):
-    """Run both session functions and check they agree exactly: every
-    scalar of the log, `delay_hist` and `chain_hist` with their key order
-    and every slot column, or the same error type and message.
+class Failure(NamedTuple):
+    """A session's error: its type and message."""
 
-    Returns both logs, or both errors as (type, message) pairs.
+    type: type
+    message: str
+
+
+def same_outcome(kernel, oracle):
+    """Run both session functions, each handed a collecting slot sink, and
+    check they agree exactly: every scalar of the log, `delay_hist` and
+    `chain_hist` with their key order and every slot column, or the same
+    error type and message.
+
+    Returns both (log, slot columns) pairs, or both `Failure`s.
     """
 
     def outcome(run):
+        sink = SlotColumns()
         try:
-            return run()
+            return run(sink), sink
         except BrqError as exc:
-            return type(exc), str(exc)
+            return Failure(type(exc), str(exc))
 
     got, want = outcome(kernel), outcome(oracle)
-    if isinstance(want, tuple) or isinstance(got, tuple):
+    if isinstance(want, Failure) or isinstance(got, Failure):
         assert got == want
         return got, want
+    (got, got_sink), (want, want_sink) = got, want
     for name in (
         "horizon", "slot_uses", "warmup_slots", "injected_bits", "delivered_bits",
         "undelivered_bits", "delivered_rate", "integrity_ok", "released_bits",
@@ -228,16 +236,18 @@ def same_outcome(kernel, oracle):
         assert_identical(getattr(got, name), getattr(want, name))
     for name in ("delay_hist", "chain_hist"):
         assert_identical(list(getattr(got, name).items()), list(getattr(want, name).items()))
-    assert_same_columns(got.slot_columns, want.slot_columns)
-    return got, want
+    got_columns, want_columns = got_sink.columns, want_sink.columns
+    assert_same_columns(got_columns, want_columns)
+    return (got, got_columns), (want, want_columns)
 
 
 def kernel_and_oracle(
-    snrs, feedback_bits=None, length=2, include_warmup=False, accounting="fluid"
+    snrs, feedback_bits=None, length=2, include_warmup=False, accounting="fluid", tee=None
 ):
     """Run a session through the array kernel (the public runners) and
     through the state machine on codec feedback, and check they agree
-    exactly.  Integer accounting runs at INT_RATE, fluid at RATE."""
+    exactly.  Integer accounting runs at INT_RATE, fluid at RATE.  A `tee`
+    slot sink gets the kernel's chunks too."""
     trace = EmpiricalTrace(snrs)
     horizon = len(trace.snrs)
     link = make_link(
@@ -248,15 +258,17 @@ def kernel_and_oracle(
     )
     gamma_r = link.gamma_r
 
-    def kernel():
+    def kernel(sink):
         rng = np.random.default_rng(0)
+        if tee is not None:
+            sink = fan_out(sink, tee)
         if feedback_bits is None:
-            return run_full_csit(link, trace, horizon, rng, record_slots=True)
+            return run_full_csit(link, trace, horizon, rng, slot_sink=sink)
         return run_quantized(
-            link, trace, horizon, rng, record_slots=True, include_warmup=include_warmup
+            link, trace, horizon, rng, slot_sink=sink, include_warmup=include_warmup
         )
 
-    def oracle():
+    def oracle(sink):
         values = list(trace.snrs)
         if feedback_bits is None:
             quantizer, processes, warmup = None, 1, 0
@@ -264,13 +276,24 @@ def kernel_and_oracle(
             quantizer = planned_config(feedback_bits, length, gamma_r)
             processes, warmup = 2 * length, 0 if include_warmup else 2 * length
         feedback = protocol._codec_feedback(values, gamma_r, quantizer)
-        return protocol._run_processes(link, values, processes, feedback, warmup, True)
+        return protocol._run_processes(link, values, processes, feedback, warmup, sink)
 
     return same_outcome(kernel, oracle)
 
 
 # Both accountings at twice the examples, so each gets about as many as one did.
 _ACCOUNTING = st.sampled_from(["fluid", "integer"])
+
+
+def chunk_of(factor, processes):
+    """Patch the kernel's chunk to `factor` * P slots; None keeps the default."""
+    size = protocol._SESSION_CHUNK if factor is None else factor * processes
+    return mock.patch.object(protocol, "_SESSION_CHUNK", size)
+
+
+# chunks of P, 2P, 3P and 7P slots, and the default
+_FACTORS = [1, 2, 3, 7, None]
+_FACTOR = st.sampled_from(_FACTORS)
 
 
 class TestKernelMatchesStateMachine:
@@ -329,54 +352,92 @@ class TestKernelMatchesStateMachine:
 
 
 class TestSlotLogBytes:
-    """The slot log written column by column from kernel logs has the bytes
-    that csv.writer and the reference's cells give, cell by cell, on the
-    rows of the state machine's slot columns."""
+    """The slot log that `_SlotLog` streams from the kernel's chunks has the
+    bytes that csv.writer and the reference's cells give, cell by cell, on
+    the rows of the state machine's slot columns, whatever the size of the
+    kernel's chunks and of the writer's blocks."""
 
     @staticmethod
-    def assert_same_bytes(logs, columns, chunk=cli._SLOT_LOG_CHUNK):
-        """`_write_slot_log` of `logs`, `chunk` rows at a time, against the
-        reference `write_csv` of the rows of each replication's `columns`."""
-        rows = [
-            [rep, *row]
-            for rep, rep_columns in enumerate(columns)
-            for row in zip(*(rep_columns[name].tolist() for name in SLOT_FIELDS))
-        ]
+    def assert_same_bytes(run_sessions, block=cli._SLOT_LOG_CHUNK):
+        """The slot log that `run_sessions(slot_log)` streams to `_SlotLog`,
+        `block` rows at a time, against the reference `write_csv` of the rows
+        of the slot columns of each replication, which it returns."""
         with tempfile.TemporaryDirectory() as tmp:
             got_path, want_path = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-            with mock.patch.object(cli, "_SLOT_LOG_CHUNK", chunk):
-                cli._write_slot_log(got_path, logs)
+            with mock.patch.object(cli, "_SLOT_LOG_CHUNK", block), \
+                    cli._SlotLog(got_path) as slot_log:
+                columns = run_sessions(slot_log)
+            rows = [
+                [rep, *row]
+                for rep, rep_columns in enumerate(columns)
+                for row in zip(*(rep_columns[name].tolist() for name in SLOT_FIELDS))
+            ]
             csv_reference.write_csv(want_path, cli._SLOT_LOG_HEADER, rows)
             with open(got_path, "rb") as got, open(want_path, "rb") as want:
                 assert got.read() == want.read()
 
+    @staticmethod
+    def pair_session(snrs, include_warmup, accounting, tee):
+        """A kernel session of two processes on full-CSIT reports, checked
+        against the state machine, the first two slots a warm-up unless
+        `include_warmup`; the kernel's chunks go to `tee` too."""
+        link = make_link(rate=INT_RATE if accounting == "integer" else RATE,
+                         accounting=accounting)
+        feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs]
+        warmup = 0 if include_warmup else 2
+
+        def kernel(sink):
+            return protocol._run_kernel(link, np.array(snrs), 2, None, warmup,
+                                        fan_out(sink, tee))
+
+        return same_outcome(
+            kernel, lambda sink: protocol._run_processes(link, snrs, 2, feedback, warmup, sink)
+        )
+
     @classmethod
-    def check(cls, traces, *scheme, chunk=cli._SLOT_LOG_CHUNK):
-        kernel_logs, oracle_logs = [], []
-        for snrs in traces:
-            got, want = kernel_and_oracle(snrs, *scheme)
-            assume(not isinstance(got, tuple))  # both hit the same budget error
-            kernel_logs.append(got)
-            oracle_logs.append(want)
-        cls.assert_same_bytes(kernel_logs, [log.slot_columns for log in oracle_logs], chunk)
+    def check(cls, traces, fbits, length, include_warmup, accounting,
+              block=cli._SLOT_LOG_CHUNK, factor=None):
+        """Write the kernel's logs of `traces`, at chunks of `factor` * P
+        slots, against the state machine's: full CSIT (P = 1), with
+        `fbits` "pair" two processes on full-CSIT reports, or quantized
+        (P = 2L)."""
+        processes = {None: 1, "pair": 2}.get(fbits, 2 * length)
+
+        def run_sessions(slot_log):
+            oracle_columns = []
+            with chunk_of(factor, processes):
+                for rep, snrs in enumerate(traces):
+                    tee = functools.partial(slot_log, rep)
+                    if fbits == "pair":
+                        got, want = cls.pair_session(snrs, include_warmup, accounting, tee)
+                    else:
+                        got, want = kernel_and_oracle(snrs, fbits, length, include_warmup,
+                                                      accounting, tee)
+                    assume(not isinstance(got, Failure))  # both hit the same budget error
+                    oracle_columns.append(want[1])
+            return oracle_columns
+
+        cls.assert_same_bytes(run_sessions, block)
 
     @settings(deadline=None, max_examples=150)
     @given(
         st.one_of(
-            st.just((None, 2)),
+            st.sampled_from([(None, 2), ("pair", 2)]),
             st.tuples(st.sampled_from([1.5, 2.0, 4.0, 8.0]), st.integers(2, 8)),
         ),
         st.integers(min_value=1, max_value=3),
         st.booleans(),
         _ACCOUNTING,
         st.integers(min_value=1, max_value=9),
+        _FACTOR,
         st.data(),
     )
-    def test_random_traces(self, scheme, replications, include_warmup, accounting, chunk,
-                           data):
-        # chunks of 1-9 rows: the logs here are too short to cross the default
+    def test_random_traces(self, scheme, replications, include_warmup, accounting, block,
+                           factor, data):
+        # blocks of 1-9 rows, and kernel chunks of P (1, 2 or 2L) to 7P slots:
+        # the logs here are too short to cross the defaults
         fbits, length = scheme
-        if fbits is None:
+        if fbits in (None, "pair"):
             horizon = data.draw(st.integers(min_value=1, max_value=80))
         else:
             horizon = 2 * length * data.draw(st.integers(min_value=1, max_value=4))
@@ -384,7 +445,7 @@ class TestSlotLogBytes:
             data.draw(st.lists(_TRACE_SNR, min_size=horizon, max_size=horizon))
             for _ in range(replications)
         ]
-        self.check(traces, fbits, length, include_warmup, accounting, chunk=chunk)
+        self.check(traces, fbits, length, include_warmup, accounting, block, factor)
 
     @settings(deadline=None, max_examples=10)
     @given(
@@ -402,14 +463,25 @@ class TestSlotLogBytes:
         self.check(traces, fbits, length, include_warmup, accounting)
 
     def test_logs_longer_than_the_default_chunk(self):
-        # 9001 = 2 full chunks and 809 rows; full-CSIT reports repeat the
-        # SNRs of earlier slots, also across chunk boundaries
+        # 9001 = 2 full kernel chunks and 617 slots, or 2 full blocks and 809
+        # rows; full-CSIT reports repeat the SNRs of earlier slots, also
+        # across block boundaries
         link = LinkConfig(rate=4.0, slot_uses=100, accounting="integer")
-        logs = []
-        run_replicated(RunConfig(seed=3, replications=3, horizon=9001), link,
-                       Rayleigh(10.0), collect_logs=logs)
         assert cli._SLOT_LOG_CHUNK < 9001 < 3 * cli._SLOT_LOG_CHUNK
-        self.assert_same_bytes(logs, [log.slot_columns for log in logs])
+        assert protocol._SESSION_CHUNK < 9001 < 2 * protocol._SESSION_CHUNK
+
+        def run_sessions(slot_log):
+            sinks = [SlotColumns() for _ in range(3)]
+
+            def tee(rep, rows):
+                slot_log(rep, rows)
+                sinks[rep](rows)
+
+            run_replicated(RunConfig(seed=3, replications=3, horizon=9001), link,
+                           Rayleigh(10.0), slot_sink=tee)
+            return [sink.columns for sink in sinks]
+
+        self.assert_same_bytes(run_sessions)
 
 
 class TestDeliveryOrder:
@@ -430,7 +502,7 @@ class TestDeliveryOrder:
         link = make_link(rate=RATE)
         snrs = np.array(snrs)
         n = len(snrs)
-        log = protocol._run_kernel(link, snrs, processes, None, warmup, True)
+        log, columns = logged(protocol._run_kernel, link, snrs, processes, None, warmup)
         decoded = snrs >= link.gamma_r
         due = np.full(n, n)
         for t in range(n):
@@ -439,15 +511,15 @@ class TestDeliveryOrder:
                 due[t] = ahead[0]
         sent = np.flatnonzero(due < n)
         want = sent[np.argsort(due[sent], kind="stable")]
-        lengths = log.slot_columns["chain_length"].tolist()
+        lengths = columns["chain_length"].tolist()
         got = [
             slot - processes * back
-            for slot in np.flatnonzero(log.slot_columns["renewal"]).tolist()
+            for slot in np.flatnonzero(columns["renewal"]).tolist()
             for back in range(lengths[slot] - 1, -1, -1)
         ]
         assert got == want.tolist()
 
-        new_bits = log.slot_columns["new_bits"]
+        new_bits = columns["new_bits"]
         hist: dict[int, float] = {}
         for t in want.tolist():
             if new_bits[t] > 0 and t >= warmup:
@@ -607,15 +679,15 @@ class TestKernelEdgeCases:
 
     def test_horizon_one(self):
         for snr in (self.GOOD, 3.0):
-            log, _ = kernel_and_oracle([snr])
+            (log, columns), _ = kernel_and_oracle([snr])
             assert log.renewal_count == (snr >= 20.0)
             assert log.chain_hist == ({1: 1} if snr >= 20.0 else {})
             assert log.renewals == [protocol.Renewal(1)] * log.renewal_count
             reward = 100 * RATE if snr >= 20.0 else 0.0
-            assert log.slot_columns["reward_bits"].tolist() == [reward]
+            assert columns["reward_bits"].tolist() == [reward]
 
     def test_warmup_fills_whole_horizon(self):
-        log, _ = kernel_and_oracle([self.GOOD, 3.0, 7.0, self.GOOD], 4.0, 2)
+        (log, columns), _ = kernel_and_oracle([self.GOOD, 3.0, 7.0, self.GOOD], 4.0, 2)
         assert log.warmup_slots == log.horizon == 4
         assert log.injected_bits == log.delivered_bits == log.delivered_rate == 0.0
         assert log.delay_hist == {}
@@ -623,11 +695,11 @@ class TestKernelEdgeCases:
     @pytest.mark.parametrize("fbits", [None, 4.0])
     def test_all_outage(self, tmp_path, fbits):
         snrs = [3.0, 0.5, 19.0, 7.0] * 4
-        log, _ = kernel_and_oracle(snrs, fbits, 2)
+        (log, columns), _ = kernel_and_oracle(snrs, fbits, 2)
         assert log.renewal_count == 0
         assert log.chain_hist == {} and log.renewals == []
-        assert not log.slot_columns["renewal"].any()
-        assert log.slot_columns["reward_bits"].tolist() == [0.0] * len(snrs)
+        assert not columns["renewal"].any()
+        assert columns["reward_bits"].tolist() == [0.0] * len(snrs)
         assert log.delay_hist == {}
         assert log.delivered_bits == 0.0
         link = make_link(rate=RATE, feedback_bits=fbits, block_length=2)
@@ -642,21 +714,21 @@ class TestKernelEdgeCases:
         # their new bits lands a few ulps off the receiver's running sum
         outages = np.random.default_rng(0).uniform(0.0, 20.0, 703).tolist()
         good = [self.GOOD]
-        log, oracle = kernel_and_oracle(
+        (log, columns), (oracle, oracle_columns) = kernel_and_oracle(
             outages[:300] + good + outages[300:700] + good + outages[700:] + good
         )
-        renewed = oracle.slot_columns["renewal"]
-        want = oracle.slot_columns["reward_bits"][renewed].tolist()
-        assert oracle.slot_columns["chain_length"][renewed].tolist() == [301, 401, 4]
-        got = log.slot_columns["reward_bits"][log.slot_columns["renewal"]].tolist()
+        renewed = oracle_columns["renewal"]
+        want = oracle_columns["reward_bits"][renewed].tolist()
+        assert oracle_columns["chain_length"][renewed].tolist() == [301, 401, 4]
+        got = columns["reward_bits"][columns["renewal"]].tolist()
         assert_identical(got, want)
-        new_bits = oracle.slot_columns["new_bits"]
+        new_bits = oracle_columns["new_bits"]
         assert np.add.reduceat(new_bits, [0, 301, 702]).tolist() != want
         assert float(np.sum(new_bits[301:702])) != want[1]
 
     @pytest.mark.parametrize("fbits", [None, 4.0])
     def test_all_decoding(self, fbits):
-        log, _ = kernel_and_oracle([self.GOOD] * 16, fbits, 2, include_warmup=True)
+        (log, columns), _ = kernel_and_oracle([self.GOOD] * 16, fbits, 2, include_warmup=True)
         assert log.renewal_count == 16
         assert log.chain_hist == {1: 16}
         assert log.delay_hist == {0: 16 * 100 * RATE}
@@ -667,7 +739,8 @@ class TestKernelEdgeCases:
     def test_nothing_held_is_the_float_zero(self, fbits, accounting):
         # every delivered window is released in order, in one process and in
         # four: both producers report the float 0.0, not the int 0
-        log, oracle = kernel_and_oracle([25.0, 25.0, 3.0, 3.0], fbits, 2, True, accounting)
+        (log, _), (oracle, _) = kernel_and_oracle([25.0, 25.0, 3.0, 3.0], fbits, 2, True,
+                                                  accounting)
         assert repr(log.held_window_bits) == repr(oracle.held_window_bits) == "0.0"
 
     @pytest.mark.parametrize("below", [1, 100])
@@ -677,15 +750,15 @@ class TestKernelEdgeCases:
         snr = 2.0**INT_RATE - 1.0
         for _ in range(below):
             snr = math.nextafter(snr, 0.0)
-        log, _ = kernel_and_oracle([snr, 3.0, 25.0], accounting="integer")
-        assert repr(log.slot_columns["parity_bits"].tolist()[1]) == "0.0"
-        assert log.slot_columns["new_bits"][1] == 439.0
+        (log, columns), _ = kernel_and_oracle([snr, 3.0, 25.0], accounting="integer")
+        assert repr(columns["parity_bits"].tolist()[1]) == "0.0"
+        assert columns["new_bits"][1] == 439.0
 
     @pytest.mark.parametrize("fbits", [None, 4.0])
     def test_snr_at_threshold_decodes(self, fbits):
         gamma_r = 2.0**RATE - 1.0
-        log, _ = kernel_and_oracle([3.0, gamma_r, gamma_r, 3.0], fbits, 2, True)
-        assert log.slot_columns["decoded"].tolist() == [False, True, True, False]
+        (log, columns), _ = kernel_and_oracle([3.0, gamma_r, gamma_r, 3.0], fbits, 2, True)
+        assert columns["decoded"].tolist() == [False, True, True, False]
 
     @pytest.mark.parametrize(
         "fbits, snrs, zero_slot",
@@ -694,23 +767,11 @@ class TestKernelEdgeCases:
     def test_zero_snr_sends_no_new_bits(self, fbits, snrs, zero_slot):
         # SNR 0 reports cell 0, whose lower edge is 0: the next slot of its
         # process is all parity, and its zero new bits stay out of delay_hist
-        log, _ = kernel_and_oracle(snrs, fbits, 2, include_warmup=True)
-        columns = log.slot_columns
+        (log, columns), _ = kernel_and_oracle(snrs, fbits, 2, include_warmup=True)
         assert columns["eff_snr"][zero_slot] == 0.0
         assert columns["new_bits"][zero_slot] == 0.0
         assert columns["renewal"][zero_slot]
         assert log.delay_hist == {zero_slot: 100 * RATE}
-
-
-def chunk_of(factor, processes):
-    """Patch the kernel's chunk to `factor` * P slots; None keeps the default."""
-    size = protocol._SESSION_CHUNK if factor is None else factor * processes
-    return mock.patch.object(protocol, "_SESSION_CHUNK", size)
-
-
-# chunks of P, 2P, 3P and 7P slots, and the default
-_FACTORS = [1, 2, 3, 7, None]
-_FACTOR = st.sampled_from(_FACTORS)
 
 
 class TestChunkInvariance:
@@ -764,12 +825,11 @@ class TestChunkInvariance:
         outages = np.random.default_rng(0).uniform(0.0, 19.0, 703).tolist()
         good = [25.0]
         with chunk_of(factor, 1):
-            log, _ = kernel_and_oracle(
+            (log, columns), _ = kernel_and_oracle(
                 outages[:300] + good + outages[300:700] + good + outages[700:] + good,
                 accounting=accounting,
             )
         assert log.chain_hist == {4: 1, 301: 1, 401: 1}
-        columns = log.slot_columns
         assert columns["chain_length"][columns["renewal"]].tolist() == [301, 401, 4]
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
@@ -785,13 +845,13 @@ class TestChunkInvariance:
                          accounting=accounting)
         feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs.tolist()]
         with chunk_of(factor, processes):
-            log, _ = same_outcome(
-                lambda: protocol._run_kernel(link, snrs, processes, None, 30, True),
-                lambda: protocol._run_processes(
-                    link, snrs.tolist(), processes, feedback, 30, True
+            (log, columns), _ = same_outcome(
+                lambda sink: protocol._run_kernel(link, snrs, processes, None, 30, sink),
+                lambda sink: protocol._run_processes(
+                    link, snrs.tolist(), processes, feedback, 30, sink
                 ),
             )
-        assert 0.0 < log.injected_bits < log.slot_columns["new_bits"].sum()
+        assert 0.0 < log.injected_bits < columns["new_bits"].sum()
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
     @pytest.mark.parametrize("fbits", [None, 4.0])
@@ -799,7 +859,7 @@ class TestChunkInvariance:
     def test_all_outage(self, factor, fbits, accounting):
         snrs = [3.0, 0.5, 19.0, 7.0] * 4
         with chunk_of(factor, 1 if fbits is None else 4):
-            log, _ = kernel_and_oracle(snrs, fbits, 2, accounting=accounting)
+            (log, _), _ = kernel_and_oracle(snrs, fbits, 2, accounting=accounting)
         assert log.renewal_count == 0
         assert log.delivered_bits == log.released_bits == log.held_window_bits == 0.0
 
@@ -816,11 +876,11 @@ class TestChunkInvariance:
 
         def session(horizon):
             return same_outcome(
-                lambda: protocol._run_kernel(link, snrs[:horizon], 2, None, 0, True),
-                lambda: protocol._run_processes(
-                    link, snrs[:horizon].tolist(), 2, feedback[:horizon], 0, True
+                lambda sink: protocol._run_kernel(link, snrs[:horizon], 2, None, 0, sink),
+                lambda sink: protocol._run_processes(
+                    link, snrs[:horizon].tolist(), 2, feedback[:horizon], 0, sink
                 ),
-            )[0]
+            )[0][0]
 
         with chunk_of(factor, 2):
             held = session(20)
@@ -855,12 +915,12 @@ class TestLedger:
         if scheme == "quantized":
             quantizer = planned_config(4.0, length, link.gamma_r)
         with chunk_of(factor, processes):
-            log = protocol._run_kernel(link, snrs, processes, quantizer, 0, True)
-        slots, decoded = np.arange(horizon), log.slot_columns["decoded"]
+            log, columns = logged(protocol._run_kernel, link, snrs, processes, quantizer, 0)
+        slots, decoded = np.arange(horizon), columns["decoded"]
         last = np.full(processes, -1)
         np.maximum.at(last, slots[decoded] % processes, slots[decoded])
         still_open = slots > last[slots % processes]
-        open_bits = math.fsum(log.slot_columns["new_bits"][still_open].tolist())
+        open_bits = math.fsum(columns["new_bits"][still_open].tolist())
         pairs = [
             (log.released_bits + log.held_window_bits, log.delivered_bits),
             (log.undelivered_bits, open_bits),
@@ -898,8 +958,10 @@ class TestSlotOrderTotals:
         if scheme == "quantized":
             quantizer = planned_config(4.0, length, link.gamma_r)
         with chunk_of(factor, processes):
-            log = protocol._run_kernel(link, snrs, processes, quantizer, warmup, True)
-        released, held = slot_order_sums(log, processes)
+            log, columns = logged(
+                protocol._run_kernel, link, snrs, processes, quantizer, warmup
+            )
+        released, held = slot_order_sums(log, columns, processes)
         assert_identical(log.released_bits, released)
         assert_identical(log.held_window_bits, held)
         if processes == 1 and not warmup:
@@ -911,21 +973,21 @@ class TestSlotOrderTotals:
         # renewals deliver out of payload order; added in delivery order
         # they would give 307679.6700122058
         snrs = np.random.default_rng(0).exponential(10.0, 38400).tolist()
-        log, _ = kernel_and_oracle(snrs, 2.0, 64)
-        assert_identical(log.held_window_bits, slot_order_sums(log, 128)[1])
+        (log, columns), _ = kernel_and_oracle(snrs, 2.0, 64)
+        assert_identical(log.held_window_bits, slot_order_sums(log, columns, 128)[1])
         assert_identical(log.held_window_bits, 307679.6700122057)
 
 
-def slot_order_sums(log, processes):
-    """The slot log's new bits added one by one from 0.0, in slot order:
+def slot_order_sums(log, columns, processes):
+    """The slot `columns`' new bits added one by one from 0.0, in slot order:
     over the slots before the gap, and over the held ones, those from the
     gap at or before their process's last renewal."""
-    slots, decoded = np.arange(log.horizon), log.slot_columns["decoded"]
+    slots, decoded = np.arange(log.horizon), columns["decoded"]
     last = np.arange(processes) - processes
     np.maximum.at(last, slots[decoded] % processes, slots[decoded])
     gap = min(int(last.min()) + processes, log.horizon)
     held = slots[gap:][slots[gap:] <= last[slots[gap:] % processes]]
-    new_bits = log.slot_columns["new_bits"]
+    new_bits = columns["new_bits"]
     return tuple(functools.reduce(operator.add, new_bits[part].tolist(), 0.0)
                  for part in (slots[:gap], held))
 
@@ -988,7 +1050,7 @@ class TestIntegrity:
         quantizer = None if fbits is None else planned_config(fbits, length, link.gamma_r)
         check = faulty_check(fault, processes)
         with chunk_of(factor, processes), mock.patch.object(protocol, "_check_chains", check):
-            return protocol._run_kernel(link, snrs, processes, quantizer, warmup, False)
+            return protocol._run_kernel(link, snrs, processes, quantizer, warmup, None)
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("processes, fbits, length, warmup", [
@@ -1079,7 +1141,7 @@ class TestKernelMemory:
         if length is not None:
             processes, quantizer = 2 * length, planned_config(2.0, length, link.gamma_r)
         return cls.traced_peak(
-            lambda: protocol._run_kernel(link, snrs, processes, quantizer, 0, False)
+            lambda: protocol._run_kernel(link, snrs, processes, quantizer, 0, None)
         )
 
     @pytest.mark.parametrize("accounting", ["fluid", "integer"])
@@ -1178,7 +1240,7 @@ class TestRxStep:
         feedback = [ACK if snr >= link.gamma_r else snr for snr in snrs]
         feedback[processes - 1] = 6.0
         with pytest.raises(ChainBrokenError) as caught:
-            protocol._run_processes(link, snrs, processes, feedback, 0, False)
+            protocol._run_processes(link, snrs, processes, feedback, 0, None)
         sent = 100 * (rate - capacity(6.0))
         slot = 2 * processes - 1
         assert str(caught.value) == (
@@ -1212,10 +1274,9 @@ class TestRunFullCsit:
 
     def test_conservation_against_slot_records(self):
         link = make_link(rate=RATE)
-        log = run_full_csit(
-            link, Rayleigh(10.0), 5000, np.random.default_rng(2), record_slots=True
+        log, columns = logged(
+            run_full_csit, link, Rayleigh(10.0), 5000, np.random.default_rng(2)
         )
-        columns = log.slot_columns
         renewal = columns["renewal"]
         injected = sum(columns["new_bits"].tolist())
         delivered = sum(columns["reward_bits"][renewal].tolist())
@@ -1233,14 +1294,14 @@ class TestRunFullCsit:
         # a chain of L slots ending at slot r is sized from the reports of
         # its L - 1 outage slots, read in slots r - L + 2, ..., r
         link = make_link(rate=RATE)
-        log = run_full_csit(
-            link, Rayleigh(10.0), 20_000, np.random.default_rng(4), record_slots=True
+        log, columns = logged(
+            run_full_csit, link, Rayleigh(10.0), 20_000, np.random.default_rng(4)
         )
         assert log.renewal_count > 100
-        eff_snr = log.slot_columns["eff_snr"].tolist()
-        rewards = log.slot_columns["reward_bits"].tolist()
-        lengths = log.slot_columns["chain_length"].tolist()
-        for slot in np.flatnonzero(log.slot_columns["renewal"]).tolist():
+        eff_snr = columns["eff_snr"].tolist()
+        rewards = columns["reward_bits"].tolist()
+        lengths = columns["chain_length"].tolist()
+        for slot in np.flatnonzero(columns["renewal"]).tolist():
             length = lengths[slot]
             reports = eff_snr[slot - length + 2 : slot + 1]
             assert len(reports) == length - 1
@@ -1257,15 +1318,15 @@ class TestRunFullCsit:
         rng = np.random.default_rng(8)
         snrs = tuple(rng.exponential(10.0, 3000))
         link = make_link(rate=RATE)
-        log = run_full_csit(
-            link, EmpiricalTrace(snrs), 3000, np.random.default_rng(0), record_slots=True
+        log, columns = logged(
+            run_full_csit, link, EmpiricalTrace(snrs), 3000, np.random.default_rng(0)
         )
         caps = [min(capacity(s), link.rate) for s in snrs]
-        rewards = log.slot_columns["reward_bits"].tolist()
+        rewards = columns["reward_bits"].tolist()
         cum = 0.0
         running = 0.0
         idx = 0
-        for slot in np.flatnonzero(log.slot_columns["renewal"]).tolist():
+        for slot in np.flatnonzero(columns["renewal"]).tolist():
             cum += rewards[slot]
             while idx <= slot:
                 running += link.slot_uses * caps[idx]
@@ -1282,10 +1343,10 @@ class TestRunFullCsit:
 
     def test_integer_mode_conserves_whole_bits(self):
         link = make_link(rate=4.0, accounting="integer")
-        log = run_full_csit(
-            link, Rayleigh(10.0), 3000, np.random.default_rng(12), record_slots=True
+        log, columns = logged(
+            run_full_csit, link, Rayleigh(10.0), 3000, np.random.default_rng(12)
         )
-        parity, new_bits = log.slot_columns["parity_bits"], log.slot_columns["new_bits"]
+        parity, new_bits = columns["parity_bits"], columns["new_bits"]
         assert np.array_equal(parity, np.floor(parity))
         assert np.array_equal(new_bits, np.floor(new_bits))
         assert np.all(parity + new_bits == 400)
@@ -1319,14 +1380,14 @@ class TestPatternEnumeration:
         caps = [capacity(s) for s in outage]
         for pattern in itertools.product((False, True), repeat=6):
             snrs = tuple(good if ok else outage[i] for i, ok in enumerate(pattern))
-            log = run_full_csit(
-                link, EmpiricalTrace(snrs), 6, np.random.default_rng(0), record_slots=True
+            log, columns = logged(
+                run_full_csit, link, EmpiricalTrace(snrs), 6, np.random.default_rng(0)
             )
             # on success slots the trace uses `good`, so the accounting
             # reference uses min(C, R) = R there and C(outage) elsewhere
             ref_caps = [link.rate if ok else caps[i] for i, ok in enumerate(pattern)]
             rewards, pending = enumerate_chains(pattern, ref_caps, link.rate, 100)
-            got = log.slot_columns["reward_bits"][log.slot_columns["renewal"]].tolist()
+            got = columns["reward_bits"][columns["renewal"]].tolist()
             assert len(got) == len(rewards)
             for a, b in zip(got, rewards):
                 assert a == pytest.approx(b, abs=1e-9)
@@ -1486,29 +1547,25 @@ class TestRunQuantized:
 
     def test_instance_interleaving_in_records(self):
         link = make_link(feedback_bits=2.0, block_length=4)
-        log = run_quantized(
-            link,
-            Deterministic(5.0),
-            8 * 3,
-            np.random.default_rng(0),
-            record_slots=True,
+        _, columns = logged(
+            run_quantized, link, Deterministic(5.0), 8 * 3, np.random.default_rng(0)
         )
-        block, pos = np.divmod(log.slot_columns["slot"], 4)
-        assert np.array_equal(log.slot_columns["instance"], (block % 2) * 4 + pos)
+        block, pos = np.divmod(columns["slot"], 4)
+        assert np.array_equal(columns["instance"], (block % 2) * 4 + pos)
 
     def test_integer_mode_byte_exact_prefix(self):
         link = make_link(
             rate=4.0, feedback_bits=2.0, block_length=16, accounting="integer"
         )
-        log = run_quantized(
-            link, Rayleigh(10.0), 32 * 200, np.random.default_rng(13), record_slots=True
+        log, columns = logged(
+            run_quantized, link, Rayleigh(10.0), 32 * 200, np.random.default_rng(13)
         )
         assert log.integrity_ok
         assert log.delivered_bits > 0
         assert log.released_bits > 0
         # every decoded window is either released in order or held behind
         # a gap; together they account for all chain rewards exactly
-        pushed = sum(log.slot_columns["reward_bits"].tolist())
+        pushed = sum(columns["reward_bits"].tolist())
         assert log.released_bits + log.held_window_bits == pytest.approx(
             pushed, abs=1e-6
         )
