@@ -185,19 +185,18 @@ def _join_rows(rows) -> str:
 
 
 def _write_table(path: str | None, rows: list[dict]) -> None:
-    """Write dict rows, which share their keys, under the first row's keys.
+    """Write dict rows, which share their keys and the type of each
+    column, under the first row's keys.
 
-    The columns of one kind (all the float columns, say) share one
-    formatting pool.
+    A float column goes through `_float_cells`; any other cell is its
+    str, or 1 or 0 for a bool.
     """
     header = list(rows[0])
-    arrays = [np.array([row[col] for row in rows]) for col in header]
-    columns = [None] * len(arrays)
-    for kind in {a.dtype.kind for a in arrays}:
-        picked = [i for i, a in enumerate(arrays) if a.dtype.kind == kind]
-        for i, cells in zip(picked, _format_columns(*(arrays[i] for i in picked))):
-            columns[i] = cells
-    _write_text(path, _join_rows([header, *zip(*columns)]))
+    columns = [[row[col] for row in rows] for col in header]
+    cells = [_float_cells(np.array(values)) if isinstance(values[0], float)
+             else [str(int(v)) if isinstance(v, bool) else str(v) for v in values]
+             for values in columns]
+    _write_text(path, _join_rows([header, *zip(*cells)]))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -265,28 +264,6 @@ _SLOT_LOG_HEADER = ["replication", *SLOT_FIELDS]
 
 # Rows of the slot log formatted, joined and written at a time.
 _SLOT_LOG_CHUNK = 4096
-
-
-def _format_columns(*arrays: np.ndarray) -> list[list[str]]:
-    """The CSV cell of every entry of 1-D arrays of one dtype, one list per
-    array: a float's repr, '' for NaN, '1' or '0' for a bool and `str` of
-    anything else.
-
-    Each distinct value is formatted once across all the arrays.  Floats
-    are keyed by bit pattern, so -0.0 and 0.0 stay apart and every NaN
-    gives ''.
-    """
-    pooled = np.concatenate(arrays)
-    if pooled.dtype == bool:
-        texts, index = np.array(["0", "1"], dtype=object), pooled.view(np.uint8)
-    elif pooled.dtype.kind == "f":
-        patterns, index = np.unique(pooled.view(np.int64), return_inverse=True)
-        texts = np.array(_float_cells(patterns.view(np.float64)), dtype=object)
-    else:
-        keys, index = np.unique(pooled, return_inverse=True)
-        texts = np.array(list(map(str, keys.tolist())), dtype=object)
-    bounds = np.cumsum([len(a) for a in arrays])[:-1]
-    return [part.tolist() for part in np.split(texts[index], bounds)]
 
 
 def _float_cells(values: np.ndarray) -> list[str]:

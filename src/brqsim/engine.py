@@ -158,6 +158,17 @@ def rate_for_factor(k: float, mean_snr: float) -> float:
     return math.log2(1.0 + k * mean_snr)
 
 
+def _distinct_columns(what: str, values, column) -> None:
+    """Raise ValueError when two of `values` name the same table column,
+    which would hold only the later one's cells."""
+    seen: dict[str, float] = {}
+    for value in values:
+        name = column(value)
+        if name in seen:
+            raise ValueError(f"{what} {seen[name]!r} and {value!r} both name the column {name}")
+        seen[name] = value
+
+
 def _rate_columns(models: list[Rayleigh], rates: list[float], feedback_bits) -> dict:
     """Grid columns at one rate per point: the rate, its decoding
     probability, the full-CSIT rate and one quantized rate per budget."""
@@ -189,6 +200,8 @@ def sweep_mean_snr(
     """
     if len(mean_snr_db_grid) == 0:
         raise ValueError("SNR grid must be nonempty")
+    _distinct_columns("rate factors", rate_factors, lambda k: f"rate_R_k{k:g}")
+    _distinct_columns("feedback budgets", feedback_bits, quant_rate_column)
     models = [Rayleigh(db_to_linear(db)) for db in mean_snr_db_grid]
     m = np.array([model.mean_snr for model in models])
     wf, pf = analytics.rayleigh_waterfilling_rate(m), analytics.rayleigh_prior_fixed_rate(m)
@@ -214,6 +227,7 @@ def sweep_threshold_ratio(
     """
     if len(ratio_grid) == 0:
         raise ValueError("ratio grid must be nonempty")
+    _distinct_columns("feedback budgets", feedback_bits, quant_rate_column)
     models = [Rayleigh(mean_snr)] * len(ratio_grid)
     rates = [rate_for_factor(x, mean_snr) for x in ratio_grid]
     return _rows({"ratio": list(ratio_grid), **_rate_columns(models, rates, feedback_bits)})

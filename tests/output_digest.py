@@ -12,7 +12,10 @@ these commands.  The matrix holds:
 - the `full-fluid`, `quantized-fluid` and `integer-slotlog` simulate
   commands of the benchmark at seeds 1-5 (command i of seed s runs at
   `--seed 100 s + i`);
-- one `analytic`, one `fig4` and one `fig5` command;
+- one `analytic` JSON command; three `analytic --format csv
+  --feedback-bits 0.5` commands (10 dB at k = 2, 0 dB at k = 1000 and
+  -2 dB at k = 0.5), whose rows hold a `note`, a NaN cell and an
+  infinite delay; one `fig4` and one `fig5` command;
 - a quantized `--accounting integer --include-warmup --csv-log` run at
   seeds 0-2;
 - a full-CSIT and a quantized (F = 2, L = 64) fluid `--csv-log` run,
@@ -78,6 +81,11 @@ def matrix() -> list[tuple[list[str], list[str]]]:
     commands += [
         (["analytic", "--mean-snr-db=7", "--rate-factor", "1", "--feedback-bits", "1",
           "--format", "json", "--output", "analytic.json"], ["analytic.json"]),
+        *((["analytic", *point, "--feedback-bits", "0.5", "--format", "csv", "--output",
+            f"analytic-{i}.csv"], [f"analytic-{i}.csv"])
+          for i, point in enumerate([["--mean-snr-db", "10", "--rate-factor", "2"],
+                                     ["--mean-snr-db", "0", "--rate-factor", "1000"],
+                                     ["--mean-snr-db=-2", "--rate-factor", "0.5"]])),
         (["fig4", "--snr-grid-db=-5:30:0.5", "--rate-factors", "1,2,3", "--feedback-grid",
           "0.5,1,2", "--output", "fig4.csv"], ["fig4.csv"]),
         (["fig5", "--mean-snr-db=12.5", "--ratio-grid=0.05:8:0.05", "--feedback-grid",

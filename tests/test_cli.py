@@ -13,7 +13,7 @@ import csv_reference
 import numpy as np
 import output_digest
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brqsim import cli, engine
@@ -515,6 +515,22 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fig4", "--rate-factors", "2,3,2.0000001"],
+         "rate factors 2.0 and 2.0000001 both name the column rate_R_k2"),
+        (["fig4", "--feedback-grid", "1,1.0000001"],
+         "feedback budgets 1.0 and 1.0000001 both name the column brq_quant_rate_F1"),
+        (["fig5", "--feedback-grid", "0.5,2,2"],
+         "feedback budgets 2.0 and 2.0 both name the column brq_quant_rate_F2"),
+    ], ids=["fig4-rate-factors", "fig4-feedback-grid", "fig5-feedback-grid"])
+    def test_colliding_columns_are_usage_errors(self, monkeypatch, tmp_path, capsys, argv,
+                                                message):
+        # the later value's cells would overwrite the earlier one's column
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--snr-grid-db", "10", "--ratio-grid", "1"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     @pytest.mark.parametrize("db", ["nan", "inf"])
     def test_non_finite_mean_snr_is_usage_error(self, tmp_path, capsys, command, db):
@@ -710,12 +726,15 @@ class TestExitCodes:
         assert json.loads(out.read_text())["integrity"] == "fail"
 
 
-class TestSlotLogColumns:
-    """The column formatter agrees with the reference's cell by cell."""
+# Every float64, drawn by its bit pattern: NaN payloads, signed zeros,
+# subnormals and infinities included.
+_ANY_FLOAT = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item())
 
-    @staticmethod
-    def fmt(values):
-        return [csv_reference.fmt(x) for x in values.tolist()]
+
+class TestSlotLogColumns:
+    """`_float_cells`, the float rule of every CSV, agrees with the reference
+    cell by cell; table cells of other types are their str."""
 
     def test_floats(self):
         nan = np.array([math.nan])
@@ -724,47 +743,24 @@ class TestSlotLogColumns:
             [-0.0, 0.0, 5e-324, 1e16, 1e-05, math.inf, 2.0, 439.0], nan, other_nan,
             [0.1 + 0.2, 0.3, -0.0, 1e16, 0.0, -math.inf, math.inf, -math.inf],
         ])
-        want = self.fmt(col)
+        want = [csv_reference.fmt(x) for x in col.tolist()]
         assert want[:10] == ["-0.0", "0.0", "5e-324", "1e+16", "1e-05", "inf", "2.0",
                              "439.0", "", ""]
-        assert want[-3:] == ["-inf", "inf", "-inf"]
-        assert csv_reference.fmt(-math.inf) == "-inf"
-        assert cli._format_columns(col) == [want]
-        assert cli._format_columns(col[::3]) == [want[::3]]
+        assert want[-8:] == ["0.30000000000000004", "0.3", "-0.0", "1e+16", "0.0", "-inf",
+                             "inf", "-inf"]
+        assert cli._float_cells(col) == want
+        assert cli._float_cells(col[::3]) == want[::3]
 
-    def test_ints_and_bools(self):
-        ints = np.array([0, 7, -3, 2**62])
-        bools = np.array([True, False, True])
-        assert cli._format_columns(ints) == [self.fmt(ints)]
-        assert cli._format_columns(bools) == [self.fmt(bools)]
-        assert cli._format_columns(bools) == [["1", "0", "1"]]
+    @given(st.lists(_ANY_FLOAT, max_size=20))
+    def test_any_bit_pattern(self, values):
+        cells = cli._float_cells(np.array(values))
+        assert cells == [csv_reference.fmt(x) for x in values]
 
-    def test_pooled_floats_keep_their_bit_patterns(self):
-        # -0.0 and 0.0 compare equal, so a pool keyed by value would give
-        # the arrays of one the text of the other; NaN payloads differ in
-        # their bits and must still all give ''
-        nan = np.array([math.nan])
-        other_nan = (nan.view(np.int64) ^ 1).view(np.float64)
-        arrays = [
-            np.array([-0.0, 1.5, -0.0]),
-            np.array([0.0, 1.5, 2.5, 0.0]),
-            np.concatenate([nan, [2.5], nan]),
-            np.concatenate([other_nan, [-0.0], other_nan]),
-        ]
-        got = cli._format_columns(*arrays)
-        assert got == [self.fmt(a) for a in arrays]
-        assert got[0] == ["-0.0", "1.5", "-0.0"]
-        assert got[1] == ["0.0", "1.5", "2.5", "0.0"]
-        assert got[2] == ["", "2.5", ""]
-        assert got[3] == ["", "-0.0", ""]
-
-    def test_pooled_ints_bools_and_empty_arrays(self):
-        ints = [np.array([5, 5, -2, 5]), np.array([], dtype=np.int64), np.array([-2, 9, 9])]
-        assert cli._format_columns(*ints) == [["5", "5", "-2", "5"], [], ["-2", "9", "9"]]
-        bools = [np.array([True, True]), np.array([False, True, False])]
-        assert cli._format_columns(*bools) == [["1", "1"], ["0", "1", "0"]]
-        assert cli._format_columns(np.array([])) == [[]]
-        assert cli._format_columns(np.array([]), np.array([math.nan])) == [[], [""]]
+    def test_ints_and_bools(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_table(str(path), [{"n": n, "flag": flag} for n, flag in
+                                     zip([0, 7, -3, 2**62], [True, False, True, False])])
+        assert path.read_text() == "n,flag\n0,1\n7,0\n-3,1\n4611686018427387904,0\n"
 
 
 # Floats that repeat, with NaN payloads, signed zeros and infinities.
@@ -848,9 +844,32 @@ class TestSlotLogWriter:
         assert not (tmp_path / "slots.csv").exists()
 
 
+_OTHER_NAN = float((np.array([math.nan]).view(np.int64) ^ 1).view(np.float64)[0])
+_HAND_ROWS = [
+    {"a": math.nan, "b": -0.0, "c": -math.inf, "d": "x", "n": 3, "flag": True},
+    {"a": 0.1 + 0.2, "b": 0.0, "c": math.inf, "d": "", "n": -2, "flag": False},
+    {"a": _OTHER_NAN, "b": -0.0, "c": 5e-324, "d": "x", "n": 0, "flag": True},
+]
+
+# Text that csv.writer does not quote.
+_PLAIN_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters=',"\r\n'), max_size=8)
+
+
+@st.composite
+def tables(draw):
+    """Dict rows with two to six columns, each of floats or of plain text.
+    (csv.writer quotes the lone empty cell of a one-column row, and every
+    table has more columns.)"""
+    kinds = draw(st.lists(st.sampled_from([_ANY_FLOAT, _PLAIN_TEXT]), min_size=2,
+                          max_size=6))
+    n = draw(st.integers(min_value=1, max_value=5))
+    return [{f"c{j}": draw(kind) for j, kind in enumerate(kinds)} for _ in range(n)]
+
+
 class TestTableBytes:
-    """Tables formatted column by column have the bytes that csv.writer
-    and the reference's cells give, row by row."""
+    """Tables have the bytes that csv.writer and the reference's cells
+    give, row by row."""
 
     @staticmethod
     def assert_same_bytes(tmp_path, rows):
@@ -886,15 +905,12 @@ class TestTableBytes:
             self.assert_same_bytes(tmp_path, [row])
         self.assert_same_bytes(tmp_path, rows)
 
-    def test_hand_rows(self, tmp_path):
-        other_nan = (np.array([math.nan]).view(np.int64) ^ 1).view(np.float64)[0]
-        rows = [
-            {"a": math.nan, "b": -0.0, "c": -math.inf, "d": "x", "n": 3, "flag": True},
-            {"a": 0.1 + 0.2, "b": 0.0, "c": math.inf, "d": "", "n": -2, "flag": False},
-            {"a": float(other_nan), "b": -0.0, "c": 5e-324, "d": "x", "n": 0, "flag": True},
-        ]
-        self.assert_same_bytes(tmp_path, rows)
-        self.assert_same_bytes(tmp_path, rows[2:])
+    @settings(deadline=None)
+    @example(rows=_HAND_ROWS)
+    @example(rows=_HAND_ROWS[2:])
+    @given(rows=tables())
+    def test_hand_rows(self, tmp_path_factory, rows):
+        self.assert_same_bytes(tmp_path_factory.mktemp("table"), rows)
 
 
 class TestSlotLogMemory:
@@ -967,7 +983,7 @@ class TestOutputDigest:
 
     def test_matrix_names_every_output_once(self):
         names = [name for _, outputs in output_digest.matrix() for name in outputs]
-        assert len(names) == len(set(names)) == 63
+        assert len(names) == len(set(names)) == 66
 
     def test_matrix_writes_the_pinned_bytes(self):
         # a change that means to alter an output updates output_digest.txt
