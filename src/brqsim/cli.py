@@ -166,8 +166,10 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
+        count = (stop - start) / step + 1e-9
+        if not math.isfinite(count):
+            raise ValueError(f"grid has too many points to count, got {text!r}")
+        return [start + i * step for i in range(int(math.floor(count)) + 1)]
     return _parse_list(text)
 
 
@@ -274,47 +276,14 @@ def _float_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-# Distinct values a `_CellPool` keeps before it starts over: an integer
-# session's parity, new bits, chain lengths and rewards recur, a fluid
-# one's parity, new bits and rewards do not.
-_POOL_LIMIT = 4096
-
-
-class _CellPool:
-    """The cells of values seen before, sorted by bit pattern, so that a
-    value that recurs across the slot log's blocks is formatted once and
-    a block of known values is looked up, not sorted."""
-
-    def __init__(self) -> None:
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.texts = np.zeros(0, dtype=object)
-
-    def index(self, values: np.ndarray) -> np.ndarray:
-        """Where each of the floats or ints is in `keys` and `texts`, once
-        the values not yet there are formatted and added."""
-        keys = values.view(np.int64)
-        at = np.searchsorted(self.keys, keys)
-        seen = at < len(self.keys)
-        seen[seen] = self.keys[at[seen]] == keys[seen]
-        if seen.all():
-            return at
-        fresh = np.unique(keys[~seen])
-        if len(self.keys) + len(fresh) > _POOL_LIMIT:
-            self.keys, self.texts = self.keys[:0], self.texts[:0]
-            fresh = np.unique(keys)
-        if values.dtype.kind == "f":
-            texts = _float_cells(fresh.view(np.float64))
-        else:
-            texts = list(map(str, fresh.tolist()))
-        where = np.searchsorted(self.keys, fresh)
-        self.keys = np.insert(self.keys, where, fresh)
-        self.texts = np.insert(self.texts, where, np.array(texts, dtype=object))
-        return np.searchsorted(self.keys, keys)
-
-    def cells(self, values: np.ndarray) -> np.ndarray:
-        """The cell of each float or int, as an object array."""
-        at = self.index(values)  # before `texts`, which it may replace
-        return self.texts[at]
+def _distinct_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the distinct floats or ints among `values`, told apart
+    by bit pattern, as an object array, and where each value's cell is in
+    it."""
+    keys, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = (_float_cells(keys.view(np.float64)) if values.dtype.kind == "f"
+             else list(map(str, keys.tolist())))
+    return np.array(texts, dtype=object), at
 
 
 def _filled(n: int, text: str) -> np.ndarray:
@@ -331,20 +300,16 @@ class _SlotLog:
 
     The file is opened at the first chunk, so a run that fails before its
     first slot leaves none.  A block of `_SLOT_LOG_CHUNK` rows is formatted
-    column by column, each cell once where it can be: `slot` and
-    `instance` from their ranges; one repr per SNR, which a report of the
-    SNR P rows up reuses; `parity_bits` with the `new_bits` it leaves as
-    one cell; and `decoded`, `renewal`, `chain_length` and `reward_bits`
-    as one cell, the same for every slot that renews no chain.  Reports,
-    parity, new bits, chain lengths and rewards recur, so their cells are
-    kept across blocks in `_CellPool`s.
+    column by column, each distinct cell once, keeping nothing for the next
+    block: `slot` and `instance` from their ranges; one repr per SNR, which
+    a report of the SNR P rows up reuses; `parity_bits` with the `new_bits`
+    it leaves as one cell; and `decoded`, `renewal`, `chain_length` and
+    `reward_bits` as one cell, the same for every slot that renews no chain.
     """
 
     def __init__(self, path: str) -> None:
         self._path = path
         self._handle = None
-        self._pools = {name: _CellPool()
-                       for name in ("eff", "parity", "new", "length", "reward")}
 
     def __enter__(self) -> "_SlotLog":
         return self
@@ -362,50 +327,51 @@ class _SlotLog:
         instances = list(map(str, range(p))) * -(-n // p)  # as rows.start is a multiple of P
         for lo in range(0, n, _SLOT_LOG_CHUNK):
             hi = min(lo + _SLOT_LOG_CHUNK, n)
-            self._handle.write(self._block(rep, rows, lo, hi, renewals, instances[lo:hi]))
+            self._handle.write(_block(rep, rows, lo, hi, renewals, instances[lo:hi]))
 
-    def _block(self, rep, rows, lo, hi, renewals, instances) -> str:
-        """The CSV lines of rows `lo` to `hi` of the chunk, each led by the
-        replication."""
-        m, start, p = hi - lo, rows.start + lo, rows.processes
-        snr = rows.snr[lo:hi]
-        snr_cells = np.array(_float_cells(snr), dtype=object)
-        eff, fed = rows.eff_snr[lo:hi], rows.fed[lo:hi].copy()
-        echo = np.zeros(m, dtype=bool)  # reports of the SNR P rows up
-        echo[p:] = fed[p:] & (eff[p:].view(np.int64) == snr[:-p].view(np.int64))
-        fed &= ~echo
-        eff_cells = _filled(m, "")
-        eff_cells[echo] = snr_cells[np.flatnonzero(echo) - p]
-        eff_cells[fed] = self._pools["eff"].cells(eff[fed])
-        a, b = np.searchsorted(renewals, (lo, hi))
-        tails = _filled(m, "0,0,0,0.0")  # decoded, renewal, chain_length, reward_bits
-        tails[renewals[a:b] - lo] = [
-            f"1,1,{length},{reward}" for length, reward in zip(
-                self._pools["length"].cells(rows.chain_length[a:b]).tolist(),
-                self._pools["reward"].cells(rows.reward_bits[a:b]).tolist())
-        ]
-        bits = self._bits_cells(rows.parity_bits[lo:hi], rows.new_bits[lo:hi])
-        lead = f"{rep},"
-        return lead + ("\n" + lead).join(map(",".join, zip(
-            map(repr, range(start, start + m)),  # an int's repr is its str, and faster
-            instances, snr_cells.tolist(), eff_cells.tolist(), bits, tails.tolist(),
-        ))) + "\n"
 
-    def _bits_cells(self, parity: np.ndarray, new_bits: np.ndarray) -> list[str]:
-        """The `parity_bits,new_bits` cells of each row.  A slot's new bits
-        are B less its parity, so each parity is formatted with its new bits
-        once; a block where the parity does not fix them is formatted
-        column by column."""
-        pool, new_pool = self._pools["parity"], self._pools["new"]
-        at, new_keys = pool.index(parity), new_bits.view(np.int64)
-        news = np.zeros(len(pool.keys), dtype=np.int64)
-        news[at] = new_keys
-        if not np.array_equal(news[at], new_keys):
-            return (pool.texts[at] + "," + new_pool.cells(new_bits)).tolist()
-        used = np.flatnonzero(np.bincount(at, minlength=len(pool.keys)))
-        pairs = np.empty(len(pool.keys), dtype=object)
-        pairs[used] = pool.texts[used] + "," + new_pool.cells(news[used].view(np.float64))
-        return pairs[at].tolist()
+def _block(rep, rows, lo, hi, renewals, instances) -> str:
+    """The CSV lines of rows `lo` to `hi` of the chunk, each led by the
+    replication."""
+    m, start, p = hi - lo, rows.start + lo, rows.processes
+    snr = rows.snr[lo:hi]
+    snr_cells = np.array(_float_cells(snr), dtype=object)
+    eff, fed = rows.eff_snr[lo:hi], rows.fed[lo:hi].copy()
+    echo = np.zeros(m, dtype=bool)  # reports of the SNR P rows up
+    echo[p:] = fed[p:] & (eff[p:].view(np.int64) == snr[:-p].view(np.int64))
+    fed &= ~echo
+    eff_cells = _filled(m, "")
+    eff_cells[echo] = snr_cells[np.flatnonzero(echo) - p]
+    texts, at = _distinct_cells(eff[fed])
+    eff_cells[fed] = texts[at]
+    a, b = np.searchsorted(renewals, (lo, hi))
+    tails = _filled(m, "0,0,0,0.0")  # decoded, renewal, chain_length, reward_bits
+    lengths, length_at = _distinct_cells(rows.chain_length[a:b])
+    rewards, reward_at = _distinct_cells(rows.reward_bits[a:b])
+    tails[renewals[a:b] - lo] = [f"1,1,{length},{reward}" for length, reward in zip(
+        lengths[length_at].tolist(), rewards[reward_at].tolist())]
+    bits = _bits_cells(rows.parity_bits[lo:hi], rows.new_bits[lo:hi])
+    lead = f"{rep},"
+    return lead + ("\n" + lead).join(map(",".join, zip(
+        map(repr, range(start, start + m)),  # an int's repr is its str, and faster
+        instances, snr_cells.tolist(), eff_cells.tolist(), bits, tails.tolist(),
+    ))) + "\n"
+
+
+def _bits_cells(parity: np.ndarray, new_bits: np.ndarray) -> list[str]:
+    """The `parity_bits,new_bits` cells of each row.  A slot's new bits are
+    B less its parity, so each distinct parity is formatted with its new
+    bits once; a block where the parity does not fix them is formatted
+    column by column."""
+    texts, at = _distinct_cells(parity)
+    new_keys = new_bits.view(np.int64)
+    news = np.zeros(len(texts), dtype=np.int64)
+    news[at] = new_keys
+    if not np.array_equal(news[at], new_keys):
+        new_texts, new_at = _distinct_cells(new_bits)
+        return (texts[at] + "," + new_texts[new_at]).tolist()
+    pairs = texts + "," + np.array(_float_cells(news.view(np.float64)), dtype=object)
+    return pairs[at].tolist()
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

@@ -515,6 +515,19 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, grid", [
+        (["fig4", "--snr-grid-db=0:1e308:1e-10"], "0:1e308:1e-10"),
+        (["fig5", "--ratio-grid=1:2:1e-320"], "1:2:1e-320"),
+    ], ids=["fig4", "fig5"])
+    def test_overflowing_grid_is_usage_error(self, tmp_path, capsys, argv, grid):
+        # finite ends and step whose point count overflows a float
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: grid has too many points to count, got {grid!r}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["fig4", "--rate-factors", "2,3,2.0000001"],
          "rate factors 2.0 and 2.0000001 both name the column rate_R_k2"),
@@ -805,7 +818,7 @@ def slot_log_chunks(draw):
 
 class TestSlotLogWriter:
     """`_SlotLog` on hand-made chunks: the bytes of the reference's cells,
-    whatever the block size and however often its pools start over."""
+    whatever the block size."""
 
     @staticmethod
     def reference_rows(rep, chunks):
@@ -824,12 +837,11 @@ class TestSlotLogWriter:
 
     @settings(deadline=None, max_examples=150)
     @given(st.lists(slot_log_chunks(), min_size=1, max_size=3),
-           st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=8))
-    def test_hand_made_chunks(self, tmp_path_factory, sessions, block, limit):
+           st.integers(min_value=1, max_value=9))
+    def test_hand_made_chunks(self, tmp_path_factory, sessions, block):
         tmp = tmp_path_factory.mktemp("log")
         got, want = tmp / "got.csv", tmp / "want.csv"
-        with mock.patch.object(cli, "_SLOT_LOG_CHUNK", block), \
-                mock.patch.object(cli, "_POOL_LIMIT", limit), cli._SlotLog(str(got)) as log:
+        with mock.patch.object(cli, "_SLOT_LOG_CHUNK", block), cli._SlotLog(str(got)) as log:
             for rep, chunks in enumerate(sessions):
                 for rows in chunks:
                     log(rep, rows)
@@ -915,10 +927,9 @@ class TestTableBytes:
 
 class TestSlotLogMemory:
     @staticmethod
-    def peak(path, horizon):
-        """The tracemalloc peak, in bytes, of writing one full-CSIT
-        session's slot log of `horizon` rows from its kernel chunks."""
-        link = LinkConfig(rate=4.0, slot_uses=100, accounting="integer")
+    def peak(path, link, horizon):
+        """The tracemalloc peak, in bytes, of writing one session's slot
+        log of `horizon` rows from its kernel chunks."""
         chunks = []
         engine.run_replicated(engine.RunConfig(seed=1, replications=1, horizon=horizon),
                               link, Rayleigh(10.0), slot_sink=lambda *args: chunks.append(args))
@@ -932,9 +943,13 @@ class TestSlotLogMemory:
             tracemalloc.stop()
 
     def test_writer_peak_does_not_grow_with_rows(self, tmp_path):
-        small = self.peak(tmp_path / "small.csv", 4096)
-        large = self.peak(tmp_path / "large.csv", 65_536)
-        assert large < 1.5 * small, (small, large)
+        # integer full CSIT, and fluid quantized (F = 2, L = 64), whose
+        # reward cells do not recur
+        for link in (LinkConfig(rate=4.0, slot_uses=100, accounting="integer"),
+                     LinkConfig(rate=4.0, slot_uses=100, feedback_bits=2.0, block_length=64)):
+            small = self.peak(tmp_path / "small.csv", link, 4096)
+            large = self.peak(tmp_path / "large.csv", link, 65_536)
+            assert large < 1.5 * small, (link, small, large)
 
     @staticmethod
     def peak_rss_kb(tmp_path, slots, csv_log):
